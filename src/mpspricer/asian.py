@@ -10,18 +10,10 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
-from .binomial import (
-    RIGHTS,
-    SCHEMES,
-    SchemeParams,
-    make_scheme_params,
-    path_prices,
-    path_probability,
-)
+from .binomial import SingleAssetSpec, path_prices, path_probability
 from .reports import PriceReport
 from .ttcross import CrossConfig, GridFunction, ttcross_approximate
 
@@ -29,48 +21,9 @@ BRUTEFORCE_MAX_STEPS = 25
 _ENUM_CHUNK = 1 << 16
 _MC_CHUNK = 1 << 17
 
-
-@dataclass(frozen=True)
-class AsianSpec:
-    """Arithmetic Asian option on a binomial path space."""
-
-    spot: float
-    strike: float
-    rate: float
-    vol: float
-    expiry: float
-    steps: int
-    scheme: str = "crr"
-    right: str = "call"
-
-    def __post_init__(self):
-        if self.spot <= 0:
-            raise ValueError(f"spot must be positive, got {self.spot}")
-        if self.strike <= 0:
-            raise ValueError(f"strike must be positive, got {self.strike}")
-        if self.expiry <= 0:
-            raise ValueError(f"expiry must be positive, got {self.expiry}")
-        if self.steps < 1:
-            raise ValueError(f"steps must be >= 1, got {self.steps}")
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
-        if self.right not in RIGHTS:
-            raise ValueError(f"right must be one of {RIGHTS}, got {self.right!r}")
-
-    @property
-    def dt(self) -> float:
-        return self.expiry / self.steps
-
-    def params(self) -> SchemeParams:
-        return make_scheme_params(self.scheme, self.rate, self.vol, self.dt)
-
-
-def asian_path_payoff(spec: AsianSpec, bits: np.ndarray) -> np.ndarray:
-    """Undiscounted payoff of each path: the mean-price payoff at expiry."""
-    means = path_prices(spec.spot, spec.params(), bits).mean(axis=-1)
-    if spec.right == "call":
-        return np.maximum(means - spec.strike, 0.0)
-    return np.maximum(spec.strike - means, 0.0)
+# An Asian option takes exactly the single-asset inputs; the second name
+# keeps call sites reading as the product they price.
+AsianSpec = SingleAssetSpec
 
 
 def asian_linear_payoff(spec: AsianSpec, bits: np.ndarray) -> np.ndarray:
@@ -80,24 +33,29 @@ def asian_linear_payoff(spec: AsianSpec, bits: np.ndarray) -> np.ndarray:
     return signed if spec.right == "call" else -signed
 
 
-def asian_integrand(spec: AsianSpec) -> GridFunction:
-    """Probability-weighted payoff p(x) * v(x) as a grid function on {0,1}^N."""
+def asian_path_payoff(spec: AsianSpec, bits: np.ndarray) -> np.ndarray:
+    """Undiscounted payoff of each path: the mean-price payoff at expiry."""
+    return np.maximum(asian_linear_payoff(spec, bits), 0.0)
+
+
+def _integrand(spec: AsianSpec, payoff) -> GridFunction:
+    """p(x) * payoff(spec, x) as a grid function on {0,1}^N."""
     params = spec.params()
 
     def evaluate(bits: np.ndarray) -> np.ndarray:
-        return path_probability(params, bits) * asian_path_payoff(spec, bits)
+        return path_probability(params, bits) * payoff(spec, bits)
 
     return GridFunction(dims=(2,) * spec.steps, evaluate=evaluate)
+
+
+def asian_integrand(spec: AsianSpec) -> GridFunction:
+    """Probability-weighted payoff p(x) * v(x) as a grid function on {0,1}^N."""
+    return _integrand(spec, asian_path_payoff)
 
 
 def asian_linear_integrand(spec: AsianSpec) -> GridFunction:
     """p(x) times the unfloored payoff; exactly bond dimension 2 as an MPS."""
-    params = spec.params()
-
-    def evaluate(bits: np.ndarray) -> np.ndarray:
-        return path_probability(params, bits) * asian_linear_payoff(spec, bits)
-
-    return GridFunction(dims=(2,) * spec.steps, evaluate=evaluate)
+    return _integrand(spec, asian_linear_payoff)
 
 
 def _enumerate_bits(n: int, start: int, stop: int) -> np.ndarray:
@@ -107,15 +65,13 @@ def _enumerate_bits(n: int, start: int, stop: int) -> np.ndarray:
     return ((ids[:, None] >> shifts[None, :]) & np.uint64(1)).astype(np.uint8)
 
 
-def price_asian_bruteforce(
-    spec: AsianSpec, max_steps: int = BRUTEFORCE_MAX_STEPS
-) -> PriceReport:
-    """Exact price by summing all 2^N paths; refuses above ``max_steps``."""
+def price_asian_bruteforce(spec: AsianSpec) -> PriceReport:
+    """Exact price by summing all 2^N paths; refuses N > BRUTEFORCE_MAX_STEPS."""
     n = spec.steps
-    if n > max_steps:
+    if n > BRUTEFORCE_MAX_STEPS:
         raise ValueError(
             f"brute force over 2^{n} = {1 << n} paths exceeds the "
-            f"2^{max_steps} cap; use a tensor method or Monte Carlo"
+            f"2^{BRUTEFORCE_MAX_STEPS} cap; use a tensor method or Monte Carlo"
         )
     params = spec.params()
     start_time = time.perf_counter()

@@ -24,6 +24,7 @@ from .ttcross import CrossConfig, CrossResult, GridFunction, ttcross_approximate
 
 PAYOFF_KINDS = ("min", "max", "avg")
 BASKET_STYLES = ("european", "american")
+_GRID_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -240,16 +241,8 @@ def payoff_to_mps(
     model: DecoupledModel,
     step: int,
     cfg: CrossConfig,
-) -> tuple[MPS, CrossResult | None]:
-    """Payoff on the step grid as an MPS, one site per asset.
-
-    Single-asset payoffs are stored exactly; multi-asset ones go through
-    cross approximation with the given config.
-    """
-    if model.n_assets == 1:
-        labels = np.arange(step + 1, dtype=np.int64)[:, None]
-        vals = basket_payoff(spec, model, labels, step)
-        return MPS([vals.reshape(1, step + 1, 1)]), None
+) -> tuple[MPS, CrossResult]:
+    """Payoff on the step grid as an MPS, one site per asset, by cross."""
     f = GridFunction(
         dims=(step + 1,) * model.n_assets,
         evaluate=lambda lab: basket_payoff(spec, model, lab, step),
@@ -265,24 +258,8 @@ def _reapproximate(
     step: int,
     disc: float,
     cfg: CrossConfig,
-) -> tuple[MPS, CrossResult | None]:
+) -> tuple[MPS, CrossResult]:
     """Step-k-1 value function max(disc*continuation, payoff) as an MPS."""
-    if step == 0:
-        labels = np.zeros((1, model.n_assets), dtype=np.int64)
-        v = max(
-            disc * float(continuation.evaluate_batch(labels)[0]),
-            float(basket_payoff(spec, model, labels, 0)[0]),
-        )
-        cores = [np.ones((1, 1, 1)) for _ in range(model.n_assets)]
-        cores[0] = cores[0] * v
-        return MPS(cores), None
-    if model.n_assets == 1:
-        labels = np.arange(step + 1, dtype=np.int64)[:, None]
-        vals = np.maximum(
-            disc * continuation.evaluate_batch(labels),
-            basket_payoff(spec, model, labels, step),
-        )
-        return MPS([vals.reshape(1, step + 1, 1)]), None
     f = GridFunction(
         dims=(step + 1,) * model.n_assets,
         evaluate=lambda lab: np.maximum(
@@ -292,6 +269,77 @@ def _reapproximate(
     )
     result = ttcross_approximate(f, cfg)
     return result.mps, result
+
+
+def _price_tensor(
+    spec: BasketSpec,
+    style: str,
+    bond_dim: int,
+    seed: int,
+    n_sweeps: int,
+    tol: float,
+) -> PriceReport:
+    """Backward induction over value-function MPSs from the terminal payoff.
+
+    Each step applies the transposed conditional matrices to every site.
+    American style then rebuilds max(discounted continuation, payoff) on
+    the earlier grid by cross approximation (seeded per step), exercise at
+    the root included. European style discounts once at the end and checks
+    the result against contracting the terminal MPS with the label
+    distribution, flagging a disagreement beyond 1e-9.
+    """
+    if spec.style != style:
+        raise ValueError(f"spec style is {spec.style!r}, expected {style!r}")
+    american = style == "american"
+    model = decouple(spec)
+    n, m = spec.steps, spec.n_assets
+    disc = math.exp(-spec.rate * spec.dt)
+    start_time = time.perf_counter()
+
+    def step_cfg(step: int) -> CrossConfig:
+        return CrossConfig(
+            max_bond=bond_dim, n_sweeps=n_sweeps, tol=tol, seed=seed + step
+        )
+
+    terminal, cross = payoff_to_mps(spec, model, n, step_cfg(n))
+    crosses = {n: cross}
+    value = terminal
+    for k in range(n, 0, -1):
+        pk_t = conditional_prob_matrix(k).T
+        value = value.apply_site_matrices([pk_t] * m)
+        if american:
+            value, crosses[k - 1] = _reapproximate(
+                spec, model, value, k - 1, disc, step_cfg(k - 1)
+            )
+    warnings = [f"step {k}: {w}" for k, c in crosses.items() for w in c.warnings]
+    diagnostics = {
+        "n_evals": sum(c.n_evals for c in crosses.values()),
+        "converged": all(c.converged for c in crosses.values()),
+    }
+    mps = value
+    if american:
+        price = value.sum_all()
+    else:
+        disc_total = math.exp(-spec.rate * spec.expiry)
+        price = disc_total * value.sum_all()
+        pmf = terminal_label_pmf(n)
+        alt = disc_total * terminal.apply_site_matrices([pmf[None, :]] * m).sum_all()
+        if abs(price - alt) > 1e-9 * max(1.0, abs(price)):
+            warnings.append(
+                f"recursion and terminal contraction disagree: {price} vs {alt}"
+            )
+        diagnostics = {"terminal_contraction_price": alt, **diagnostics}
+        mps = terminal
+    return PriceReport(
+        price=price,
+        method="ttcross",
+        seed=seed,
+        bond_dim=bond_dim,
+        wall_time_s=time.perf_counter() - start_time,
+        warnings=warnings,
+        diagnostics=diagnostics,
+        mps=mps,
+    )
 
 
 def price_european_basket(
@@ -305,42 +353,10 @@ def price_european_basket(
 
     Prices two ways: chaining transposed conditional matrices down to the
     root, and contracting the terminal MPS against the label distribution.
-    The first is reported; a disagreement beyond 1e-9 is flagged.
+    The first is reported with the terminal MPS; a disagreement beyond
+    1e-9 is flagged.
     """
-    if spec.style != "european":
-        raise ValueError(f"spec style is {spec.style!r}, expected 'european'")
-    model = decouple(spec)
-    n, m = spec.steps, spec.n_assets
-    start_time = time.perf_counter()
-    cfg = CrossConfig(max_bond=bond_dim, n_sweeps=n_sweeps, tol=tol, seed=seed + n)
-    terminal, cross = payoff_to_mps(spec, model, n, cfg)
-    disc = math.exp(-spec.rate * spec.expiry)
-    value = terminal
-    for k in range(n, 0, -1):
-        pk_t = conditional_prob_matrix(k).T
-        value = value.apply_site_matrices([pk_t] * m)
-    price = disc * value.sum_all()
-    pmf = terminal_label_pmf(n)
-    alt = disc * terminal.apply_site_matrices([pmf[None, :]] * m).sum_all()
-    warnings = list(cross.warnings) if cross is not None else []
-    if abs(price - alt) > 1e-9 * max(1.0, abs(price)):
-        warnings.append(
-            f"recursion and terminal contraction disagree: {price} vs {alt}"
-        )
-    diagnostics = {"terminal_contraction_price": alt}
-    if cross is not None:
-        diagnostics["n_evals"] = cross.n_evals
-        diagnostics["converged"] = cross.converged
-    return PriceReport(
-        price=price,
-        method="ttcross",
-        seed=seed,
-        bond_dim=bond_dim,
-        wall_time_s=time.perf_counter() - start_time,
-        warnings=warnings,
-        diagnostics=diagnostics,
-        mps=terminal,
-    )
+    return _price_tensor(spec, "european", bond_dim, seed, n_sweeps, tol)
 
 
 def price_american_basket(
@@ -352,94 +368,46 @@ def price_american_basket(
 ) -> PriceReport:
     """American basket put by backward induction over value-function MPSs.
 
-    Each step applies the transposed conditional matrices to get the
-    continuation, then rebuilds max(discounted continuation, payoff) on
-    the earlier grid by cross approximation (seeded per step). Exercise
-    at the root is included by the final step.
+    Each step's max(discounted continuation, payoff) is rebuilt by cross
+    approximation seeded with ``seed + step``; the root MPS is reported.
     """
-    if spec.style != "american":
-        raise ValueError(f"spec style is {spec.style!r}, expected 'american'")
-    model = decouple(spec)
-    n, m = spec.steps, spec.n_assets
-    disc = math.exp(-spec.rate * spec.dt)
-    start_time = time.perf_counter()
-    warnings: list[str] = []
-    diagnostics: dict = {}
-
-    def step_cfg(step: int) -> CrossConfig:
-        return CrossConfig(
-            max_bond=bond_dim, n_sweeps=n_sweeps, tol=tol, seed=seed + step
-        )
-
-    value, cross = payoff_to_mps(spec, model, n, step_cfg(n))
-    if cross is not None:
-        warnings += [f"step {n}: {w}" for w in cross.warnings]
-        diagnostics["n_evals"] = diagnostics.get("n_evals", 0) + cross.n_evals
-        diagnostics["converged"] = cross.converged
-    for k in range(n, 0, -1):
-        pk_t = conditional_prob_matrix(k).T
-        continuation = value.apply_site_matrices([pk_t] * m)
-        value, cross = _reapproximate(
-            spec, model, continuation, k - 1, disc, step_cfg(k - 1)
-        )
-        if cross is not None:
-            warnings += [f"step {k - 1}: {w}" for w in cross.warnings]
-            diagnostics["n_evals"] = diagnostics.get("n_evals", 0) + cross.n_evals
-            diagnostics["converged"] = (
-                diagnostics.get("converged", True) and cross.converged
-            )
-    price = value.sum_all()
-    return PriceReport(
-        price=price,
-        method="ttcross",
-        seed=seed,
-        bond_dim=bond_dim,
-        wall_time_s=time.perf_counter() - start_time,
-        warnings=warnings,
-        diagnostics=diagnostics,
-        mps=value,
-    )
+    return _price_tensor(spec, "american", bond_dim, seed, n_sweeps, tol)
 
 
 def _payoff_grid(spec: BasketSpec, model: DecoupledModel, step: int) -> np.ndarray:
-    """Dense payoff over the full step grid, shape (step+1,)^m."""
-    m = model.n_assets
-    yv = outcome_values(model, step)
-    agg = None
-    for i in range(m):
-        x = np.zeros((step + 1,) * m)
-        for l in range(m):
-            shape = [1] * m
-            shape[l] = step + 1
-            x = x + (model.g[i, l] * yv[l]).reshape(shape)
-        s = np.exp(x)
-        if agg is None:
-            agg = s
-        elif spec.payoff_kind == "min":
-            agg = np.minimum(agg, s)
-        elif spec.payoff_kind == "max":
-            agg = np.maximum(agg, s)
-        else:
-            agg = agg + s
-    if spec.payoff_kind == "avg":
-        agg = agg / m
-    return np.maximum(spec.strike - agg, 0.0)
+    """Dense payoff over the full step grid, shape (step+1,)^m.
+
+    Labels go through :func:`basket_payoff` in chunks: one label block
+    over the trailing axes, at most ``_GRID_CHUNK`` rows unless one axis
+    alone is longer, reused under every prefix of the leading axes in
+    row-major order.
+    """
+    m, d = model.n_assets, step + 1
+    tail = 1
+    while tail < m and d ** (tail + 1) <= _GRID_CHUNK:
+        tail += 1
+    lead, rows = m - tail, d**tail
+    labels = np.empty((rows, m), dtype=np.int64)
+    labels[:, lead:] = np.indices((d,) * tail).reshape(tail, -1).T
+    out = np.empty(d**m)
+    for i, prefix in enumerate(np.ndindex((d,) * lead)):
+        labels[:, :lead] = prefix
+        out[i * rows : (i + 1) * rows] = basket_payoff(spec, model, labels, step)
+    return out.reshape((d,) * m)
 
 
-def price_basket_bruteforce(
-    spec: BasketSpec, max_elements: int = DENSE_ELEMENT_CAP
-) -> PriceReport:
+def price_basket_bruteforce(spec: BasketSpec) -> PriceReport:
     """Exact backward induction on the dense outcome grid.
 
-    Refuses when the terminal grid (steps+1)^m exceeds ``max_elements``.
+    Refuses when the terminal grid (steps+1)^m exceeds ``DENSE_ELEMENT_CAP``.
     """
     model = decouple(spec)
     n, m = spec.steps, spec.n_assets
     grid_size = (n + 1) ** m
-    if grid_size > max_elements:
+    if grid_size > DENSE_ELEMENT_CAP:
         raise ValueError(
             f"dense grid needs ({n}+1)^{m} = {grid_size} values, "
-            f"cap is {max_elements}"
+            f"cap is {DENSE_ELEMENT_CAP}"
         )
     start_time = time.perf_counter()
     disc = math.exp(-spec.rate * spec.dt)

@@ -81,7 +81,11 @@ def make_scheme_params(scheme: str, rate: float, vol: float, dt: float) -> Schem
 
 @dataclass(frozen=True)
 class SingleAssetSpec:
-    """Contract and model inputs for one underlying on a binomial lattice."""
+    """Contract and model inputs for one underlying on a binomial lattice.
+
+    It is also the spec of an arithmetic Asian option (``AsianSpec``). The
+    exercise style is an argument of :func:`tree_price`, not a field.
+    """
 
     spot: float
     strike: float
@@ -89,9 +93,8 @@ class SingleAssetSpec:
     vol: float
     expiry: float
     steps: int
-    right: str = "call"
-    style: str = "european"
     scheme: str = "crr"
+    right: str = "call"
 
     def __post_init__(self):
         if self.spot <= 0:
@@ -102,12 +105,10 @@ class SingleAssetSpec:
             raise ValueError(f"expiry must be positive, got {self.expiry}")
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
-        if self.right not in RIGHTS:
-            raise ValueError(f"right must be one of {RIGHTS}, got {self.right!r}")
-        if self.style not in STYLES:
-            raise ValueError(f"style must be one of {STYLES}, got {self.style!r}")
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
+        if self.right not in RIGHTS:
+            raise ValueError(f"right must be one of {RIGHTS}, got {self.right!r}")
 
     @property
     def dt(self) -> float:
@@ -144,13 +145,15 @@ def path_probability(params: SchemeParams, bits: np.ndarray) -> np.ndarray:
     return params.p_up**ups * (1.0 - params.p_up) ** (n - ups)
 
 
-def tree_price(spec: SingleAssetSpec) -> float:
+def tree_price(spec: SingleAssetSpec, style: str = "european") -> float:
     """Backward induction on the recombining tree.
 
     Terminal payoffs roll back one step at a time under the risk-neutral
     probability; American style takes the max against immediate exercise
     at every node, including the root.
     """
+    if style not in STYLES:
+        raise ValueError(f"style must be one of {STYLES}, got {style!r}")
     params = spec.params()
     n = spec.steps
     disc = math.exp(-spec.rate * params.dt)
@@ -161,7 +164,7 @@ def tree_price(spec: SingleAssetSpec) -> float:
         values = disc * (
             params.p_up * values[1:] + (1.0 - params.p_up) * values[:-1]
         )
-        if spec.style == "american":
+        if style == "american":
             j = np.arange(i + 1)
             prices = spec.spot * params.up**j * params.down ** (i - j)
             values = np.maximum(values, exercise_value(prices, spec.strike, spec.right))

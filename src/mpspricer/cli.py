@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import os
@@ -55,30 +56,43 @@ BASKET_METHODS = ("ttcross", "bruteforce")
 BENCH_ASIAN_METHODS = ("ttcross", "variational", "montecarlo")
 BENCH_BASKET_METHODS = ("ttcross",)
 
-_DEFAULTS = {
-    "s0": 100.0,
+# Values the library leaves to the caller; every other default is the
+# library's own, so only flags that were set are passed on.
+_ASIAN_SPEC_DEFAULTS = {
+    "spot": 100.0,
     "strike": 100.0,
     "rate": 0.1,
     "vol": 0.5,
     "expiry": 1.0,
-    "scheme": "crr",
-    "right": "call",
     "steps": 20,
+}
+_DEFAULTS = {
     "assets": 3,
-    "corr": 1.0 / 3.0,
-    "payoff": "min",
-    "style": "european",
-    "basket_steps": 10,
     "method": "ttcross",
     "bond_dim": 32,
     "basket_bond_dim": 16,
     "samples": 100_000,
-    "tol": 1e-10,
-    "seed": 0,
     "repeats": 10,
     "bond_dims": [8, 16, 32, 64],
     "samples_list": [10_000, 100_000, 1_000_000],
-    "output": "json",
+}
+
+# Library keyword -> (flag, conversion) for flags passed on only when set.
+_FLAG_PARAMS = {
+    "spot": ("s0", float),
+    "strike": ("strike", float),
+    "rate": ("rate", float),
+    "vol": ("vol", float),
+    "rho": ("corr", float),
+    "expiry": ("expiry", float),
+    "steps": ("steps", int),
+    "scheme": ("scheme", str),
+    "right": ("right", str),
+    "payoff_kind": ("payoff", str),
+    "style": ("style", str),
+    "seed": ("seed", int),
+    "n_sweeps": ("sweeps", int),
+    "tol": ("tol", float),
 }
 
 
@@ -136,7 +150,6 @@ def _add_basket_spec_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_output_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON file of flag values; flags override it")
-    p.add_argument("--output", choices=["json", "csv"], help="output format")
     p.add_argument("--output-path", help="write the document here instead of stdout")
     p.add_argument("--dump-mps", help="write the final MPS as JSON to this path")
     p.add_argument(
@@ -154,8 +167,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Tensor-network binomial pricing of Asian and basket options.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # Without prefix matching, a flag such as --output is rejected instead
+    # of being read as --output-path.
+    add = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    pa = sub.add_parser("price-asian", help="price one Asian option")
+    pa = add("price-asian", help="price one Asian option")
     _add_asian_spec_flags(pa)
     pa.add_argument("--method", choices=list(ASIAN_METHODS), help="pricing method")
     pa.add_argument("--bond-dim", type=int, help="MPS bond dimension")
@@ -164,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--tol", type=float, help="cross convergence tolerance")
     _add_output_flags(pa)
 
-    pb = sub.add_parser("price-basket", help="price one basket put")
+    pb = add("price-basket", help="price one basket put")
     _add_basket_spec_flags(pb)
     pb.add_argument("--method", choices=list(BASKET_METHODS), help="pricing method")
     pb.add_argument("--bond-dim", type=int, help="MPS bond dimension")
@@ -172,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--tol", type=float, help="cross convergence tolerance")
     _add_output_flags(pb)
 
-    ba = sub.add_parser("bench-asian", help="repeat Asian pricers over parameter grids")
+    ba = add("bench-asian", help="repeat Asian pricers over parameter grids")
     _add_asian_spec_flags(ba)
     ba.add_argument("--methods", type=_str_list, help="comma-separated methods")
     ba.add_argument("--bond-dims", type=_int_list, help="comma-separated bond dimensions")
@@ -182,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     ba.add_argument("--repeats", type=int, help="runs per parameter value")
     _add_output_flags(ba)
 
-    bb = sub.add_parser("bench-basket", help="repeat basket pricers over bond dimensions")
+    bb = add("bench-basket", help="repeat basket pricers over bond dimensions")
     _add_basket_spec_flags(bb)
     bb.add_argument("--methods", type=_str_list, help="comma-separated methods")
     bb.add_argument("--bond-dims", type=_int_list, help="comma-separated bond dimensions")
@@ -191,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     bb.add_argument("--repeats", type=int, help="runs per parameter value")
     _add_output_flags(bb)
 
-    orc = sub.add_parser("oracle", help="brute-force reference price")
+    orc = add("oracle", help="brute-force reference price")
     orc.add_argument("--kind", choices=["asian", "basket"], help="spec family")
     _add_asian_spec_flags(orc)
     orc.add_argument("--assets", type=int, help="number of assets (basket)")
@@ -228,119 +244,75 @@ def parse_args(argv: list[str] | None = None) -> RunConfig:
     return RunConfig(command=args.command, options=options)
 
 
+def _given(cfg: RunConfig, *params: str) -> dict:
+    """Library keyword arguments for those of ``params`` whose flag was set."""
+    kwargs = {}
+    for param in params:
+        flag, convert = _FLAG_PARAMS[param]
+        value = cfg.options.get(flag)
+        if value is not None:
+            kwargs[param] = convert(value)
+    return kwargs
+
+
 def _asian_spec_from(cfg: RunConfig) -> AsianSpec:
-    return AsianSpec(
-        spot=float(cfg.get("s0", _DEFAULTS["s0"])),
-        strike=float(cfg.get("strike", _DEFAULTS["strike"])),
-        rate=float(cfg.get("rate", _DEFAULTS["rate"])),
-        vol=float(cfg.get("vol", _DEFAULTS["vol"])),
-        expiry=float(cfg.get("expiry", _DEFAULTS["expiry"])),
-        steps=int(cfg.get("steps", _DEFAULTS["steps"])),
-        scheme=cfg.get("scheme", _DEFAULTS["scheme"]),
-        right=cfg.get("right", _DEFAULTS["right"]),
-    )
+    given = _given(cfg, *_ASIAN_SPEC_DEFAULTS, "scheme", "right")
+    return AsianSpec(**_ASIAN_SPEC_DEFAULTS | given)
 
 
 def _basket_spec_from(cfg: RunConfig) -> BasketSpec:
     """Build the basket spec; config-file lists allow heterogeneous assets.
 
-    Config keys `spots` and `vols` (lists) and a nested-list `corr` take
-    effect when the matching scalar flag is absent from the command line.
+    Config keys `spots` and `vols` (lists) and a nested-list `corr` replace
+    the uniform values of the scalar flags.
     """
     opts = cfg.options
-    spots = opts.get("spots")
-    vols = opts.get("vols")
-    corr = opts.get("corr")
+    lists = {
+        key: opts[key]
+        for key in ("spots", "vols", "corr")
+        if isinstance(opts.get(key), list)
+    }
     n = opts.get("assets")
     if n is None:
-        for lst in (spots, vols):
-            if isinstance(lst, list):
-                n = len(lst)
-                break
-        else:
-            n = _DEFAULTS["assets"]
-    n = int(n)
-    kwargs = dict(
-        strike=float(cfg.get("strike", _DEFAULTS["strike"])),
-        rate=float(cfg.get("rate", _DEFAULTS["rate"])),
-        expiry=float(cfg.get("expiry", _DEFAULTS["expiry"])),
-        steps=int(cfg.get("steps", _DEFAULTS["basket_steps"])),
-        payoff_kind=cfg.get("payoff", _DEFAULTS["payoff"]),
-        style=cfg.get("style", _DEFAULTS["style"]),
-    )
-    if not isinstance(spots, list):
-        spots = [float(cfg.get("s0", _DEFAULTS["s0"]))] * n
-    if not isinstance(vols, list):
-        vols = [float(cfg.get("vol", _DEFAULTS["vol"]))] * n
-    if isinstance(corr, list):
-        corr_rows = [tuple(float(c) for c in row) for row in corr]
-    else:
-        rho = float(corr) if corr is not None else _DEFAULTS["corr"]
-        corr_rows = [
-            tuple(1.0 if i == j else rho for j in range(n)) for i in range(n)
-        ]
-    if len(spots) != n or len(vols) != n:
-        raise ValueError(
-            f"spots/vols lengths ({len(spots)}, {len(vols)}) do not match "
-            f"{n} assets"
+        n = next(
+            (len(lists[key]) for key in ("spots", "vols") if key in lists),
+            _DEFAULTS["assets"],
         )
-    return BasketSpec(
-        spots=tuple(float(s) for s in spots),
-        vols=tuple(float(v) for v in vols),
-        corr=tuple(corr_rows),
-        **kwargs,
-    )
+    params = ["spot", "strike", "rate", "vol", "expiry", "steps", "payoff_kind", "style"]
+    if "corr" not in lists:
+        params.append("rho")
+    spec = uniform_basket_spec(int(n), **_given(cfg, *params))
+    return dataclasses.replace(spec, **lists) if lists else spec
 
 
-def _price_asian(cfg: RunConfig, method: str, seed: int, **overrides) -> PriceReport:
+def _price_asian(cfg: RunConfig, method: str) -> PriceReport:
     spec = _asian_spec_from(cfg)
-    bond_dim = int(overrides.get("bond_dim", cfg.get("bond_dim", _DEFAULTS["bond_dim"])))
-    tol = float(cfg.get("tol", _DEFAULTS["tol"]))
-    if method == "ttcross":
-        sweeps = int(cfg.get("sweeps", 8))
-        return price_asian_ttcross(spec, bond_dim, seed=seed, n_sweeps=sweeps, tol=tol)
-    if method == "variational":
-        sweeps = int(cfg.get("sweeps", 2))
-        return price_asian_variational(spec, bond_dim, seed=seed, n_sweeps=sweeps)
-    if method == "montecarlo":
-        n_samples = int(overrides.get("samples", cfg.get("samples", _DEFAULTS["samples"])))
-        return price_asian_montecarlo(spec, n_samples, seed=seed)
     if method == "bruteforce":
         return price_asian_bruteforce(spec)
+    if method == "montecarlo":
+        n_samples = int(cfg.get("samples", _DEFAULTS["samples"]))
+        return price_asian_montecarlo(spec, n_samples, **_given(cfg, "seed"))
+    bond_dim = int(cfg.get("bond_dim", _DEFAULTS["bond_dim"]))
+    if method == "ttcross":
+        knobs = _given(cfg, "seed", "n_sweeps", "tol")
+        return price_asian_ttcross(spec, bond_dim, **knobs)
+    if method == "variational":
+        knobs = _given(cfg, "seed", "n_sweeps")
+        return price_asian_variational(spec, bond_dim, **knobs)
     raise ValueError(f"unknown Asian method {method!r}")
 
 
-def _price_basket(cfg: RunConfig, method: str, seed: int, **overrides) -> PriceReport:
+def _price_basket(cfg: RunConfig, method: str) -> PriceReport:
     spec = _basket_spec_from(cfg)
     if method == "bruteforce":
         return price_basket_bruteforce(spec)
     if method != "ttcross":
         raise ValueError(f"unknown basket method {method!r}")
-    bond_dim = int(
-        overrides.get("bond_dim", cfg.get("bond_dim", _DEFAULTS["basket_bond_dim"]))
-    )
-    sweeps = int(cfg.get("sweeps", 8))
-    tol = float(cfg.get("tol", _DEFAULTS["tol"]))
+    bond_dim = int(cfg.get("bond_dim", _DEFAULTS["basket_bond_dim"]))
+    knobs = _given(cfg, "seed", "n_sweeps", "tol")
     if spec.style == "american":
-        return price_american_basket(spec, bond_dim, seed=seed, n_sweeps=sweeps, tol=tol)
-    return price_european_basket(spec, bond_dim, seed=seed, n_sweeps=sweeps, tol=tol)
-
-
-_ORACLE_CACHE: dict[str, PriceReport] = {}
-
-
-def oracle_price(spec) -> PriceReport:
-    """Brute-force reference, cached per canonical spec within the process."""
-    key = json.dumps(
-        {"type": type(spec).__name__, "fields": dataclasses.asdict(spec)},
-        sort_keys=True,
-    )
-    if key not in _ORACLE_CACHE:
-        if isinstance(spec, AsianSpec):
-            _ORACLE_CACHE[key] = price_asian_bruteforce(spec)
-        else:
-            _ORACLE_CACHE[key] = price_basket_bruteforce(spec)
-    return _ORACLE_CACHE[key]
+        return price_american_basket(spec, bond_dim, **knobs)
+    return price_european_basket(spec, bond_dim, **knobs)
 
 
 def _resolve_output_path(path: str | None) -> str | None:
@@ -383,40 +355,41 @@ def _report_json(report: PriceReport, cfg: RunConfig) -> str:
 def _bench_rows(cfg: RunConfig, family: str) -> list[dict]:
     if family == "asian":
         allowed = BENCH_ASIAN_METHODS
-        methods = cfg.get("methods", ["ttcross", "variational", "montecarlo"])
         spec = _asian_spec_from(cfg)
-        price_one = _price_asian
+        oracle, price_one = price_asian_bruteforce, _price_asian
     else:
         allowed = BENCH_BASKET_METHODS
-        methods = cfg.get("methods", ["ttcross"])
         spec = _basket_spec_from(cfg)
-        price_one = _price_basket
+        oracle, price_one = price_basket_bruteforce, _price_basket
+    methods = cfg.get("methods", allowed)
     for m in methods:
         if m not in allowed:
             raise ValueError(
                 f"method {m!r} is not benchable here; choose from {allowed}"
             )
     try:
-        reference = oracle_price(spec).price
+        reference = oracle(spec).price
     except ValueError as exc:
         print(f"warning: no brute-force reference ({exc})", file=sys.stderr)
         reference = None
     repeats = int(cfg.get("repeats", _DEFAULTS["repeats"]))
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
-    base_seed = int(cfg.get("seed", _DEFAULTS["seed"]))
+    base_seed = int(cfg.get("seed", 0))
     omit = bool(cfg.options.get("omit_timing"))
     rows = []
     for method in methods:
         if method == "montecarlo":
-            params = [("n_samples", s) for s in cfg.get("samples", _DEFAULTS["samples_list"])]
+            param_name, option = "n_samples", "samples"
+            values = cfg.get("samples", _DEFAULTS["samples_list"])
         else:
-            params = [("bond_dim", d) for d in cfg.get("bond_dims", _DEFAULTS["bond_dims"])]
-        for param_name, param_value in params:
+            param_name, option = "bond_dim", "bond_dim"
+            values = cfg.get("bond_dims", _DEFAULTS["bond_dims"])
+        for param_value in values:
             for run_index in range(repeats):
                 seed = base_seed + run_index
-                override_key = "samples" if param_name == "n_samples" else "bond_dim"
-                report = price_one(cfg, method, seed, **{override_key: param_value})
+                options = cfg.options | {"seed": seed, option: param_value}
+                report = price_one(RunConfig(cfg.command, options), method)
                 rows.append(
                     {
                         "method": method,
@@ -460,27 +433,24 @@ def _rows_to_csv(rows: list[dict]) -> str:
 def run(cfg: RunConfig) -> int:
     """Execute one resolved invocation; returns the process exit status."""
     if cfg.command == "price-asian":
-        method = cfg.get("method", _DEFAULTS["method"])
-        report = _price_asian(cfg, method, int(cfg.get("seed", _DEFAULTS["seed"])))
+        report = _price_asian(cfg, cfg.get("method", _DEFAULTS["method"]))
         _dump_mps(cfg, report)
         _emit(cfg, _report_json(report, cfg))
         return 0
     if cfg.command == "price-basket":
-        method = cfg.get("method", _DEFAULTS["method"])
-        report = _price_basket(cfg, method, int(cfg.get("seed", _DEFAULTS["seed"])))
+        report = _price_basket(cfg, cfg.get("method", _DEFAULTS["method"]))
         _dump_mps(cfg, report)
         _emit(cfg, _report_json(report, cfg))
         return 0
     if cfg.command in ("bench-asian", "bench-basket"):
         rows = _bench_rows(cfg, "asian" if cfg.command == "bench-asian" else "basket")
-        if cfg.get("output", "csv") != "csv":
-            raise ValueError("bench commands emit CSV; use --output csv")
         _emit(cfg, _rows_to_csv(rows))
         return 0
     if cfg.command == "oracle":
-        kind = cfg.get("kind", "asian")
-        spec = _asian_spec_from(cfg) if kind == "asian" else _basket_spec_from(cfg)
-        report = oracle_price(spec)
+        if cfg.get("kind", "asian") == "asian":
+            report = price_asian_bruteforce(_asian_spec_from(cfg))
+        else:
+            report = price_basket_bruteforce(_basket_spec_from(cfg))
         _emit(cfg, _report_json(report, cfg))
         return 0
     raise ValueError(f"unknown command {cfg.command!r}")

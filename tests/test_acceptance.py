@@ -131,9 +131,9 @@ def test_criterion_06_single_asset_basket_reductions():
             want = mp.tree_price(
                 mp.SingleAssetSpec(
                     spot=spot, strike=strike, rate=rate, vol=vol,
-                    expiry=1.0, steps=steps, right="put", style=style,
-                    scheme="rb",
-                )
+                    expiry=1.0, steps=steps, right="put", scheme="rb",
+                ),
+                style=style,
             )
             worst = max(worst, abs(got - want))
     ok = worst <= 1e-10
@@ -177,9 +177,9 @@ def test_criterion_09_tree_converges_to_closed_form():
     # Closed-form reference computed independently at 50-digit precision.
     bs_put = 14.410486632357301
     spec = mp.SingleAssetSpec(
-        steps=2048, right="put", style="european", scheme="crr", **STANDARD
+        steps=2048, right="put", scheme="crr", **STANDARD
     )
-    err = abs(mp.tree_price(spec) - bs_put)
+    err = abs(mp.tree_price(spec, style="european") - bs_put)
     ok = err < 0.01
     report(9, ok, f"CRR European put N=2048 vs closed form, abs err {err:.2e} (tol 0.01)")
     assert ok

@@ -1,5 +1,6 @@
 """Asian pricers: brute force, cross approximation, Monte Carlo."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -34,6 +35,15 @@ def test_spec_validation():
     ):
         with pytest.raises(ValueError):
             AsianSpec(**bad)
+
+
+def test_spec_fields_are_the_pinned_keys():
+    # Benchmark pins compare dataclasses.asdict(spec); a new field breaks them.
+    spec = AsianSpec(spot=100, strike=100, rate=0.1, vol=0.5, expiry=1.0, steps=4)
+    assert dataclasses.asdict(spec) == dict(
+        spot=100, strike=100, rate=0.1, vol=0.5, expiry=1.0, steps=4,
+        scheme="crr", right="call",
+    )
 
 
 def test_path_payoff_by_hand():

@@ -21,6 +21,7 @@ from mpspricer import (
     uniform_basket_spec,
     CrossConfig,
 )
+from mpspricer.basket import _payoff_grid
 
 
 def two_asset_spec(style="european", steps=6, rho=0.25):
@@ -175,9 +176,9 @@ def test_payoff_mps_single_asset_exact():
     )
     model = decouple(spec)
     mps, cross = payoff_to_mps(spec, model, 6, CrossConfig(max_bond=4))
-    assert cross is None
+    assert cross.n_evals == 7
     labels = np.arange(7)[:, None]
-    np.testing.assert_allclose(
+    np.testing.assert_array_equal(
         mps.evaluate_batch(labels), basket_payoff(spec, model, labels, 6)
     )
 
@@ -200,8 +201,9 @@ def _tree_put(style, steps):
     return tree_price(
         SingleAssetSpec(
             spot=100.0, strike=100.0, rate=0.1, vol=0.5, expiry=1.0,
-            steps=steps, right="put", style=style, scheme="rb",
-        )
+            steps=steps, right="put", scheme="rb",
+        ),
+        style=style,
     )
 
 
@@ -246,6 +248,20 @@ def test_bruteforce_european_matches_pmf_contraction():
     weights = pmf[labels[:, 0]] * pmf[labels[:, 1]]
     want = math.exp(-spec.rate * spec.expiry) * float(np.dot(weights, pay))
     assert price_basket_bruteforce(spec).price == pytest.approx(want, rel=1e-12)
+
+
+def test_dense_payoff_grid_across_chunks():
+    # 41^3 = 68,921 points: more than one chunk of the dense evaluation.
+    spec = BasketSpec(
+        spots=(95.0, 100.0, 110.0), strike=105.0, rate=0.1,
+        vols=(0.5, 0.4, 0.3),
+        corr=((1.0, 0.25, 0.1), (0.25, 1.0, 0.2), (0.1, 0.2, 1.0)),
+        expiry=1.0, steps=40, payoff_kind="avg", style="european",
+    )
+    model = decouple(spec)
+    labels = np.indices((41,) * 3).reshape(3, -1).T
+    want = basket_payoff(spec, model, labels, 40).reshape((41,) * 3)
+    np.testing.assert_allclose(_payoff_grid(spec, model, 40), want, rtol=1e-15, atol=0)
 
 
 def test_bruteforce_refuses_huge_grids():

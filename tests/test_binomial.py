@@ -101,11 +101,16 @@ def test_spec_validation():
         dict(good, expiry=0),
         dict(good, steps=0),
         dict(good, right="straddle"),
-        dict(good, style="bermudan"),
         dict(good, scheme="trinomial"),
     ):
         with pytest.raises(ValueError):
             SingleAssetSpec(**bad)
+
+
+def test_tree_price_rejects_unknown_style():
+    spec = SingleAssetSpec(spot=100, strike=100, rate=0.1, vol=0.5, expiry=1.0, steps=4)
+    with pytest.raises(ValueError, match="style"):
+        tree_price(spec, style="bermudan")
 
 
 def test_path_prices_single_path():
@@ -131,17 +136,17 @@ def test_path_probabilities_sum_to_one():
 def test_tree_matches_black_scholes_at_large_n():
     spec = SingleAssetSpec(
         spot=100, strike=100, rate=0.1, vol=0.5, expiry=1.0,
-        steps=2048, right="put", style="european", scheme="crr",
+        steps=2048, right="put", scheme="crr",
     )
-    assert abs(tree_price(spec) - BS_PUT) < 0.01
+    assert abs(tree_price(spec, style="european") - BS_PUT) < 0.01
 
 
 def test_rb_tree_also_converges():
     spec = SingleAssetSpec(
         spot=100, strike=100, rate=0.1, vol=0.5, expiry=1.0,
-        steps=2048, right="put", style="european", scheme="rb",
+        steps=2048, right="put", scheme="rb",
     )
-    assert abs(tree_price(spec) - BS_PUT) < 0.01
+    assert abs(tree_price(spec, style="european") - BS_PUT) < 0.01
 
 
 def test_put_call_parity_on_tree():
@@ -156,7 +161,7 @@ def test_put_call_parity_on_tree():
 def test_two_step_tree_by_hand():
     spec = SingleAssetSpec(
         spot=100, strike=100, rate=0.1, vol=0.5, expiry=2.0, steps=2,
-        right="call", style="european", scheme="crr",
+        right="call", scheme="crr",
     )
     p = crr_params(0.1, 0.5, 1.0)
     disc = math.exp(-0.1)
@@ -170,7 +175,7 @@ def test_two_step_tree_by_hand():
         disc * (p.p_up * pay[2] + (1 - p.p_up) * pay[1]),
     ]
     want = disc * (p.p_up * lvl1[1] + (1 - p.p_up) * lvl1[0])
-    assert tree_price(spec) == pytest.approx(want, rel=1e-14)
+    assert tree_price(spec, style="european") == pytest.approx(want, rel=1e-14)
 
 
 @settings(max_examples=30, deadline=None)
@@ -186,8 +191,8 @@ def test_american_dominates_european(spot, strike, vol, steps, right):
         spot=spot, strike=strike, rate=0.05, vol=vol, expiry=1.0,
         steps=steps, right=right, scheme="crr",
     )
-    eur = tree_price(SingleAssetSpec(style="european", **kw))
-    amer = tree_price(SingleAssetSpec(style="american", **kw))
+    eur = tree_price(SingleAssetSpec(**kw), style="european")
+    amer = tree_price(SingleAssetSpec(**kw), style="american")
     intrinsic = max(spot - strike, 0) if right == "call" else max(strike - spot, 0)
     assert eur >= -1e-12
     assert amer >= eur - 1e-10

