@@ -241,6 +241,13 @@ def parse_args(argv: list[str] | None = None) -> RunConfig:
             key = key.replace("-", "_")
             if options.get(key) is None:
                 options[key] = value
+        # A shared flag on the command line beats the file's per-asset list,
+        # whose length still gives the asset count.
+        for key, flag in (("spots", "s0"), ("vols", "vol")):
+            if getattr(args, flag, None) is not None and isinstance(options.get(key), list):
+                n_assets = len(options.pop(key))
+                if options.get("assets") is None:
+                    options["assets"] = n_assets
     return RunConfig(command=args.command, options=options)
 
 
@@ -264,7 +271,8 @@ def _basket_spec_from(cfg: RunConfig) -> BasketSpec:
     """Build the basket spec; config-file lists allow heterogeneous assets.
 
     Config keys `spots` and `vols` (lists) and a nested-list `corr` replace
-    the uniform values of the scalar flags.
+    the uniform values of the scalar flags, unless the flag itself was
+    given on the command line (see :func:`parse_args`).
     """
     opts = cfg.options
     lists = {

@@ -10,6 +10,7 @@ bond budget truncates.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable
@@ -60,7 +61,11 @@ class CrossConfig:
 
 @dataclass
 class CrossResult:
-    """Output of a cross run: the MPS plus the pivots that define it."""
+    """Output of a cross run: the MPS plus the pivots that define it.
+
+    ``n_evals`` counts the distinct grid points sent to the grid function;
+    a run evaluates each point at most once.
+    """
 
     mps: MPS
     left_pivots: list[list[tuple[int, ...]]]
@@ -114,7 +119,9 @@ def _maxvol_iter(
     _, _, piv = scipy.linalg.qr(mat.T, mode="economic", pivoting=True)
     rows = np.array(piv[:r], dtype=np.intp)
     sub = mat[rows]
-    b = scipy.linalg.solve(sub.T, mat.T).T  # mat @ inv(sub)
+    # numpy's solve keeps the loop on the BLAS its SVDs use; scipy ships its
+    # own, and alternating the two thread pools costs more than the solve.
+    b = np.linalg.solve(sub.T, mat.T).T  # mat @ inv(sub)
     for _ in range(max_iters):
         i, j = np.unravel_index(np.argmax(np.abs(b)), b.shape)
         if abs(b[i, j]) <= 1.0 + dominance_tol:
@@ -152,6 +159,21 @@ def _phys_times_suffix(d: int, suffixes: np.ndarray) -> np.ndarray:
     return out
 
 
+def _row_keys(idx: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
+    """One sortable key per grid row: its mixed-radix position, else its bytes.
+
+    Positions fit one uint64 up to 2^64 grid points. A stride of exactly
+    2^64 wraps to 0, which is harmless: only leading axes of size 1, whose
+    index is always 0, have one.
+    """
+    if math.prod(dims) <= 2**64:
+        strides = np.cumprod((dims[1:] + (1,))[::-1], dtype=np.uint64)[::-1]
+        # Cast first: int64 @ uint64 would promote to float.
+        return idx.astype(np.uint64) @ strides
+    rows = np.ascontiguousarray(idx, dtype=np.int64)
+    return rows.view(np.dtype((np.void, rows.itemsize * len(dims)))).ravel()
+
+
 def _cross_indices(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     nr, kr = rows.shape
     nc, kc = cols.shape
@@ -176,6 +198,9 @@ class _CrossRun:
         self.n = len(dims)
         self.n_evals = 0
         self.warnings: list[str] = []
+        # Memo of every grid value this run has seen, sorted by row key.
+        self._memo_keys = _row_keys(np.zeros((0, self.n), np.int64), dims)
+        self._memo_vals = np.zeros(0)
         self.rng = np.random.default_rng(cfg.seed)
         self.probes = self.rng.integers(
             0, np.array(dims, dtype=np.int64), size=(N_PROBE, self.n)
@@ -202,16 +227,32 @@ class _CrossRun:
         return out
 
     def _eval(self, idx: np.ndarray) -> np.ndarray:
-        """Chunked pass through the grid function, honoring batch_cap."""
-        cap = self.cfg.batch_cap
-        self.n_evals += idx.shape[0]
-        if idx.shape[0] <= cap:
-            return np.asarray(self.f.evaluate(idx), dtype=np.float64)
-        parts = [
-            np.asarray(self.f.evaluate(idx[i : i + cap]), dtype=np.float64)
-            for i in range(0, idx.shape[0], cap)
-        ]
-        return np.concatenate(parts)
+        """Grid values at the rows of idx; only rows new to the run reach f.
+
+        New rows are evaluated once each, in chunks of at most batch_cap.
+        """
+        keys, first, inverse = np.unique(
+            _row_keys(idx, self.dims), return_index=True, return_inverse=True
+        )
+        pos = np.searchsorted(self._memo_keys, keys)
+        known = pos < self._memo_keys.shape[0]
+        known[known] = self._memo_keys[pos[known]] == keys[known]
+        vals = np.empty(keys.shape[0])
+        vals[known] = self._memo_vals[pos[known]]
+        new = np.flatnonzero(~known)
+        if new.size:
+            rows = idx[first[new]]
+            cap = self.cfg.batch_cap
+            vals[new] = np.concatenate(
+                [
+                    np.asarray(self.f.evaluate(rows[i : i + cap]), dtype=np.float64)
+                    for i in range(0, rows.shape[0], cap)
+                ]
+            )
+            self.n_evals += new.size
+            self._memo_keys = np.insert(self._memo_keys, pos[new], keys[new])
+            self._memo_vals = np.insert(self._memo_vals, pos[new], vals[new])
+        return vals[inverse]
 
     def _superblock(self, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         rows = _prefix_times_phys(self.iset[p], self.dims[p])
@@ -268,7 +309,14 @@ class _CrossRun:
             vals = self._eval(_cross_indices(block_rows, right)).reshape(
                 block_rows.shape[0], right.shape[0]
             )
-            if k < self.n - 1:
+            if k == self.n - 1:
+                core = vals.reshape(left.shape[0], self.dims[k], 1)
+            elif not vals.any():
+                # A zero block gives a zero core whatever the cross matrix.
+                # That matrix is normally rows of this block, so it is zero
+                # too, and solving it would only warn of a harmless singularity.
+                core = np.zeros((left.shape[0], self.dims[k], right.shape[0]))
+            else:
                 fmat = self._eval(
                     _cross_indices(self.iset[k + 1], self.jset[k + 1])
                 ).reshape(self.iset[k + 1].shape[0], right.shape[0])
@@ -280,8 +328,6 @@ class _CrossRun:
                     )
                     core = np.linalg.lstsq(fmat.T, vals.T, rcond=None)[0].T
                 core = core.reshape(left.shape[0], self.dims[k], -1)
-            else:
-                core = vals.reshape(left.shape[0], self.dims[k], 1)
             cores.append(core)
         return MPS(cores)
 

@@ -108,6 +108,14 @@ def test_ttcross_deterministic():
     assert a.price == b.price
 
 
+def test_ttcross_price_and_warnings_pinned_bitwise():
+    """Exact bits of a cross price whose run hits singular cross matrices."""
+    spec = AsianSpec(spot=100, strike=100, rate=0.1, vol=0.5, expiry=1.0, steps=16)
+    report = price_asian_ttcross(spec, bond_dim=16, seed=1)
+    assert report.price.hex() == "0x1.bfaee65c602fap+3"
+    assert len(report.warnings) == 6
+
+
 def test_ttcross_put():
     spec = AsianSpec(
         spot=100, strike=100, rate=0.1, vol=0.5, expiry=1.0, steps=12, right="put"

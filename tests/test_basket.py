@@ -327,3 +327,25 @@ def test_european_deterministic():
     a = price_european_basket(spec, bond_dim=5, seed=3)
     b = price_european_basket(spec, bond_dim=5, seed=3)
     assert a.price == b.price
+
+
+def test_cross_prices_pinned_bitwise():
+    """Exact bits of two cross prices, so engine changes cannot drift them."""
+    eu = price_european_basket(
+        uniform_basket_spec(4, steps=12, payoff_kind="avg"), bond_dim=16, seed=0
+    )
+    assert eu.price.hex() == "0x1.2719551061203p+3"
+    am = price_american_basket(
+        uniform_basket_spec(3, steps=8, style="american"), bond_dim=8, seed=0
+    )
+    assert am.price.hex() == "0x1.c09a5e0778481p+4"
+
+
+@pytest.mark.parametrize("style", ["european", "american"])
+def test_worthless_basket_prices_zero_without_warnings(style):
+    """An all-zero payoff grid is exact, not a singular cross to warn about."""
+    spec = uniform_basket_spec(2, strike=10, steps=5, style=style)
+    pricer = price_american_basket if style == "american" else price_european_basket
+    report = pricer(spec, bond_dim=4)
+    assert report.price == 0.0
+    assert report.warnings == []

@@ -228,3 +228,19 @@ def test_stdout_emission(capsys):
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["wall_time_s"] == 0.0
+
+
+def test_shared_flag_beats_config_file_list(tmp_path):
+    cfg_file = tmp_path / "b.json"
+    cfg_file.write_text(
+        json.dumps({"spots": [90.0, 110.0], "steps": 5, "method": "bruteforce"})
+    )
+    code, raw = run_cli(
+        ["price-basket", "--config", str(cfg_file), "--s0", "50"], tmp_path, "s.json"
+    )
+    assert code == 0
+    from mpspricer import price_basket_bruteforce, uniform_basket_spec
+
+    # The list still sets the asset count.
+    spec = uniform_basket_spec(2, spot=50.0, steps=5)
+    assert json.loads(raw)["price"] == price_basket_bruteforce(spec).price

@@ -1,9 +1,12 @@
-"""The README's library quick start runs and prints the prices it shows."""
+"""The README's examples run and print what it shows."""
 
 import contextlib
 import io
 import re
+import shlex
 from pathlib import Path
+
+from mpspricer.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -22,3 +25,18 @@ def test_library_quick_start_prints_documented_prices():
         "14.225630416482327 14.225630416482332",
         "28.06324045379767",
     ]
+
+
+def test_command_examples_print_documented_bytes():
+    """Each `mpspricer ...` block and the output block after it."""
+    text = README.read_text(encoding="utf-8")
+    examples = re.findall(
+        r"```sh\n(mpspricer .*?)```\s*```(?:json|csv)\n(.*?)```", text, re.S
+    )
+    runs = [(shlex.split(cmd.replace("\\\n", " "))[1:], shown) for cmd, shown in examples]
+    assert [argv[0] for argv, _ in runs] == ["price-asian", "bench-asian"]
+    for argv, shown in runs:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 0
+        assert out.getvalue() == shown

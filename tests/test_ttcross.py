@@ -213,3 +213,33 @@ def test_rejects_bad_dims():
     g = GridFunction(dims=(2, 0), evaluate=lambda idx: np.ones(idx.shape[0]))
     with pytest.raises(ValueError):
         ttcross_approximate(g, CrossConfig(max_bond=2))
+
+
+def test_each_grid_point_evaluated_once_per_run():
+    seen = []
+
+    def f(idx):
+        seen.extend(map(tuple, idx.tolist()))
+        return np.cos(idx @ np.arange(1.0, 7.0))
+
+    res = ttcross_approximate(
+        GridFunction(dims=(3, 4, 2, 5, 3, 2), evaluate=f),
+        CrossConfig(max_bond=4, n_sweeps=3, seed=0),
+    )
+    assert len(seen) == len(set(seen))
+    assert res.n_evals == len(set(seen))
+
+
+def test_grid_beyond_uint64_positions():
+    """2^70 points cannot be coded in one uint64; rows are keyed by bytes."""
+    weights = np.random.default_rng(4).normal(size=70)
+
+    def f(idx):
+        return 1.0 + idx @ weights
+
+    res = ttcross_approximate(
+        GridFunction(dims=(2,) * 70, evaluate=f),
+        CrossConfig(max_bond=2, n_sweeps=3, seed=0),
+    )
+    rows = np.random.default_rng(5).integers(0, 2, size=(200, 70))
+    np.testing.assert_allclose(res.mps.evaluate_batch(rows), f(rows), rtol=1e-10)
