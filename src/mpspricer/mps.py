@@ -4,7 +4,9 @@ An MPS here is a chain of order-3 real tensors with shapes
 ``(D_{k-1}, d_k, D_k)``; the first left bond and the last right bond are 1.
 Evaluating the chain at a multi-index picks one matrix per site and
 multiplies them; summing over all indices contracts every physical leg
-with a vector of ones. Both cost O(N d D^2), never O(d^N).
+with a vector of ones. Both cost O(N d D^2), never O(d^N). A batch of
+multi-indices is contracted as d GEMMs per site, one for the rows that
+take each physical value there.
 """
 
 from __future__ import annotations
@@ -104,16 +106,24 @@ class MPS:
     def evaluate_batch(self, indices: np.ndarray) -> np.ndarray:
         """Evaluate many multi-indices at once.
 
+        At each site the rows are grouped by their physical value ``x``, and
+        each group's running row vectors are multiplied by ``t[:, x, :]`` in
+        one GEMM: d GEMMs per site, no per-row copy of the site tensor.
+
         Parameters
         ----------
         indices:
-            Integer array of shape ``(B, n_sites)``.
+            Integer or bool array of shape ``(B, n_sites)``.
 
         Returns
         -------
         Array of shape ``(B,)`` with one value per row.
         """
         idx = np.asarray(indices)
+        if idx.dtype.kind not in "biu":  # bool, signed or unsigned int
+            raise ValueError(f"indices must be integers, got dtype {idx.dtype}")
+        # NumPy 1.x bincount refuses uint64; intp suits every accepted dtype.
+        idx = idx.astype(np.intp, copy=False)
         if idx.ndim != 2 or idx.shape[1] != self.n_sites:
             raise ValueError(
                 f"expected index array of shape (B, {self.n_sites}), got {idx.shape}"
@@ -126,11 +136,20 @@ class MPS:
                 raise ValueError(
                     f"site {k}: indices outside physical range {d}"
                 )
-        cur = self._tensors[0][0, idx[:, 0], :]  # (B, D)
-        for k in range(1, self.n_sites):
-            mats = self._tensors[k][:, idx[:, k], :]  # (D_l, B, D_r)
-            cur = np.einsum("bl,lbr->br", cur, mats, optimize=True)
-        return cur[:, 0]
+        # cur[i] is the running row vector of original row perm[i]; rows are
+        # re-sorted by physical value at each site so every group is a slice.
+        perm = np.arange(idx.shape[0])
+        cur = np.ones((idx.shape[0], 1))
+        for k, t in enumerate(self._tensors):
+            col = idx[perm, k]
+            order = np.argsort(col, kind="stable")
+            perm = perm[order]
+            bounds = np.cumsum(np.bincount(col, minlength=t.shape[1]))[:-1]
+            groups = np.split(cur[order], bounds)
+            cur = np.concatenate([g @ t[:, x, :] for x, g in enumerate(groups)])
+        vals = np.empty(idx.shape[0])
+        vals[perm] = cur[:, 0]
+        return vals
 
     def sum_all(self) -> float:
         """Sum of the encoded tensor over every index combination."""

@@ -5,7 +5,9 @@ a set of left pivot prefixes and right pivot suffixes, sweeps over bonds
 DMRG-style refining them with maxvol, and finally assembles cores in
 interpolative (CUR) form ``f(I_k, x, J_{k+1}) @ inv(f(I_{k+1}, J_{k+1}))``.
 That form reproduces f exactly at the retained cross tuples even when the
-bond budget truncates.
+bond budget truncates. A grid small enough that one superblock at the bond
+budget would hold all of it is instead evaluated once and compressed by
+TT-SVD, which is exact up to the budget's truncation.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .mps import MPS
 N_PROBE = 1024
 _RANK_RTOL = 1e-14
 _DEFICIENCY_RTOL = 1e-12
+_MEMO_RECENT = 2**15
 
 
 @dataclass(frozen=True)
@@ -64,7 +67,10 @@ class CrossResult:
     """Output of a cross run: the MPS plus the pivots that define it.
 
     ``n_evals`` counts the distinct grid points sent to the grid function;
-    a run evaluates each point at most once.
+    a run evaluates each point at most once. When one superblock at the
+    bond budget would already hold every grid point, the run evaluates the
+    grid once and compresses it by TT-SVD instead of sweeping: the pivot
+    lists are then empty, ``n_sweeps_run`` is 0 and ``converged`` is True.
     """
 
     mps: MPS
@@ -159,15 +165,21 @@ def _phys_times_suffix(d: int, suffixes: np.ndarray) -> np.ndarray:
     return out
 
 
-def _row_keys(idx: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
-    """One sortable key per grid row: its mixed-radix position, else its bytes.
+def _key_strides(dims: tuple[int, ...]) -> np.ndarray | None:
+    """Mixed-radix strides of the grid as uint64, or None past 2^64 points.
 
-    Positions fit one uint64 up to 2^64 grid points. A stride of exactly
-    2^64 wraps to 0, which is harmless: only leading axes of size 1, whose
-    index is always 0, have one.
+    A stride of exactly 2^64 wraps to 0, which is harmless: only leading
+    axes of size 1, whose index is always 0, have one.
     """
-    if math.prod(dims) <= 2**64:
-        strides = np.cumprod((dims[1:] + (1,))[::-1], dtype=np.uint64)[::-1]
+    if math.prod(dims) > 2**64:
+        return None
+    return np.cumprod((dims[1:] + (1,))[::-1], dtype=np.uint64)[::-1]
+
+
+def _row_keys(idx: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
+    """One sortable key per grid row: its mixed-radix position, else its bytes."""
+    strides = _key_strides(dims)
+    if strides is not None:
         # Cast first: int64 @ uint64 would promote to float.
         return idx.astype(np.uint64) @ strides
     rows = np.ascontiguousarray(idx, dtype=np.int64)
@@ -181,6 +193,32 @@ def _cross_indices(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     out[:, :kr] = np.repeat(rows, nc, axis=0)
     out[:, kr:] = np.tile(cols, (nr, 1))
     return out
+
+
+def _block_keys(
+    rows: np.ndarray, cols: np.ndarray, dims: tuple[int, ...]
+) -> np.ndarray:
+    """Row keys of every (row, col) pair of a block, row-major.
+
+    Equal to ``_row_keys`` of the joined index rows. A position is a
+    prefix's key plus a suffix's key, so the block's keys are an outer
+    sum and no joined row is built, except past 2^64 grid points.
+    """
+    strides = _key_strides(dims)
+    if strides is None:
+        return _row_keys(_cross_indices(rows, cols), dims)
+    k = rows.shape[1]
+    return np.add.outer(
+        rows.astype(np.uint64) @ strides[:k], cols.astype(np.uint64) @ strides[k:]
+    ).ravel()
+
+
+def _merge(
+    run: tuple[np.ndarray, np.ndarray], keys: np.ndarray, vals: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """A sorted (keys, values) run with sorted keys absent from it added."""
+    pos = np.searchsorted(run[0], keys)
+    return np.insert(run[0], pos, keys), np.insert(run[1], pos, vals)
 
 
 class _CrossRun:
@@ -198,9 +236,13 @@ class _CrossRun:
         self.n = len(dims)
         self.n_evals = 0
         self.warnings: list[str] = []
-        # Memo of every grid value this run has seen, sorted by row key.
-        self._memo_keys = _row_keys(np.zeros((0, self.n), np.int64), dims)
-        self._memo_vals = np.zeros(0)
+        # Memo of every grid value this run has seen, as sorted runs of
+        # (keys, values): a large one, and a small one of recent points.
+        # New points go into the small run, which is merged into the large
+        # one once it holds more than _MEMO_RECENT, so an insert copies
+        # the small run and not the whole memo.
+        empty = _row_keys(np.zeros((0, self.n), np.int64), dims)
+        self._memo = [(empty, np.zeros(0)), (empty, np.zeros(0))]
         self.rng = np.random.default_rng(cfg.seed)
         self.probes = self.rng.integers(
             0, np.array(dims, dtype=np.int64), size=(N_PROBE, self.n)
@@ -226,41 +268,55 @@ class _CrossRun:
         out[:, 1:] = nxt[picks % nxt.shape[0]]
         return out
 
-    def _eval(self, idx: np.ndarray) -> np.ndarray:
-        """Grid values at the rows of idx; only rows new to the run reach f.
+    def _eval(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Grid values on the block of prefixes ``rows`` by suffixes ``cols``.
 
-        New rows are evaluated once each, in chunks of at most batch_cap.
+        Returns shape (len(rows), len(cols)). Both sets hold distinct rows,
+        so the block's keys are distinct. Only points new to the run reach
+        f, once each, in chunks of at most batch_cap.
         """
-        keys, first, inverse = np.unique(
-            _row_keys(idx, self.dims), return_index=True, return_inverse=True
-        )
-        pos = np.searchsorted(self._memo_keys, keys)
-        known = pos < self._memo_keys.shape[0]
-        known[known] = self._memo_keys[pos[known]] == keys[known]
+        nc = cols.shape[0]
+        keys = _block_keys(rows, cols, self.dims)
+        order = np.argsort(keys)
+        keys = keys[order]
         vals = np.empty(keys.shape[0])
-        vals[known] = self._memo_vals[pos[known]]
+        known = np.zeros(keys.shape[0], dtype=bool)
+        for run_keys, run_vals in self._memo:
+            pos = np.searchsorted(run_keys, keys)
+            hit = pos < run_keys.shape[0]
+            hit[hit] = run_keys[pos[hit]] == keys[hit]
+            vals[hit] = run_vals[pos[hit]]
+            known |= hit
         new = np.flatnonzero(~known)
         if new.size:
-            rows = idx[first[new]]
+            r, c = np.divmod(order[new], nc)
+            points = np.concatenate([rows[r], cols[c]], axis=1)
             cap = self.cfg.batch_cap
             vals[new] = np.concatenate(
                 [
-                    np.asarray(self.f.evaluate(rows[i : i + cap]), dtype=np.float64)
-                    for i in range(0, rows.shape[0], cap)
+                    np.asarray(self.f.evaluate(points[i : i + cap]), dtype=np.float64)
+                    for i in range(0, points.shape[0], cap)
                 ]
             )
             self.n_evals += new.size
-            self._memo_keys = np.insert(self._memo_keys, pos[new], keys[new])
-            self._memo_vals = np.insert(self._memo_vals, pos[new], vals[new])
-        return vals[inverse]
+            self._remember(keys[new], vals[new])
+        out = np.empty(keys.shape[0])
+        out[order] = vals
+        return out.reshape(rows.shape[0], nc)
+
+    def _remember(self, keys: np.ndarray, vals: np.ndarray) -> None:
+        """Add sorted keys that are new to the memo, with their values."""
+        big, recent = self._memo
+        recent = _merge(recent, keys, vals)
+        if recent[0].shape[0] > _MEMO_RECENT:
+            big = _merge(big, *recent)
+            recent = (recent[0][:0], recent[1][:0])
+        self._memo = [big, recent]
 
     def _superblock(self, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         rows = _prefix_times_phys(self.iset[p], self.dims[p])
         cols = _phys_times_suffix(self.dims[p + 1], self.jset[p + 2])
-        phi = self._eval(_cross_indices(rows, cols)).reshape(
-            rows.shape[0], cols.shape[0]
-        )
-        return phi, rows, cols
+        return self._eval(rows, cols), rows, cols
 
     def _sweep_l2r(self) -> None:
         for p in range(self.n - 1):
@@ -305,10 +361,7 @@ class _CrossRun:
         for k in range(self.n):
             left = self.iset[k]
             right = self.jset[k + 1]
-            block_rows = _prefix_times_phys(left, self.dims[k])
-            vals = self._eval(_cross_indices(block_rows, right)).reshape(
-                block_rows.shape[0], right.shape[0]
-            )
+            vals = self._eval(_prefix_times_phys(left, self.dims[k]), right)
             if k == self.n - 1:
                 core = vals.reshape(left.shape[0], self.dims[k], 1)
             elif not vals.any():
@@ -317,9 +370,7 @@ class _CrossRun:
                 # too, and solving it would only warn of a harmless singularity.
                 core = np.zeros((left.shape[0], self.dims[k], right.shape[0]))
             else:
-                fmat = self._eval(
-                    _cross_indices(self.iset[k + 1], self.jset[k + 1])
-                ).reshape(self.iset[k + 1].shape[0], right.shape[0])
+                fmat = self._eval(self.iset[k + 1], right)
                 try:
                     core = np.linalg.solve(fmat.T, vals.T).T
                 except np.linalg.LinAlgError:
@@ -331,12 +382,41 @@ class _CrossRun:
             cores.append(core)
         return MPS(cores)
 
+    def _spans_grid(self) -> bool:
+        """Whether one superblock at the bond budget holds every grid point."""
+        cap = self.cfg.max_bond
+        dims = self.dims
+        return self.n == 1 or any(
+            min(cap, math.prod(dims[:p]))
+            * dims[p]
+            * dims[p + 1]
+            * min(cap, math.prod(dims[p + 2 :]))
+            >= math.prod(dims)
+            for p in range(self.n - 1)
+        )
+
+    def _tt_svd(self) -> MPS:
+        """Evaluate the whole grid once and compress it by TT-SVD.
+
+        Each bond keeps its numerical rank, at most max_bond and at least 1.
+        """
+        grid = np.indices(self.dims).reshape(self.n, -1).T
+        rest = self._eval(np.zeros((1, 0), dtype=np.int64), grid)
+        cores = []
+        for d in self.dims[:-1]:
+            u, s, vh = np.linalg.svd(
+                rest.reshape(rest.shape[0] * d, -1), full_matrices=False
+            )
+            r = max(1, min(self.cfg.max_bond, _numrank(s)))
+            cores.append(u[:, :r].reshape(-1, d, r))
+            rest = s[:r, None] * vh[:r]
+        cores.append(rest.reshape(-1, self.dims[-1], 1))
+        return MPS(cores)
+
     def run(self) -> CrossResult:
-        if self.n == 1:
-            grid = np.arange(self.dims[0], dtype=np.int64)[:, None]
-            core = self._eval(grid).reshape(1, self.dims[0], 1)
+        if self._spans_grid():
             return CrossResult(
-                mps=MPS([core]),
+                mps=self._tt_svd(),
                 left_pivots=[],
                 right_pivots=[],
                 n_evals=self.n_evals,
@@ -383,6 +463,7 @@ def ttcross_approximate(f: GridFunction, cfg: CrossConfig) -> CrossResult:
     Sweeps alternate left-to-right (left pivot refinement) and
     right-to-left (right pivot refinement) until values at a fixed seeded
     probe set of 1024 indices change by less than cfg.tol relative, or the
-    sweep cap is reached (flagged in the result warnings).
+    sweep cap is reached (flagged in the result warnings). A grid that one
+    superblock would span is compressed by TT-SVD without sweeping.
     """
     return _CrossRun(f, cfg).run()

@@ -330,15 +330,20 @@ def test_european_deterministic():
 
 
 def test_cross_prices_pinned_bitwise():
-    """Exact bits of two cross prices, so engine changes cannot drift them."""
-    eu = price_european_basket(
-        uniform_basket_spec(4, steps=12, payoff_kind="avg"), bond_dim=16, seed=0
-    )
-    assert eu.price.hex() == "0x1.2719551061203p+3"
-    am = price_american_basket(
-        uniform_basket_spec(3, steps=8, style="american"), bond_dim=8, seed=0
-    )
+    """Exact bits of two cross prices, so engine changes cannot drift them.
+
+    The European grid is small enough for TT-SVD; the American one is
+    crossed at expiry and compressed by TT-SVD at every earlier step.
+    """
+    eu_spec = uniform_basket_spec(4, steps=12, payoff_kind="avg")
+    eu = price_european_basket(eu_spec, bond_dim=16, seed=0)
+    assert eu.price.hex() == "0x1.28b831ad3d9b5p+3"
+    am_spec = uniform_basket_spec(3, steps=8, style="american")
+    am = price_american_basket(am_spec, bond_dim=8, seed=0)
     assert am.price.hex() == "0x1.c09a5e0778481p+4"
+    for report, spec in [(eu, eu_spec), (am, am_spec)]:
+        want = price_basket_bruteforce(spec).price
+        assert report.price == pytest.approx(want, rel=1e-4)
 
 
 @pytest.mark.parametrize("style", ["european", "american"])

@@ -75,12 +75,38 @@ def test_evaluate_matches_dense():
         assert m.evaluate(idx) == pytest.approx(dense[idx], rel=1e-12)
 
 
-def test_evaluate_batch_matches_pointwise():
-    m = random_mps(6, (2,) * 6, (2, 3, 5, 3, 2), seed=2)
-    idx = all_bitstrings(6)
+MIXED = (3, 1, 5, 2)
+
+
+@pytest.mark.parametrize(
+    "phys, idx",
+    [
+        ((2,) * 6, all_bitstrings(6)),
+        (MIXED, np.indices(MIXED).reshape(4, -1).T),
+        # No row takes 0 at site 0 or 0 and 4 at site 2.
+        (MIXED, np.indices((2, 1, 3, 2)).reshape(4, -1).T + [1, 0, 1, 0]),
+        (MIXED, np.array([[2, 0, 4, 1]])),
+    ],
+    ids=["bits", "mixed-dims", "missing-values", "one-row"],
+)
+def test_evaluate_batch_matches_pointwise(phys, idx):
+    m = random_mps(len(phys), phys, (2, 3, 5, 3, 2)[: len(phys) - 1], seed=2)
     batch = m.evaluate_batch(idx)
     single = np.array([m.evaluate(tuple(row)) for row in idx])
     np.testing.assert_allclose(batch, single, rtol=1e-12)
+
+
+def test_evaluate_batch_index_dtypes():
+    """Bool and unsigned rows index like ints; other dtypes are refused."""
+    m = random_mps(3, (2, 2, 2), (2, 2), seed=7)
+    rows = np.array([[1, 0, 1], [0, 1, 1]])
+    want = [m.evaluate(tuple(row)) for row in rows]
+    # NumPy indexing reads bool arrays as masks: with d=2, two rows pick wrong
+    # entries and one row raises.
+    for idx in (rows.astype(bool), rows[:1].astype(bool), rows.astype(np.uint64)):
+        np.testing.assert_allclose(m.evaluate_batch(idx), want[: len(idx)], rtol=1e-12)
+    with pytest.raises(ValueError, match="integers"):
+        m.evaluate_batch(rows.astype(float))
 
 
 def test_evaluate_rejects_out_of_range():

@@ -12,6 +12,7 @@ from mpspricer import (
     maxvol,
     ttcross_approximate,
 )
+from mpspricer.ttcross import _block_keys, _cross_indices, _row_keys
 
 from conftest import all_bitstrings
 
@@ -243,3 +244,50 @@ def test_grid_beyond_uint64_positions():
     )
     rows = np.random.default_rng(5).integers(0, 2, size=(200, 70))
     np.testing.assert_allclose(res.mps.evaluate_batch(rows), f(rows), rtol=1e-10)
+
+
+def test_grid_of_exactly_2_64_points():
+    """The largest grid whose positions still fit one uint64 key."""
+    weights = np.random.default_rng(6).normal(size=64)
+
+    def f(idx):
+        return 1.0 + idx @ weights
+
+    res = ttcross_approximate(
+        GridFunction(dims=(2,) * 64, evaluate=f),
+        CrossConfig(max_bond=2, n_sweeps=3, seed=0),
+    )
+    rows = np.random.default_rng(7).integers(0, 2, size=(200, 64))
+    np.testing.assert_allclose(res.mps.evaluate_batch(rows), f(rows), rtol=1e-10)
+
+
+@pytest.mark.parametrize(
+    "dims", [(3, 1, 4, 2, 5), (1,) + (2,) * 64], ids=["mixed", "stride-2^64"]
+)
+def test_block_keys_are_keys_of_joined_rows(dims):
+    """Every split, empty prefix and empty suffix included."""
+    rng = np.random.default_rng(0)
+    high = np.array(dims, dtype=np.int64)
+    n = len(dims)
+    for k in range(n + 1):
+        rows = rng.integers(0, high[:k], size=(5, k))
+        cols = rng.integers(0, high[k:], size=(7, n - k))
+        np.testing.assert_array_equal(
+            _block_keys(rows, cols, dims),
+            _row_keys(_cross_indices(rows, cols), dims),
+        )
+
+
+def test_grid_one_superblock_spans_is_tt_svd():
+    """A 6x6 grid at bond 2 is its best rank-2 approximation, unswept."""
+    hidden = np.random.default_rng(8).normal(size=(6, 6))
+    res = ttcross_approximate(
+        GridFunction(dims=(6, 6), evaluate=lambda idx: hidden[tuple(idx.T)]),
+        CrossConfig(max_bond=2, seed=0),
+    )
+    u, s, vh = np.linalg.svd(hidden)
+    np.testing.assert_allclose(
+        res.mps.to_dense(), (u[:, :2] * s[:2]) @ vh[:2], rtol=1e-12, atol=1e-12
+    )
+    assert (res.n_evals, res.n_sweeps_run, res.converged) == (36, 0, True)
+    assert res.left_pivots == res.right_pivots == []
