@@ -129,12 +129,13 @@ def exercise_value(prices: np.ndarray, strike: float, right: str) -> np.ndarray:
 def path_prices(spot: float, params: SchemeParams, bits: np.ndarray) -> np.ndarray:
     """Running asset prices along explicit up/down paths.
 
-    ``bits`` is a (B, N) array of 0/1 step indicators; entry (b, i) of the
-    result is the price after step i+1 of path b.
+    ``bits`` is a (B, N) array of step indicators, any nonzero value an up
+    move; entry (b, i) of the result is the price after step i+1 of path b.
     """
-    b = np.asarray(bits)
-    factors = np.where(b != 0, params.up, params.down)
-    return spot * np.cumprod(factors, axis=-1)
+    factors = np.take(np.array([params.down, params.up]), np.asarray(bits) != 0)
+    np.cumprod(factors, axis=-1, out=factors)
+    factors *= spot
+    return factors
 
 
 def path_probability(params: SchemeParams, bits: np.ndarray) -> np.ndarray:

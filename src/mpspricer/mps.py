@@ -84,18 +84,18 @@ class MPS:
     def __len__(self) -> int:
         return len(self._tensors)
 
-    def _check_index(self, indices: Sequence[int]) -> None:
-        if len(indices) != self.n_sites:
-            raise ValueError(
-                f"index tuple has length {len(indices)}, expected {self.n_sites}"
-            )
-
     def evaluate(self, indices: Sequence[int]) -> float:
-        """Value of the encoded tensor at one multi-index."""
-        self._check_index(indices)
+        """Value of the encoded tensor at one multi-index of ints or bools."""
+        idx = np.asarray(indices)
+        if idx.dtype.kind not in "biu":  # bool, signed or unsigned int
+            raise ValueError(f"indices must be integers, got {indices!r}")
+        if idx.shape != (self.n_sites,):
+            raise ValueError(
+                f"index tuple has shape {idx.shape}, expected ({self.n_sites},)"
+            )
         vec = np.ones((1,))
         for k, t in enumerate(self._tensors):
-            x = int(indices[k])
+            x = int(idx[k])
             if not 0 <= x < t.shape[1]:
                 raise ValueError(
                     f"site {k}: index {x} outside physical range {t.shape[1]}"

@@ -10,10 +10,12 @@ from mpspricer import (
     AsianSpec,
     asian_path_payoff,
     crr_params,
+    path_probability,
     price_asian_bruteforce,
     price_asian_montecarlo,
     price_asian_ttcross,
 )
+from mpspricer.asian import _MC_CHUNK
 
 from conftest import enumerate_asian_price
 
@@ -62,22 +64,53 @@ def test_bruteforce_single_step_frozen():
 
 
 def test_bruteforce_matches_itertools_oracle():
-    for right in ("call", "put"):
-        spec = AsianSpec(
-            spot=100, strike=95, rate=0.07, vol=0.4, expiry=1.0, steps=11,
-            right=right,
+    # Every split of N into head and tail up to 12 steps; at N=1 the head
+    # is empty and the single move is the tail.
+    for steps in range(1, 13):
+        for scheme in ("crr", "rb"):
+            for right in ("call", "put"):
+                spec = AsianSpec(
+                    spot=100, strike=95, rate=0.07, vol=0.4, expiry=1.0,
+                    steps=steps, scheme=scheme, right=right,
+                )
+                got = price_asian_bruteforce(spec)
+                assert got.price == pytest.approx(
+                    enumerate_asian_price(spec), rel=1e-12
+                )
+                assert got.diagnostics["n_paths"] == 2**steps
+
+
+def per_path_price(spec: AsianSpec) -> float:
+    """Every path priced as its own row, 2^16 rows at a time.
+
+    This is the enumeration the head-by-tail brute force replaced; it
+    stays here as the reference for sizes the itertools oracle is too slow
+    for.
+    """
+    params = spec.params()
+    n = spec.steps
+    shifts = np.arange(n, dtype=np.uint64)
+    acc = 0.0
+    for start in range(0, 1 << n, 1 << 16):
+        ids = np.arange(start, min(start + (1 << 16), 1 << n), dtype=np.uint64)
+        bits = ((ids[:, None] >> shifts) & np.uint64(1)).astype(np.uint8)
+        acc += float(
+            np.dot(path_probability(params, bits), asian_path_payoff(spec, bits))
         )
-        got = price_asian_bruteforce(spec)
-        assert got.price == pytest.approx(enumerate_asian_price(spec), rel=1e-12)
-        assert got.diagnostics["n_paths"] == 2**11
+    return math.exp(-spec.rate * spec.expiry) * acc
 
 
 def test_bruteforce_chunking_crosses_boundary():
-    # 2^18 paths forces several 2^16-sized chunks.
-    spec = AsianSpec(spot=100, strike=100, rate=0.1, vol=0.5, expiry=1.0, steps=18)
-    r = price_asian_bruteforce(spec)
-    assert r.diagnostics["n_paths"] == 2**18
-    assert r.price > 0
+    # 2^18 paths are 2^9 heads by 2^9 tails; at most 2^16 means per block
+    # puts 2^7 tails in a block, so the sum runs over four tail blocks.
+    for right in ("call", "put"):
+        spec = AsianSpec(
+            spot=100, strike=100, rate=0.1, vol=0.5, expiry=1.0, steps=18,
+            right=right,
+        )
+        r = price_asian_bruteforce(spec)
+        assert r.diagnostics["n_paths"] == 2**18
+        assert r.price == pytest.approx(per_path_price(spec), rel=1e-13)
 
 
 def test_bruteforce_refuses_beyond_cap():
@@ -150,7 +183,7 @@ def test_montecarlo_reproducible_and_calibrated():
 
 
 def test_montecarlo_sample_counts_above_chunk_size():
-    # 200k samples spans two internal chunks; the estimate must still be
+    # 200k samples spans many internal blocks; the estimate must still be
     # one coherent mean with a smaller standard error than a short run.
     spec = AsianSpec(spot=100, strike=100, rate=0.1, vol=0.5, expiry=1.0, steps=5)
     small = price_asian_montecarlo(spec, 1000, seed=3)
@@ -160,10 +193,28 @@ def test_montecarlo_sample_counts_above_chunk_size():
     assert big.std_error < small.std_error
 
 
+def test_montecarlo_blocks_draw_one_stream():
+    """Blocks of draws price like one draw of every sample at once."""
+    spec = AsianSpec(spot=100, strike=100, rate=0.1, vol=0.5, expiry=1.0, steps=7)
+    n = 3 * _MC_CHUNK + 123
+    got = price_asian_montecarlo(spec, n, seed=5)
+    bits = np.random.default_rng(5).random((n, spec.steps)) < spec.params().p_up
+    vals = math.exp(-spec.rate * spec.expiry) * asian_path_payoff(spec, bits)
+    assert got.price == pytest.approx(vals.mean(), rel=1e-12)
+    assert got.std_error == pytest.approx(vals.std(ddof=1) / math.sqrt(n), rel=1e-9)
+
+
 def test_montecarlo_rejects_tiny_sample_counts():
     spec = AsianSpec(spot=100, strike=100, rate=0.1, vol=0.5, expiry=1.0, steps=5)
     with pytest.raises(ValueError, match="n_samples"):
         price_asian_montecarlo(spec, 1, seed=0)
+
+
+def test_montecarlo_rejects_non_integer_sample_counts():
+    spec = AsianSpec(spot=100, strike=100, rate=0.1, vol=0.5, expiry=1.0, steps=5)
+    with pytest.raises(TypeError, match="n_samples must be an integer, got float"):
+        price_asian_montecarlo(spec, 1000.0, seed=0)
+    assert price_asian_montecarlo(spec, np.int64(1000), seed=0).n_samples == 1000
 
 
 def test_call_put_difference_is_discounted_forward():

@@ -120,6 +120,15 @@ def test_path_prices_single_path():
     np.testing.assert_allclose(prices, want, rtol=1e-14)
 
 
+def test_path_prices_bitwise_equal_to_where_cumprod():
+    """Any nonzero step indicator is an up move, for every input dtype."""
+    p = crr_params(0.1, 0.5, 0.05)
+    raw = np.random.default_rng(4).integers(-2, 3, size=(257, 20))
+    for bits in (raw != 0, (raw != 0).astype(np.uint8), raw.astype(np.uint8), raw):
+        want = 100.0 * np.cumprod(np.where(bits != 0, p.up, p.down), axis=-1)
+        assert path_prices(100.0, p, bits).tobytes() == want.tobytes()
+
+
 def test_path_probability_frozen():
     p = crr_params(0.1, 0.5, 1.0)
     prob = path_probability(p, np.array([1, 0, 1, 1, 0]))

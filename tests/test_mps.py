@@ -109,6 +109,19 @@ def test_evaluate_batch_index_dtypes():
         m.evaluate_batch(rows.astype(float))
 
 
+def test_evaluate_index_types():
+    """Ints and bools index a site; a float is refused, not truncated."""
+    m = random_mps(3, (2, 2, 2), (2, 2), seed=7)
+    want = m.evaluate((1, 1, 0))
+    assert m.evaluate((True, 1, 0)) == want
+    assert m.evaluate(np.array([1, 1, 0], dtype=np.uint8)) == want
+    for bad in ((0.7, 1, 0), np.array([1.0, 1.0, 0.0])):
+        with pytest.raises(ValueError, match="integers"):
+            m.evaluate(bad)
+    with pytest.raises(ValueError, match="shape"):
+        m.evaluate((1, 1))
+
+
 def test_evaluate_rejects_out_of_range():
     m = random_mps(3, (2, 2, 2), (2, 2))
     with pytest.raises(ValueError):
