@@ -141,6 +141,9 @@ def price_asian_ttcross(
             "n_evals": result.n_evals,
             "converged": result.converged,
             "max_bond_used": result.mps.max_bond,
+            "stop_reason": result.stop_reason,
+            "probe_changes": list(result.probe_changes),
+            "heldout_residual": result.heldout_residual,
         },
         mps=result.mps,
     )

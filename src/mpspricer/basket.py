@@ -315,6 +315,7 @@ def _price_tensor(
     diagnostics = {
         "n_evals": sum(c.n_evals for c in crosses.values()),
         "converged": all(c.converged for c in crosses.values()),
+        "heldout_residual": max(c.heldout_residual for c in crosses.values()),
     }
     mps = value
     if american:
@@ -335,6 +336,7 @@ def _price_tensor(
         method="ttcross",
         seed=seed,
         bond_dim=bond_dim,
+        n_sweeps=sum(c.n_sweeps_run for c in crosses.values()),
         wall_time_s=time.perf_counter() - start_time,
         warnings=warnings,
         diagnostics=diagnostics,

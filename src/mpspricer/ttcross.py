@@ -1,13 +1,15 @@
 """Tensor-train cross approximation of black-box functions on product grids.
 
 The approximation never sees the full tensor. It keeps, per internal bond,
-a set of left pivot prefixes and right pivot suffixes, sweeps over bonds
-DMRG-style refining them with maxvol, and finally assembles cores in
-interpolative (CUR) form ``f(I_k, x, J_{k+1}) @ inv(f(I_{k+1}, J_{k+1}))``.
-That form reproduces f exactly at the retained cross tuples even when the
-bond budget truncates. A grid small enough that one superblock at the bond
-budget would hold all of it is instead evaluated once and compressed by
-TT-SVD, which is exact up to the budget's truncation.
+left pivot prefixes I_k and right pivot suffixes J_k, and sweeps DMRG-style
+(Savostyanov & Oseledets 2011) over superblocks ``f(I_p x, x J_{p+2})``:
+maxvol on each one's leading singular vectors picks the next pivots. The
+left-to-right sweep also builds the MPS: core p is ``U @ inv(U[sel])`` for
+the leading left singular vectors U and their maxvol rows sel, so its
+entries stay within 1.01 when maxvol converges, and the last core is the
+last superblock's rows sel. The MPS equals f at the last bond's left
+pivots times the last axis. A grid that one superblock at the bond budget
+would hold is instead evaluated once and compressed by TT-SVD.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ N_PROBE = 1024
 _RANK_RTOL = 1e-14
 _DEFICIENCY_RTOL = 1e-12
 _MEMO_RECENT = 2**15
+# A sweep must at least halve the probe change, or the run stops.
+_PLATEAU = 0.5
 
 
 @dataclass(frozen=True)
@@ -64,13 +68,17 @@ class CrossConfig:
 
 @dataclass
 class CrossResult:
-    """Output of a cross run: the MPS plus the pivots that define it.
+    """Output of a cross run: the MPS, its pivots and how the run stopped.
 
-    ``n_evals`` counts the distinct grid points sent to the grid function;
-    a run evaluates each point at most once. When one superblock at the
-    bond budget would already hold every grid point, the run evaluates the
-    grid once and compresses it by TT-SVD instead of sweeping: the pivot
-    lists are then empty, ``n_sweeps_run`` is 0 and ``converged`` is True.
+    ``n_evals`` counts the distinct grid points sent to the grid function,
+    each at most once. ``probe_changes`` holds, per sweep after the first,
+    the MPS's largest change on the stopping probes relative to their
+    largest value. ``stop_reason`` is "tol" (a change at most ``tol``, the
+    one ``converged`` stop of a sweeping run), "plateau" (a change above
+    half the one before), "cap" (``n_sweeps`` ran out) or "tt-svd" (one
+    superblock would hold the grid, so it was compressed by TT-SVD with no
+    pivots and 0 sweeps). ``heldout_residual`` is max|f - mps| / max|f| on
+    1024 probes drawn apart from the stopping ones (max|mps| if f is 0 there).
     """
 
     mps: MPS
@@ -79,6 +87,9 @@ class CrossResult:
     n_evals: int
     n_sweeps_run: int
     converged: bool
+    probe_changes: list[float]
+    stop_reason: str
+    heldout_residual: float
     warnings: list[str] = field(default_factory=list)
 
 
@@ -104,7 +115,7 @@ def maxvol(
             "rank-deficient input: smallest singular value "
             f"{sv[-1]:.3e} vs largest {sv[0]:.3e}"
         )
-    rows, converged = _maxvol_iter(m, dominance_tol, max_iters)
+    rows, _, converged = _maxvol_iter(m, dominance_tol, max_iters)
     if not converged:
         warnings.warn(
             f"maxvol did not converge within {max_iters} iterations",
@@ -116,11 +127,14 @@ def maxvol(
 
 def _maxvol_iter(
     mat: np.ndarray, dominance_tol: float, max_iters: int
-) -> tuple[np.ndarray, bool]:
-    """Swap loop behind :func:`maxvol`; input must have full column rank."""
+) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Swap loop behind :func:`maxvol`: rows, ``mat @ inv(mat[rows])``, converged.
+
+    The input must have full column rank.
+    """
     n, r = mat.shape
     if n == r:
-        return np.arange(n), True
+        return np.arange(n), np.eye(n), True
     # Pivoted QR of the transpose ranks rows by leverage for the start set.
     _, _, piv = scipy.linalg.qr(mat.T, mode="economic", pivoting=True)
     rows = np.array(piv[:r], dtype=np.intp)
@@ -128,17 +142,21 @@ def _maxvol_iter(
     # numpy's solve keeps the loop on the BLAS its SVDs use; scipy ships its
     # own, and alternating the two thread pools costs more than the solve.
     b = np.linalg.solve(sub.T, mat.T).T  # mat @ inv(sub)
+    converged = False
     for _ in range(max_iters):
         i, j = np.unravel_index(np.argmax(np.abs(b)), b.shape)
         if abs(b[i, j]) <= 1.0 + dominance_tol:
-            return rows, True
+            converged = True
+            break
         # Replace pivot j by row i; rank-1 update keeps b = mat @ inv(sub).
         col = b[:, j].copy()
         row = b[i, :].copy()
         row[j] -= 1.0
         b -= np.outer(col, row) / b[i, j]
         rows[j] = i
-    return rows, False
+    # The selected rows interpolate exactly, free of update round-off.
+    b[rows] = np.eye(r)
+    return rows, b, converged
 
 
 def _numrank(s: np.ndarray) -> int:
@@ -248,12 +266,8 @@ class _CrossRun:
             0, np.array(dims, dtype=np.int64), size=(N_PROBE, self.n)
         )
         # iset[k]: (r, k) prefixes over axes 0..k-1; jset[k]: (r, n-k) suffixes.
-        self.iset: list[np.ndarray] = [np.zeros((1, 0), dtype=np.int64)] + [
-            None
-        ] * self.n
-        self.jset: list[np.ndarray | None] = [None] * self.n + [
-            np.zeros((1, 0), dtype=np.int64)
-        ]
+        self.iset: list = [np.zeros((1, 0), dtype=np.int64)] + [None] * self.n
+        self.jset: list = [None] * self.n + [np.zeros((1, 0), dtype=np.int64)]
         for k in range(self.n - 1, 0, -1):
             self.jset[k] = self._sample_suffixes(k)
 
@@ -318,69 +332,34 @@ class _CrossRun:
         cols = _phys_times_suffix(self.dims[p + 1], self.jset[p + 2])
         return self._eval(rows, cols), rows, cols
 
-    def _sweep_l2r(self) -> None:
+    def _pivots(self, basis: np.ndarray, bond: int) -> tuple[np.ndarray, np.ndarray]:
+        """Maxvol rows of an orthonormal basis and ``basis @ inv(basis[rows])``."""
+        sel, coeffs, ok = _maxvol_iter(basis, 0.01, 100)
+        if not ok:
+            self.warnings.append(f"maxvol hit iteration cap at bond {bond}")
+        return sel, coeffs
+
+    def _sweep_l2r(self) -> MPS:
+        """Refine the left pivots and build the MPS from the same superblocks."""
+        cores = []
         for p in range(self.n - 1):
             phi, rows, _ = self._superblock(p)
             u, s, _ = np.linalg.svd(phi, full_matrices=False)
-            r = min(self.cfg.max_bond, _numrank(s))
-            if r == 0:
-                self.iset[p + 1] = rows[:1]
-                continue
-            sel, ok = _maxvol_iter(u[:, :r], 0.01, 100)
-            if not ok:
-                self.warnings.append(f"maxvol hit iteration cap at bond {p + 1}")
+            r = max(1, min(self.cfg.max_bond, _numrank(s)))
+            sel, core = self._pivots(u[:, :r], p + 1)
+            cores.append(core.reshape(self.iset[p].shape[0], self.dims[p], -1))
             self.iset[p + 1] = rows[sel]
+        cores.append(phi[sel].reshape(-1, self.dims[-1], 1))
+        return MPS(cores)
 
     def _sweep_r2l(self) -> None:
-        """Rebuild right pivots; keeps each bond square against the left set."""
+        """Refine the right pivots from the leading right singular vectors."""
         for p in range(self.n - 2, -1, -1):
-            phi, rows, cols = self._superblock(p)
-            u, s, vh = np.linalg.svd(phi, full_matrices=False)
-            r_target = self.iset[p + 1].shape[0]
-            r = min(r_target, _numrank(s))
-            if r == 0:
-                self.iset[p + 1] = rows[:1]
-                self.jset[p + 1] = cols[:1]
-                continue
-            if r < r_target:
-                # Numerical rank fell below the left set size; reselect the
-                # left pivots at the smaller rank so the cross matrix stays
-                # invertible.
-                self.warnings.append(
-                    f"rank dropped to {r} at bond {p + 1} on the backward pass"
-                )
-                sel, _ = _maxvol_iter(u[:, :r], 0.01, 100)
-                self.iset[p + 1] = rows[sel]
-            sel, ok = _maxvol_iter(vh[:r, :].T, 0.01, 100)
-            if not ok:
-                self.warnings.append(f"maxvol hit iteration cap at bond {p + 1}")
+            phi, _, cols = self._superblock(p)
+            _, s, vh = np.linalg.svd(phi, full_matrices=False)
+            r = max(1, min(self.cfg.max_bond, _numrank(s)))
+            sel, _ = self._pivots(vh[:r].T, p + 1)
             self.jset[p + 1] = cols[sel]
-
-    def _assemble(self) -> MPS:
-        cores = []
-        for k in range(self.n):
-            left = self.iset[k]
-            right = self.jset[k + 1]
-            vals = self._eval(_prefix_times_phys(left, self.dims[k]), right)
-            if k == self.n - 1:
-                core = vals.reshape(left.shape[0], self.dims[k], 1)
-            elif not vals.any():
-                # A zero block gives a zero core whatever the cross matrix.
-                # That matrix is normally rows of this block, so it is zero
-                # too, and solving it would only warn of a harmless singularity.
-                core = np.zeros((left.shape[0], self.dims[k], right.shape[0]))
-            else:
-                fmat = self._eval(self.iset[k + 1], right)
-                try:
-                    core = np.linalg.solve(fmat.T, vals.T).T
-                except np.linalg.LinAlgError:
-                    self.warnings.append(
-                        f"singular cross matrix at bond {k + 1}, used least squares"
-                    )
-                    core = np.linalg.lstsq(fmat.T, vals.T, rcond=None)[0].T
-                core = core.reshape(left.shape[0], self.dims[k], -1)
-            cores.append(core)
-        return MPS(cores)
 
     def _spans_grid(self) -> bool:
         """Whether one superblock at the bond budget holds every grid point."""
@@ -413,57 +392,71 @@ class _CrossRun:
         cores.append(rest.reshape(-1, self.dims[-1], 1))
         return MPS(cores)
 
-    def run(self) -> CrossResult:
-        if self._spans_grid():
-            return CrossResult(
-                mps=self._tt_svd(),
-                left_pivots=[],
-                right_pivots=[],
-                n_evals=self.n_evals,
-                n_sweeps_run=0,
-                converged=True,
-                warnings=self.warnings,
-            )
-        prev = None
-        mps = None
-        converged = False
-        sweeps_run = 0
-        for _ in range(self.cfg.n_sweeps):
-            self._sweep_l2r()
-            self._sweep_r2l()
-            sweeps_run += 1
-            mps = self._assemble()
-            vals = mps.evaluate_batch(self.probes)
-            if prev is not None:
-                scale = max(np.max(np.abs(vals)), np.max(np.abs(prev)))
-                if scale == 0.0 or np.max(np.abs(vals - prev)) <= self.cfg.tol * scale:
-                    converged = True
-                    break
-            prev = vals
-        if not converged:
-            self.warnings.append("sweep cap reached before probe tolerance")
+    def _heldout_residual(self, mps: MPS) -> float:
+        """max|f - mps| / max|f| on probes independent of the stopping ones."""
+        rng = np.random.default_rng(np.random.SeedSequence(self.cfg.seed).spawn(1)[0])
+        probes = rng.integers(0, np.array(self.dims), size=(N_PROBE, self.n))
+        # Distinct rows only, as _eval takes; unique keys sort faster than rows.
+        probes = probes[np.unique(_row_keys(probes, self.dims), return_index=True)[1]]
+        want = self._eval(probes, np.zeros((1, 0), dtype=np.int64))[:, 0]
+        err = float(np.max(np.abs(mps.evaluate_batch(probes) - want)))
+        scale = float(np.max(np.abs(want)))
+        return err / scale if scale > 0.0 else err
+
+    def _result(self, mps: MPS, sweeps: int, changes: list, stop: str) -> CrossResult:
+        """The run's CrossResult; a TT-SVD run reports no pivots."""
+        residual = self._heldout_residual(mps)
+        bonds = range(1, self.n) if sweeps else ()
         return CrossResult(
             mps=mps,
-            left_pivots=[
-                [tuple(row) for row in self.iset[k]] for k in range(1, self.n)
-            ],
-            right_pivots=[
-                [tuple(row) for row in self.jset[k]] for k in range(1, self.n)
-            ],
+            left_pivots=[[tuple(row) for row in self.iset[k]] for k in bonds],
+            right_pivots=[[tuple(row) for row in self.jset[k]] for k in bonds],
             n_evals=self.n_evals,
-            n_sweeps_run=sweeps_run,
-            converged=converged,
+            n_sweeps_run=sweeps,
+            converged=stop in ("tol", "tt-svd"),
+            probe_changes=changes,
+            stop_reason=stop,
+            heldout_residual=residual,
             warnings=self.warnings,
         )
+
+    def run(self) -> CrossResult:
+        if self._spans_grid():
+            return self._result(self._tt_svd(), 0, [], "tt-svd")
+        changes: list[float] = []
+        stop = "cap"
+        prev = None
+        for sweeps in range(1, self.cfg.n_sweeps + 1):
+            if sweeps > 1:
+                self._sweep_r2l()
+            mps = self._sweep_l2r()
+            vals = mps.evaluate_batch(self.probes)
+            if prev is not None:
+                scale = float(max(np.max(np.abs(vals)), np.max(np.abs(prev))))
+                diff = float(np.max(np.abs(vals - prev)))
+                changes.append(diff / scale if scale > 0.0 else 0.0)
+                if changes[-1] <= self.cfg.tol:
+                    stop = "tol"
+                    break
+                if len(changes) > 1 and changes[-1] > _PLATEAU * changes[-2]:
+                    stop = "plateau"
+                    self.warnings.append(f"probe change plateaued at {changes[-1]:.3e}")
+                    break
+            prev = vals
+        if stop == "cap":
+            self.warnings.append("sweep cap reached before probe tolerance")
+        return self._result(mps, sweeps, changes, stop)
 
 
 def ttcross_approximate(f: GridFunction, cfg: CrossConfig) -> CrossResult:
     """Approximate a grid function by an MPS with bond at most cfg.max_bond.
 
-    Sweeps alternate left-to-right (left pivot refinement) and
-    right-to-left (right pivot refinement) until values at a fixed seeded
-    probe set of 1024 indices change by less than cfg.tol relative, or the
-    sweep cap is reached (flagged in the result warnings). A grid that one
-    superblock would span is compressed by TT-SVD without sweeping.
+    Each sweep refines the right pivots right to left (from the second
+    sweep on), then the left pivots left to right, which builds the MPS.
+    Its values at a fixed seeded set of 1024 probe indices decide the stop:
+    converged once they change by at most cfg.tol relative; unconverged,
+    with a warning, once a change fails to halve the one before or after
+    cfg.n_sweeps sweeps. A grid that one superblock would span is
+    compressed by TT-SVD without sweeping.
     """
     return _CrossRun(f, cfg).run()

@@ -142,11 +142,44 @@ def test_ttcross_deterministic():
 
 
 def test_ttcross_price_and_warnings_pinned_bitwise():
-    """Exact bits of a cross price whose run hits singular cross matrices."""
+    """Exact bits of a truncated cross price, which stops on a plateau."""
     spec = AsianSpec(spot=100, strike=100, rate=0.1, vol=0.5, expiry=1.0, steps=16)
     report = price_asian_ttcross(spec, bond_dim=16, seed=1)
-    assert report.price.hex() == "0x1.bfaee65c602fap+3"
-    assert len(report.warnings) == 6
+    assert report.price.hex() == "0x1.bf7c7c66785f7p+3"
+    assert report.warnings == ["probe change plateaued at 2.526e-03"]
+    assert report.price == pytest.approx(price_asian_bruteforce(spec).price, rel=2e-3)
+
+
+def test_ttcross_reports_how_it_stopped():
+    spec = AsianSpec(spot=100, strike=100, rate=0.1, vol=0.5, expiry=1.0, steps=16)
+    report = price_asian_ttcross(spec, bond_dim=16, seed=1)
+    diag = report.diagnostics
+    assert (diag["stop_reason"], diag["converged"]) == ("plateau", False)
+    changes = diag["probe_changes"]
+    assert len(changes) == report.n_sweeps - 1
+    assert changes[-1] > 0.5 * changes[-2]
+    assert all(type(c) is float for c in changes)
+    assert 0.0 < diag["heldout_residual"] < 0.05
+
+
+# Sizes and seeds at which cores solved against raw cross matrices once
+# priced -8.4e20 (N=22, seed 0), 2.3e39 (N=22, seed 3) and -9.8e24 (N=24).
+@pytest.mark.parametrize(
+    "steps,bond,seed", [(22, 32, 0), (22, 32, 3), (24, 16, 0)]
+)
+def test_ttcross_stable_where_raw_cross_solves_blew_up(steps, bond, seed):
+    spec = AsianSpec(spot=100, strike=100, rate=0.1, vol=0.5, expiry=1.0, steps=steps)
+    report = price_asian_ttcross(spec, bond_dim=bond, seed=seed)
+    assert report.price == pytest.approx(price_asian_bruteforce(spec).price, rel=1e-2)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_ttcross_beyond_bruteforce_cap(seed):
+    """N=32 at bond 32, once off by 1e19-1e33; the reference is 10^8-path MC."""
+    spec = AsianSpec(spot=100, strike=100, rate=0.1, vol=0.5, expiry=1.0, steps=32)
+    price = price_asian_ttcross(spec, bond_dim=32, seed=seed).price
+    assert 0.0 <= price <= spec.spot
+    assert price == pytest.approx(13.587, rel=1e-2)
 
 
 def test_ttcross_put():

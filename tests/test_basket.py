@@ -338,12 +338,16 @@ def test_cross_prices_pinned_bitwise():
     eu_spec = uniform_basket_spec(4, steps=12, payoff_kind="avg")
     eu = price_european_basket(eu_spec, bond_dim=16, seed=0)
     assert eu.price.hex() == "0x1.28b831ad3d9b5p+3"
+    assert eu.n_sweeps == 0
     am_spec = uniform_basket_spec(3, steps=8, style="american")
     am = price_american_basket(am_spec, bond_dim=8, seed=0)
-    assert am.price.hex() == "0x1.c09a5e0778481p+4"
+    assert am.price.hex() == "0x1.c0942cfc8e47cp+4"
+    # Only the expiry grid is crossed; every other step is TT-SVD.
+    assert am.n_sweeps == 3
     for report, spec in [(eu, eu_spec), (am, am_spec)]:
         want = price_basket_bruteforce(spec).price
         assert report.price == pytest.approx(want, rel=1e-4)
+        assert 0.0 < report.diagnostics["heldout_residual"] < 0.01
 
 
 @pytest.mark.parametrize("style", ["european", "american"])

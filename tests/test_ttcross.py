@@ -7,6 +7,7 @@ from mpspricer import (
     AsianSpec,
     CrossConfig,
     GridFunction,
+    asian_integrand,
     asian_linear_integrand,
     build_exact_payoff_mps,
     maxvol,
@@ -103,27 +104,33 @@ def test_hidden_rank_two_integrand_recovered():
 
 
 def test_interpolation_at_retained_pivots():
-    """CUR assembly must reproduce f exactly on the kept cross tuples."""
-    rng = np.random.default_rng(7)
-    hidden = rng.normal(size=(3, 4, 3, 4))
+    """Bounded interpolation cores, and exact values at the last pivots.
 
-    def f(idx):
-        return hidden[tuple(idx.T)]
-
-    res = ttcross_approximate(
-        GridFunction(dims=(3, 4, 3, 4), evaluate=f),
-        CrossConfig(max_bond=3, n_sweeps=4, tol=1e-10, seed=5),
-    )
-    checked = 0
-    for bond in range(3):
-        for left in res.left_pivots[bond]:
-            for right in res.right_pivots[bond]:
-                full = left + right
-                got = res.mps.evaluate(full)
-                want = float(hidden[full])
-                assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
-                checked += 1
-    assert checked > 0
+    Under truncation the MPS need not match f at every (I_k, J_k) cross;
+    it does at every (last-bond left pivot, x). The Asian case is one
+    whose cores, solved against raw cross matrices, were singular.
+    """
+    hidden = np.random.default_rng(7).normal(size=(3, 4, 3, 4))
+    spec = AsianSpec(spot=100.0, strike=100.0, rate=0.1, vol=0.5, expiry=1.0, steps=16)
+    cases = [
+        (
+            GridFunction(dims=hidden.shape, evaluate=lambda idx: hidden[tuple(idx.T)]),
+            CrossConfig(max_bond=3, n_sweeps=4, tol=1e-10, seed=5),
+        ),
+        (asian_integrand(spec), CrossConfig(max_bond=16, seed=1)),
+    ]
+    for f, cfg in cases:
+        res = ttcross_approximate(f, cfg)
+        assert not any("maxvol" in w for w in res.warnings)
+        for core in res.mps.tensors[:-1]:
+            assert np.max(np.abs(core)) <= 1.01
+        n = len(f.dims)
+        assert len(res.left_pivots) == len(res.right_pivots) == n - 1
+        assert all(res.left_pivots) and all(res.right_pivots)
+        rows = np.array(
+            [left + (x,) for left in res.left_pivots[-1] for x in range(f.dims[-1])]
+        )
+        np.testing.assert_array_equal(res.mps.evaluate_batch(rows), f.evaluate(rows))
 
 
 def test_deterministic_given_seed():
@@ -175,6 +182,47 @@ def test_sweep_cap_flagged():
     assert not res.converged
     assert any("sweep cap" in w for w in res.warnings)
     assert res.n_sweeps_run == 1
+    assert (res.stop_reason, res.probe_changes) == ("cap", [])
+
+
+def test_stops_when_probe_changes_stop_halving():
+    """A truncated Asian integrand settles above tol; the run stops, flagged."""
+    spec = AsianSpec(
+        spot=100.0, strike=100.0, rate=0.1, vol=0.5, expiry=1.0, steps=12
+    )
+    res = ttcross_approximate(
+        asian_integrand(spec), CrossConfig(max_bond=4, n_sweeps=20, seed=0)
+    )
+    changes = res.probe_changes
+    assert (res.stop_reason, res.converged) == ("plateau", False)
+    assert len(changes) == res.n_sweeps_run - 1 < 19
+    assert all(b <= 0.5 * a for a, b in zip(changes[:-2], changes[1:-1]))
+    assert changes[-1] > 0.5 * changes[-2]
+    assert res.warnings == [f"probe change plateaued at {changes[-1]:.3e}"]
+
+
+def test_exact_rank_converges_on_tol():
+    weights = np.random.default_rng(3).normal(size=10)
+    res = ttcross_approximate(
+        GridFunction(dims=(2,) * 10, evaluate=lambda idx: 1.0 + idx @ weights),
+        CrossConfig(max_bond=2, seed=0),
+    )
+    assert (res.stop_reason, res.converged, res.warnings) == ("tol", True, [])
+    assert res.probe_changes[-1] <= 1e-10
+    assert res.heldout_residual < 1e-12
+
+
+def test_heldout_residual_is_relative_max_error_off_the_stopping_probes():
+    """1024 held-out draws over 64 points hit the worst one: a global residual."""
+    hidden = np.random.default_rng(2).normal(size=(2,) * 6)
+    f = GridFunction(dims=(2,) * 6, evaluate=lambda idx: hidden[tuple(idx.T)])
+    res = ttcross_approximate(f, CrossConfig(max_bond=2, n_sweeps=3, seed=0))
+    err = np.abs(res.mps.to_dense() - hidden)
+    assert res.heldout_residual == pytest.approx(
+        err.max() / np.abs(hidden).max(), rel=1e-12
+    )
+    assert res.heldout_residual > 0.0
+    assert res.n_evals == 64
 
 
 def test_mixed_axis_sizes():
@@ -291,3 +339,4 @@ def test_grid_one_superblock_spans_is_tt_svd():
     )
     assert (res.n_evals, res.n_sweeps_run, res.converged) == (36, 0, True)
     assert res.left_pivots == res.right_pivots == []
+    assert (res.stop_reason, res.probe_changes) == ("tt-svd", [])
