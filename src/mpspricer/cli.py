@@ -1,25 +1,23 @@
-"""Command-line interface and benchmark harness.
+"""Command-line interface: one price per run, as a JSON report.
 
 Subcommands:
-  price-asian    single Asian-option price, JSON report
-  price-basket   single basket-put price, JSON report
-  bench-asian    error-vs-parameter sweep over repeated seeded runs, CSV
-  bench-basket   bond-dimension sweep for basket puts, CSV
-  oracle         brute-force reference price, JSON report
+  price-asian    single Asian-option price
+  price-basket   single basket-put price
 
-Flags may also be supplied through a JSON config file (--config);
-explicit flags override file values. Relative --output-path values
-resolve against $MPSPRICER_OUTPUT_DIR when it is set.
+Both take ``--method bruteforce`` for the exact oracle; the benchmark is
+``perfbench/run.py``. Flags may also be supplied through a JSON config
+file (--config) whose keys are the subcommand's flags; explicit flags
+override file values. Relative --output-path values resolve against
+$MPSPRICER_OUTPUT_DIR when it is set.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import functools
-import io
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -40,21 +38,8 @@ from .basket import (
 from .reports import PriceReport
 from .variational import price_asian_variational
 
-CSV_HEADER = [
-    "method",
-    "param_name",
-    "param_value",
-    "run_index",
-    "price",
-    "abs_error",
-    "wall_time_s",
-    "seed",
-]
-
 ASIAN_METHODS = ("ttcross", "variational", "montecarlo", "bruteforce")
 BASKET_METHODS = ("ttcross", "bruteforce")
-BENCH_ASIAN_METHODS = ("ttcross", "variational", "montecarlo")
-BENCH_BASKET_METHODS = ("ttcross",)
 
 # Values the library leaves to the caller; every other default is the
 # library's own, so only flags that were set are passed on.
@@ -66,15 +51,14 @@ _ASIAN_SPEC_DEFAULTS = {
     "expiry": 1.0,
     "steps": 20,
 }
+# Config-file keys of price-basket that may hold per-asset values.
+_BASKET_LISTS = ("spots", "vols", "corr")
 _DEFAULTS = {
     "assets": 3,
     "method": "ttcross",
     "bond_dim": 32,
     "basket_bond_dim": 16,
     "samples": 100_000,
-    "repeats": 10,
-    "bond_dims": [8, 16, 32, 64],
-    "samples_list": [10_000, 100_000, 1_000_000],
 }
 
 # Library keyword -> (flag, conversion) for flags passed on only when set.
@@ -111,41 +95,9 @@ class RunConfig:
 def _int_like(text: str) -> int:
     """Integer flag that accepts scientific notation like 1e5."""
     v = float(text)
-    if v != int(v) or v < 0:
+    if not math.isfinite(v) or v != int(v) or v < 0:
         raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
     return int(v)
-
-
-def _int_list(text: str) -> list[int]:
-    return [_int_like(part) for part in text.split(",") if part]
-
-
-def _str_list(text: str) -> list[str]:
-    return [part.strip() for part in text.split(",") if part.strip()]
-
-
-def _add_asian_spec_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--s0", type=float, help="initial asset price")
-    p.add_argument("--strike", type=float, help="strike price")
-    p.add_argument("--rate", type=float, help="risk-free rate")
-    p.add_argument("--vol", type=float, help="volatility")
-    p.add_argument("--expiry", type=float, help="time to expiry in years")
-    p.add_argument("--steps", type=int, help="binomial steps")
-    p.add_argument("--scheme", choices=["crr", "rb"], help="binomial scheme")
-    p.add_argument("--right", choices=["call", "put"], help="option right")
-
-
-def _add_basket_spec_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--assets", type=int, help="number of assets")
-    p.add_argument("--s0", type=float, help="initial price, shared by all assets")
-    p.add_argument("--strike", type=float, help="strike price")
-    p.add_argument("--rate", type=float, help="risk-free rate")
-    p.add_argument("--vol", type=float, help="volatility, shared by all assets")
-    p.add_argument("--corr", type=float, help="off-diagonal correlation")
-    p.add_argument("--expiry", type=float, help="time to expiry in years")
-    p.add_argument("--steps", type=int, help="binomial steps")
-    p.add_argument("--payoff", choices=["min", "max", "avg"], help="basket aggregation")
-    p.add_argument("--style", choices=["european", "american"], help="exercise style")
 
 
 def _add_output_flags(p: argparse.ArgumentParser) -> None:
@@ -172,7 +124,14 @@ def build_parser() -> argparse.ArgumentParser:
     add = functools.partial(sub.add_parser, allow_abbrev=False)
 
     pa = add("price-asian", help="price one Asian option")
-    _add_asian_spec_flags(pa)
+    pa.add_argument("--s0", type=float, help="initial asset price")
+    pa.add_argument("--strike", type=float, help="strike price")
+    pa.add_argument("--rate", type=float, help="risk-free rate")
+    pa.add_argument("--vol", type=float, help="volatility")
+    pa.add_argument("--expiry", type=float, help="time to expiry in years")
+    pa.add_argument("--steps", type=int, help="binomial steps")
+    pa.add_argument("--scheme", choices=["crr", "rb"], help="binomial scheme")
+    pa.add_argument("--right", choices=["call", "put"], help="option right")
     pa.add_argument("--method", choices=list(ASIAN_METHODS), help="pricing method")
     pa.add_argument("--bond-dim", type=int, help="MPS bond dimension")
     pa.add_argument("--samples", type=_int_like, help="Monte Carlo sample count")
@@ -181,49 +140,41 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(pa)
 
     pb = add("price-basket", help="price one basket put")
-    _add_basket_spec_flags(pb)
+    pb.add_argument("--assets", type=int, help="number of assets")
+    pb.add_argument("--s0", type=float, help="initial price, shared by all assets")
+    pb.add_argument("--strike", type=float, help="strike price")
+    pb.add_argument("--rate", type=float, help="risk-free rate")
+    pb.add_argument("--vol", type=float, help="volatility, shared by all assets")
+    pb.add_argument("--corr", type=float, help="off-diagonal correlation")
+    pb.add_argument("--expiry", type=float, help="time to expiry in years")
+    pb.add_argument("--steps", type=int, help="binomial steps")
+    pb.add_argument("--payoff", choices=["min", "max", "avg"], help="basket aggregation")
+    pb.add_argument("--style", choices=["european", "american"], help="exercise style")
     pb.add_argument("--method", choices=list(BASKET_METHODS), help="pricing method")
     pb.add_argument("--bond-dim", type=int, help="MPS bond dimension")
     pb.add_argument("--sweeps", type=int, help="cross sweep count")
     pb.add_argument("--tol", type=float, help="cross convergence tolerance")
     _add_output_flags(pb)
 
-    ba = add("bench-asian", help="repeat Asian pricers over parameter grids")
-    _add_asian_spec_flags(ba)
-    ba.add_argument("--methods", type=_str_list, help="comma-separated methods")
-    ba.add_argument("--bond-dims", type=_int_list, help="comma-separated bond dimensions")
-    ba.add_argument("--samples", type=_int_list, help="comma-separated sample counts")
-    ba.add_argument("--sweeps", type=int, help="sweep count")
-    ba.add_argument("--tol", type=float, help="cross convergence tolerance")
-    ba.add_argument("--repeats", type=int, help="runs per parameter value")
-    _add_output_flags(ba)
-
-    bb = add("bench-basket", help="repeat basket pricers over bond dimensions")
-    _add_basket_spec_flags(bb)
-    bb.add_argument("--methods", type=_str_list, help="comma-separated methods")
-    bb.add_argument("--bond-dims", type=_int_list, help="comma-separated bond dimensions")
-    bb.add_argument("--sweeps", type=int, help="cross sweep count")
-    bb.add_argument("--tol", type=float, help="cross convergence tolerance")
-    bb.add_argument("--repeats", type=int, help="runs per parameter value")
-    _add_output_flags(bb)
-
-    orc = add("oracle", help="brute-force reference price")
-    orc.add_argument("--kind", choices=["asian", "basket"], help="spec family")
-    _add_asian_spec_flags(orc)
-    orc.add_argument("--assets", type=int, help="number of assets (basket)")
-    orc.add_argument("--corr", type=float, help="off-diagonal correlation (basket)")
-    orc.add_argument("--payoff", choices=["min", "max", "avg"], help="basket aggregation")
-    orc.add_argument("--style", choices=["european", "american"], help="exercise style")
-    _add_output_flags(orc)
-
     return parser
 
 
-def _load_config_file(path: str) -> dict:
+def _load_config_file(path: str, allowed: set[str]) -> dict:
+    """The file's JSON object, keys spelled as flag destinations.
+
+    A key outside ``allowed`` or a non-finite number is an error.
+    """
     with open(path, "r", encoding="utf-8") as f:
         data = json.load(f)
     if not isinstance(data, dict):
         raise ValueError(f"config file {path} must hold a JSON object")
+    data = {key.replace("-", "_"): value for key, value in data.items()}
+    unknown = sorted(set(data) - allowed)
+    if unknown:
+        raise ValueError(f"config file {path}: unknown keys {unknown}")
+    for key, value in data.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"config file {path}: {key} must be finite, got {value}")
     return data
 
 
@@ -231,20 +182,24 @@ def parse_args(argv: list[str] | None = None) -> RunConfig:
     """Parse flags, fold in the config file, and return the merged RunConfig.
 
     Every flag defaults to None so absent flags fall through to the config
-    file and then to the built-in defaults at use time.
+    file and then to the built-in defaults at use time. The namespace thus
+    names every flag of the subcommand, and those are the keys the file
+    may set.
     """
     args = build_parser().parse_args(argv)
     options = {k: v for k, v in vars(args).items() if k != "command"}
     if options.get("config"):
-        file_values = _load_config_file(options["config"])
+        allowed = set(options)
+        if args.command == "price-basket":
+            allowed.update(_BASKET_LISTS)
+        file_values = _load_config_file(options["config"], allowed)
         for key, value in file_values.items():
-            key = key.replace("-", "_")
             if options.get(key) is None:
                 options[key] = value
         # A shared flag on the command line beats the file's per-asset list,
         # whose length still gives the asset count.
         for key, flag in (("spots", "s0"), ("vols", "vol")):
-            if getattr(args, flag, None) is not None and isinstance(options.get(key), list):
+            if getattr(args, flag) is not None and isinstance(options.get(key), list):
                 n_assets = len(options.pop(key))
                 if options.get("assets") is None:
                     options["assets"] = n_assets
@@ -275,11 +230,7 @@ def _basket_spec_from(cfg: RunConfig) -> BasketSpec:
     given on the command line (see :func:`parse_args`).
     """
     opts = cfg.options
-    lists = {
-        key: opts[key]
-        for key in ("spots", "vols", "corr")
-        if isinstance(opts.get(key), list)
-    }
+    lists = {key: opts[key] for key in _BASKET_LISTS if isinstance(opts.get(key), list)}
     n = opts.get("assets")
     if n is None:
         n = next(
@@ -293,8 +244,9 @@ def _basket_spec_from(cfg: RunConfig) -> BasketSpec:
     return dataclasses.replace(spec, **lists) if lists else spec
 
 
-def _price_asian(cfg: RunConfig, method: str) -> PriceReport:
+def _price_asian(cfg: RunConfig) -> PriceReport:
     spec = _asian_spec_from(cfg)
+    method = cfg.get("method", _DEFAULTS["method"])
     if method == "bruteforce":
         return price_asian_bruteforce(spec)
     if method == "montecarlo":
@@ -310,8 +262,9 @@ def _price_asian(cfg: RunConfig, method: str) -> PriceReport:
     raise ValueError(f"unknown Asian method {method!r}")
 
 
-def _price_basket(cfg: RunConfig, method: str) -> PriceReport:
+def _price_basket(cfg: RunConfig) -> PriceReport:
     spec = _basket_spec_from(cfg)
+    method = cfg.get("method", _DEFAULTS["method"])
     if method == "bruteforce":
         return price_basket_bruteforce(spec)
     if method != "ttcross":
@@ -333,7 +286,10 @@ def _resolve_output_path(path: str | None) -> str | None:
     return path
 
 
-def _emit(cfg: RunConfig, text: str) -> None:
+def _emit(cfg: RunConfig, report: PriceReport) -> None:
+    """Write the report as JSON to --output-path, or else to stdout."""
+    doc = report.to_dict(omit_timing=bool(cfg.options.get("omit_timing")))
+    text = json.dumps(doc, indent=2) + "\n"
     path = _resolve_output_path(cfg.options.get("output_path"))
     if path is None:
         sys.stdout.write(text)
@@ -355,122 +311,18 @@ def _dump_mps(cfg: RunConfig, report: PriceReport) -> None:
         f.write("\n")
 
 
-def _report_json(report: PriceReport, cfg: RunConfig) -> str:
-    omit = bool(cfg.options.get("omit_timing"))
-    return json.dumps(report.to_dict(omit_timing=omit), indent=2) + "\n"
-
-
-def _bench_rows(cfg: RunConfig, family: str) -> list[dict]:
-    if family == "asian":
-        allowed = BENCH_ASIAN_METHODS
-        spec = _asian_spec_from(cfg)
-        oracle, price_one = price_asian_bruteforce, _price_asian
-    else:
-        allowed = BENCH_BASKET_METHODS
-        spec = _basket_spec_from(cfg)
-        oracle, price_one = price_basket_bruteforce, _price_basket
-    methods = cfg.get("methods", allowed)
-    for m in methods:
-        if m not in allowed:
-            raise ValueError(
-                f"method {m!r} is not benchable here; choose from {allowed}"
-            )
-    try:
-        reference = oracle(spec).price
-    except ValueError as exc:
-        print(f"warning: no brute-force reference ({exc})", file=sys.stderr)
-        reference = None
-    repeats = int(cfg.get("repeats", _DEFAULTS["repeats"]))
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
-    base_seed = int(cfg.get("seed", 0))
-    omit = bool(cfg.options.get("omit_timing"))
-    rows = []
-    for method in methods:
-        if method == "montecarlo":
-            param_name, option = "n_samples", "samples"
-            values = cfg.get("samples", _DEFAULTS["samples_list"])
-        else:
-            param_name, option = "bond_dim", "bond_dim"
-            values = cfg.get("bond_dims", _DEFAULTS["bond_dims"])
-        for param_value in values:
-            for run_index in range(repeats):
-                seed = base_seed + run_index
-                options = cfg.options | {"seed": seed, option: param_value}
-                report = price_one(RunConfig(cfg.command, options), method)
-                rows.append(
-                    {
-                        "method": method,
-                        "param_name": param_name,
-                        "param_value": int(param_value),
-                        "run_index": run_index,
-                        "price": report.price,
-                        "abs_error": (
-                            abs(report.price - reference)
-                            if reference is not None
-                            else None
-                        ),
-                        "wall_time_s": 0.0 if omit else report.wall_time_s,
-                        "seed": seed,
-                    }
-                )
-    rows.sort(key=lambda r: (r["method"], r["param_value"], r["run_index"]))
-    return rows
-
-
-def _rows_to_csv(rows: list[dict]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for r in rows:
-        writer.writerow(
-            [
-                r["method"],
-                r["param_name"],
-                str(r["param_value"]),
-                str(r["run_index"]),
-                repr(float(r["price"])),
-                "" if r["abs_error"] is None else repr(float(r["abs_error"])),
-                repr(float(r["wall_time_s"])),
-                str(r["seed"]),
-            ]
-        )
-    return buf.getvalue()
-
-
-def run(cfg: RunConfig) -> int:
-    """Execute one resolved invocation; returns the process exit status."""
-    if cfg.command == "price-asian":
-        report = _price_asian(cfg, cfg.get("method", _DEFAULTS["method"]))
-        _dump_mps(cfg, report)
-        _emit(cfg, _report_json(report, cfg))
-        return 0
-    if cfg.command == "price-basket":
-        report = _price_basket(cfg, cfg.get("method", _DEFAULTS["method"]))
-        _dump_mps(cfg, report)
-        _emit(cfg, _report_json(report, cfg))
-        return 0
-    if cfg.command in ("bench-asian", "bench-basket"):
-        rows = _bench_rows(cfg, "asian" if cfg.command == "bench-asian" else "basket")
-        _emit(cfg, _rows_to_csv(rows))
-        return 0
-    if cfg.command == "oracle":
-        if cfg.get("kind", "asian") == "asian":
-            report = price_asian_bruteforce(_asian_spec_from(cfg))
-        else:
-            report = price_basket_bruteforce(_basket_spec_from(cfg))
-        _emit(cfg, _report_json(report, cfg))
-        return 0
-    raise ValueError(f"unknown command {cfg.command!r}")
-
-
 def main(argv: list[str] | None = None) -> int:
+    """Price one invocation; returns the process exit status."""
     try:
         cfg = parse_args(argv)
-        return run(cfg)
+        price = {"price-asian": _price_asian, "price-basket": _price_basket}
+        report = price[cfg.command](cfg)
+        _dump_mps(cfg, report)
+        _emit(cfg, report)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

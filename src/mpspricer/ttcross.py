@@ -28,6 +28,8 @@ N_PROBE = 1024
 _RANK_RTOL = 1e-14
 _DEFICIENCY_RTOL = 1e-12
 _MEMO_RECENT = 2**15
+# Most grid points sent to the grid function in one call.
+_BATCH_CAP = 2**18
 # A sweep must at least halve the probe change, or the run stops.
 _PLATEAU = 0.5
 
@@ -53,7 +55,6 @@ class CrossConfig:
     n_sweeps: int = 8
     tol: float = 1e-10
     seed: int = 0
-    batch_cap: int = 2**18
 
     def __post_init__(self):
         if self.max_bond < 1:
@@ -62,8 +63,6 @@ class CrossConfig:
             raise ValueError(f"n_sweeps must be >= 1, got {self.n_sweeps}")
         if not self.tol > 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
-        if self.batch_cap < 1:
-            raise ValueError(f"batch_cap must be >= 1, got {self.batch_cap}")
 
 
 @dataclass
@@ -287,7 +286,7 @@ class _CrossRun:
 
         Returns shape (len(rows), len(cols)). Both sets hold distinct rows,
         so the block's keys are distinct. Only points new to the run reach
-        f, once each, in chunks of at most batch_cap.
+        f, once each, in chunks of at most _BATCH_CAP.
         """
         nc = cols.shape[0]
         keys = _block_keys(rows, cols, self.dims)
@@ -305,11 +304,12 @@ class _CrossRun:
         if new.size:
             r, c = np.divmod(order[new], nc)
             points = np.concatenate([rows[r], cols[c]], axis=1)
-            cap = self.cfg.batch_cap
             vals[new] = np.concatenate(
                 [
-                    np.asarray(self.f.evaluate(points[i : i + cap]), dtype=np.float64)
-                    for i in range(0, points.shape[0], cap)
+                    np.asarray(
+                        self.f.evaluate(points[i : i + _BATCH_CAP]), dtype=np.float64
+                    )
+                    for i in range(0, points.shape[0], _BATCH_CAP)
                 ]
             )
             self.n_evals += new.size

@@ -1,26 +1,17 @@
 """CLI: flag parsing, config merging, document emission, determinism."""
 
-import csv
-import io
 import json
 
 import pytest
 
 from mpspricer import AsianSpec, price_asian_bruteforce
-from mpspricer.cli import CSV_HEADER, main, parse_args
+from mpspricer.cli import main, parse_args
 
 
 def run_cli(args, tmp_path, name="out"):
     path = tmp_path / name
     code = main([*args, "--output-path", str(path)])
     return code, path.read_bytes() if path.exists() else b""
-
-
-def test_csv_header_is_frozen():
-    assert CSV_HEADER == [
-        "method", "param_name", "param_value", "run_index",
-        "price", "abs_error", "wall_time_s", "seed",
-    ]
 
 
 def test_parse_merges_config_with_flag_priority(tmp_path):
@@ -64,61 +55,43 @@ def test_price_asian_montecarlo_fields(tmp_path):
     assert doc["std_error"] > 0
 
 
-def test_bench_rows_counts_sorting_and_seeds(tmp_path):
-    args = [
-        "bench-asian", "--methods", "ttcross,montecarlo", "--steps", "10",
-        "--bond-dims", "8,4", "--samples", "1e3,1e4", "--repeats", "2",
-        "--seed", "7", "--omit-timing",
-    ]
-    code, raw = run_cli(args, tmp_path, "bench.csv")
+@pytest.mark.parametrize(
+    "args, method",
+    [
+        pytest.param(
+            ["price-asian", "--method", "ttcross", "--steps", "10",
+             "--bond-dim", "4", "--seed", "1"],
+            "ttcross", id="asian-ttcross",
+        ),
+        pytest.param(
+            ["price-asian", "--method", "variational", "--steps", "10",
+             "--bond-dim", "4", "--seed", "1"],
+            "variational", id="asian-variational",
+        ),
+        pytest.param(
+            ["price-asian", "--method", "montecarlo", "--steps", "10",
+             "--samples", "1e4", "--seed", "7"],
+            "montecarlo", id="asian-montecarlo",
+        ),
+        pytest.param(
+            ["price-asian", "--method", "bruteforce", "--steps", "13",
+             "--strike", "103"],
+            "bruteforce", id="asian-bruteforce",
+        ),
+        pytest.param(
+            ["price-basket", "--style", "american", "--payoff", "min",
+             "--assets", "2", "--steps", "5", "--corr", "0.3333333333",
+             "--bond-dim", "8"],
+            "ttcross", id="basket-ttcross",
+        ),
+    ],
+)
+def test_price_reruns_byte_identical(args, method, tmp_path):
+    code, first = run_cli([*args, "--omit-timing"], tmp_path, "a.json")
     assert code == 0
-    rows = list(csv.DictReader(io.StringIO(raw.decode())))
-    assert len(rows) == 2 * 2 + 2 * 2
-    key = [
-        (r["method"], int(r["param_value"]), int(r["run_index"])) for r in rows
-    ]
-    assert key == sorted(key)
-    for r in rows:
-        assert int(r["seed"]) == 7 + int(r["run_index"])
-        assert float(r["abs_error"]) >= 0.0
-        assert r["param_name"] == (
-            "n_samples" if r["method"] == "montecarlo" else "bond_dim"
-        )
-
-
-def test_bench_reruns_byte_identical(tmp_path):
-    args = [
-        "bench-asian", "--methods", "ttcross,variational", "--steps", "10",
-        "--bond-dims", "4,8", "--repeats", "2", "--seed", "1", "--omit-timing",
-    ]
-    _, first = run_cli(args, tmp_path, "a.csv")
-    _, second = run_cli(args, tmp_path, "b.csv")
+    _, second = run_cli([*args, "--omit-timing"], tmp_path, "b.json")
     assert first == second
-    assert first.startswith(b"method,param_name,param_value,run_index,")
-
-
-def test_price_reruns_byte_identical(tmp_path):
-    args = [
-        "price-basket", "--style", "american", "--payoff", "min",
-        "--assets", "2", "--steps", "5", "--corr", "0.3333333333",
-        "--bond-dim", "8", "--omit-timing",
-    ]
-    _, first = run_cli(args, tmp_path, "a.json")
-    _, second = run_cli(args, tmp_path, "b.json")
-    assert first == second
-
-
-def test_oracle_command_and_cache(tmp_path):
-    args = [
-        "oracle", "--kind", "asian", "--steps", "13",
-        "--strike", "103", "--omit-timing",
-    ]
-    code, raw = run_cli(args, tmp_path, "o1.json")
-    assert code == 0
-    code, raw2 = run_cli(args, tmp_path, "o2.json")
-    assert raw == raw2
-    doc = json.loads(raw)
-    assert doc["method"] == "bruteforce"
+    assert json.loads(first)["method"] == method
 
 
 def test_dump_mps_roundtrip(tmp_path):
@@ -196,22 +169,22 @@ def test_config_file_heterogeneous_basket(tmp_path):
     assert doc["price"] == price_basket_bruteforce(spec).price
 
 
-def test_bench_rejects_bruteforce_method(capsys):
-    code = main(["bench-asian", "--methods", "bruteforce", "--steps", "6"])
-    assert code == 1
-    assert "not benchable" in capsys.readouterr().err
-
-
-def test_bench_rejects_json_output(capsys):
-    # There is no --output flag: bench commands always write CSV and
-    # price/oracle commands JSON.
+def test_price_rejects_json_output(capsys):
+    # There is no --output flag, and it is not read as --output-path:
+    # price commands always write JSON.
     with pytest.raises(SystemExit) as exc:
-        main(
-            ["bench-asian", "--methods", "ttcross", "--steps", "6",
-             "--bond-dims", "2", "--repeats", "1", "--output", "json"]
-        )
+        main(["price-asian", "--method", "bruteforce", "--steps", "6",
+              "--output", "json"])
     assert exc.value.code != 0
     assert "--output" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["bench-asian", "bench-basket", "oracle"])
+def test_removed_commands_exit_nonzero(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--steps", "6"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_unknown_flag_exits_nonzero():
@@ -244,3 +217,39 @@ def test_shared_flag_beats_config_file_list(tmp_path):
     # The list still sets the asset count.
     spec = uniform_basket_spec(2, spot=50.0, steps=5)
     assert json.loads(raw)["price"] == price_basket_bruteforce(spec).price
+
+
+@pytest.mark.parametrize(
+    "command, values",
+    [
+        pytest.param("price-asian", {"stepz": 5, "strikee": 150}, id="misspelled"),
+        pytest.param("price-asian", {"spots": [90.0, 110.0]}, id="asian-spots"),
+        pytest.param("price-basket", {"kind": "basket", "steps": 5}, id="basket-kind"),
+    ],
+)
+def test_config_file_rejects_unknown_keys(command, values, tmp_path, capsys):
+    cfg_file = tmp_path / "c.json"
+    cfg_file.write_text(json.dumps(values))
+    code, raw = run_cli([command, "--config", str(cfg_file)], tmp_path, "c.out")
+    assert code == 1
+    assert raw == b""
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "unknown keys" in err
+    assert repr(next(iter(values))) in err
+
+
+@pytest.mark.parametrize("samples", ["inf", "1e400", "nan"])
+def test_non_finite_sample_flag_is_usage_error(samples, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["price-asian", "--method", "montecarlo", "--samples", samples])
+    assert exc.value.code == 2
+    assert "expected a nonnegative integer" in capsys.readouterr().err
+
+
+def test_non_finite_config_value_is_error(tmp_path, capsys):
+    cfg_file = tmp_path / "c.json"
+    cfg_file.write_text('{"method": "montecarlo", "samples": 1e400}')
+    code = main(["price-asian", "--config", str(cfg_file)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "samples must be finite" in err

@@ -34,7 +34,7 @@ def test_command_examples_print_documented_bytes():
         r"```sh\n(mpspricer .*?)```\s*```(?:json|csv)\n(.*?)```", text, re.S
     )
     runs = [(shlex.split(cmd.replace("\\\n", " "))[1:], shown) for cmd, shown in examples]
-    assert [argv[0] for argv, _ in runs] == ["price-asian", "bench-asian"]
+    assert [argv[0] for argv, _ in runs] == ["price-asian"]
     for argv, shown in runs:
         out = io.StringIO()
         with contextlib.redirect_stdout(out):

@@ -13,6 +13,7 @@ from mpspricer import (
     maxvol,
     ttcross_approximate,
 )
+from mpspricer import ttcross
 from mpspricer.ttcross import _block_keys, _cross_indices, _row_keys
 
 from conftest import all_bitstrings
@@ -242,14 +243,15 @@ def test_mixed_axis_sizes():
     )
 
 
-def test_eval_counting_and_batch_cap():
+def test_eval_counting_and_batch_cap(monkeypatch):
     calls = []
 
     def f(idx):
         calls.append(idx.shape[0])
         return np.ones(idx.shape[0])
 
-    cfg = CrossConfig(max_bond=2, n_sweeps=1, seed=0, batch_cap=16)
+    monkeypatch.setattr(ttcross, "_BATCH_CAP", 16)
+    cfg = CrossConfig(max_bond=2, n_sweeps=1, seed=0)
     res = ttcross_approximate(GridFunction(dims=(2,) * 6, evaluate=f), cfg)
     assert max(calls) <= 16
     assert res.n_evals == sum(calls)
