@@ -119,7 +119,7 @@ def price_asian_bruteforce(spec: AsianSpec) -> PriceReport:
 
 def price_asian_ttcross(
     spec: AsianSpec,
-    bond_dim: int,
+    bond_dim: int = 32,
     seed: int = 0,
     n_sweeps: int = 8,
     tol: float = 1e-10,
@@ -150,7 +150,7 @@ def price_asian_ttcross(
 
 
 def price_asian_montecarlo(
-    spec: AsianSpec, n_samples: int, seed: int = 0
+    spec: AsianSpec, n_samples: int = 100_000, seed: int = 0
 ) -> PriceReport:
     """Plain Monte Carlo over i.i.d. Bernoulli(p_up) step indicators."""
     try:

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from .binomial import check_lattice_inputs
 from .mps import MPS, DENSE_ELEMENT_CAP
 from .reports import PriceReport
 from .ttcross import CrossConfig, CrossResult, GridFunction, ttcross_approximate
@@ -53,16 +54,9 @@ class BasketSpec:
             raise ValueError("need at least one asset")
         if len(vols) != m:
             raise ValueError(f"got {len(vols)} vols for {m} assets")
-        if any(s <= 0 for s in spots):
-            raise ValueError("spots must be positive")
+        check_lattice_inputs(spots, vols, self.strike, self.rate, self.expiry, self.steps)
         if any(v <= 0 for v in vols):
             raise ValueError("vols must be positive")
-        if self.strike <= 0:
-            raise ValueError(f"strike must be positive, got {self.strike}")
-        if self.expiry <= 0:
-            raise ValueError(f"expiry must be positive, got {self.expiry}")
-        if self.steps < 1:
-            raise ValueError(f"steps must be >= 1, got {self.steps}")
         cm = np.array(corr)
         if cm.shape != (m, m):
             raise ValueError(f"corr must be {m}x{m}, got {cm.shape}")
@@ -89,7 +83,7 @@ class BasketSpec:
 
 
 def uniform_basket_spec(
-    n_assets: int,
+    n_assets: int = 3,
     spot: float = 100.0,
     strike: float = 100.0,
     rate: float = 0.1,
@@ -346,7 +340,7 @@ def _price_tensor(
 
 def price_european_basket(
     spec: BasketSpec,
-    bond_dim: int = 32,
+    bond_dim: int = 16,
     seed: int = 0,
     n_sweeps: int = 8,
     tol: float = 1e-10,
@@ -363,7 +357,7 @@ def price_european_basket(
 
 def price_american_basket(
     spec: BasketSpec,
-    bond_dim: int = 32,
+    bond_dim: int = 16,
     seed: int = 0,
     n_sweeps: int = 8,
     tol: float = 1e-10,

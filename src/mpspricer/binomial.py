@@ -9,6 +9,7 @@ carries the drift in the factors.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,6 +80,29 @@ def make_scheme_params(scheme: str, rate: float, vol: float, dt: float) -> Schem
     raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
 
 
+def check_lattice_inputs(
+    spots: tuple, vols: tuple, strike: float, rate: float, expiry: float, steps: int
+) -> None:
+    """The checks every spec shares.
+
+    Every number must be finite, spots, strike and expiry positive, and
+    steps an integer (TypeError otherwise) of at least 1.
+    """
+    named = [("spot", s) for s in spots] + [("vol", v) for v in vols]
+    named += [("strike", strike), ("rate", rate), ("expiry", expiry)]
+    for name, value in named:
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+        if value <= 0 and name in ("spot", "strike", "expiry"):
+            raise ValueError(f"{name} must be positive, got {value}")
+    try:
+        operator.index(steps)
+    except TypeError:
+        raise TypeError(f"steps must be an integer, got {steps!r}") from None
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
+
+
 @dataclass(frozen=True)
 class SingleAssetSpec:
     """Contract and model inputs for one underlying on a binomial lattice.
@@ -87,24 +111,19 @@ class SingleAssetSpec:
     exercise style is an argument of :func:`tree_price`, not a field.
     """
 
-    spot: float
-    strike: float
-    rate: float
-    vol: float
-    expiry: float
-    steps: int
+    spot: float = 100.0
+    strike: float = 100.0
+    rate: float = 0.1
+    vol: float = 0.5
+    expiry: float = 1.0
+    steps: int = 20
     scheme: str = "crr"
     right: str = "call"
 
     def __post_init__(self):
-        if self.spot <= 0:
-            raise ValueError(f"spot must be positive, got {self.spot}")
-        if self.strike <= 0:
-            raise ValueError(f"strike must be positive, got {self.strike}")
-        if self.expiry <= 0:
-            raise ValueError(f"expiry must be positive, got {self.expiry}")
-        if self.steps < 1:
-            raise ValueError(f"steps must be >= 1, got {self.steps}")
+        check_lattice_inputs(
+            (self.spot,), (self.vol,), self.strike, self.rate, self.expiry, self.steps
+        )
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
         if self.right not in RIGHTS:

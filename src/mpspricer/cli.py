@@ -5,10 +5,13 @@ Subcommands:
   price-basket   single basket-put price
 
 Both take ``--method bruteforce`` for the exact oracle; the benchmark is
-``perfbench/run.py``. Flags may also be supplied through a JSON config
-file (--config) whose keys are the subcommand's flags; explicit flags
-override file values. Relative --output-path values resolve against
-$MPSPRICER_OUTPUT_DIR when it is set.
+``perfbench/run.py``. The CLI holds no defaults: each set flag becomes
+the keyword of the spec or pricer that names it, and everything left
+unset is the library's default. A JSON config file (--config) is read
+as ``--key=value`` flags ahead of the command line, so its values are
+parsed by the same flags and explicit flags override them. Relative
+--output-path values resolve against $MPSPRICER_OUTPUT_DIR when it is
+set.
 """
 
 from __future__ import annotations
@@ -16,11 +19,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import inspect
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 
 from .asian import (
     AsianSpec,
@@ -29,7 +32,6 @@ from .asian import (
     price_asian_ttcross,
 )
 from .basket import (
-    BasketSpec,
     price_american_basket,
     price_basket_bruteforce,
     price_european_basket,
@@ -38,58 +40,29 @@ from .basket import (
 from .reports import PriceReport
 from .variational import price_asian_variational
 
-ASIAN_METHODS = ("ttcross", "variational", "montecarlo", "bruteforce")
-BASKET_METHODS = ("ttcross", "bruteforce")
-
-# Values the library leaves to the caller; every other default is the
-# library's own, so only flags that were set are passed on.
-_ASIAN_SPEC_DEFAULTS = {
-    "spot": 100.0,
-    "strike": 100.0,
-    "rate": 0.1,
-    "vol": 0.5,
-    "expiry": 1.0,
-    "steps": 20,
+ASIAN_PRICERS = {
+    "ttcross": price_asian_ttcross,
+    "variational": price_asian_variational,
+    "montecarlo": price_asian_montecarlo,
+    "bruteforce": price_asian_bruteforce,
 }
-# Config-file keys of price-basket that may hold per-asset values.
-_BASKET_LISTS = ("spots", "vols", "corr")
-_DEFAULTS = {
-    "assets": 3,
-    "method": "ttcross",
-    "bond_dim": 32,
-    "basket_bond_dim": 16,
-    "samples": 100_000,
+# Basket method -> exercise style -> pricer.
+BASKET_PRICERS = {
+    "ttcross": {"european": price_european_basket, "american": price_american_basket},
+    "bruteforce": {"european": price_basket_bruteforce, "american": price_basket_bruteforce},
 }
-
-# Library keyword -> (flag, conversion) for flags passed on only when set.
-_FLAG_PARAMS = {
-    "spot": ("s0", float),
-    "strike": ("strike", float),
-    "rate": ("rate", float),
-    "vol": ("vol", float),
-    "rho": ("corr", float),
-    "expiry": ("expiry", float),
-    "steps": ("steps", int),
-    "scheme": ("scheme", str),
-    "right": ("right", str),
-    "payoff_kind": ("payoff", str),
-    "style": ("style", str),
-    "seed": ("seed", int),
-    "n_sweeps": ("sweeps", int),
-    "tol": ("tol", float),
+# Flag destination -> library keyword, where the two differ.
+_KEYWORDS = {
+    "s0": "spot",
+    "corr": "rho",
+    "payoff": "payoff_kind",
+    "sweeps": "n_sweeps",
+    "samples": "n_samples",
+    "assets": "n_assets",
 }
-
-
-@dataclass
-class RunConfig:
-    """Resolved invocation: subcommand plus effective option mapping."""
-
-    command: str
-    options: dict = field(default_factory=dict)
-
-    def get(self, key: str, fallback=None):
-        v = self.options.get(key)
-        return fallback if v is None else v
+# Config-file keys of price-basket that may hold per-asset lists, each
+# with the shared flag that replaces it.
+_BASKET_LISTS = {"spots": "s0", "vols": "vol", "corr": "corr"}
 
 
 def _int_like(text: str) -> int:
@@ -106,8 +79,7 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dump-mps", help="write the final MPS as JSON to this path")
     p.add_argument(
         "--omit-timing",
-        action="store_const",
-        const=True,
+        action="store_true",
         help="report wall_time_s as 0.0 for reproducible documents",
     )
     p.add_argument("--seed", type=int, help="base random seed")
@@ -132,7 +104,9 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--steps", type=int, help="binomial steps")
     pa.add_argument("--scheme", choices=["crr", "rb"], help="binomial scheme")
     pa.add_argument("--right", choices=["call", "put"], help="option right")
-    pa.add_argument("--method", choices=list(ASIAN_METHODS), help="pricing method")
+    pa.add_argument(
+        "--method", choices=list(ASIAN_PRICERS), default="ttcross", help="pricing method"
+    )
     pa.add_argument("--bond-dim", type=int, help="MPS bond dimension")
     pa.add_argument("--samples", type=_int_like, help="Monte Carlo sample count")
     pa.add_argument("--sweeps", type=int, help="sweep count")
@@ -150,7 +124,9 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--steps", type=int, help="binomial steps")
     pb.add_argument("--payoff", choices=["min", "max", "avg"], help="basket aggregation")
     pb.add_argument("--style", choices=["european", "american"], help="exercise style")
-    pb.add_argument("--method", choices=list(BASKET_METHODS), help="pricing method")
+    pb.add_argument(
+        "--method", choices=list(BASKET_PRICERS), default="ttcross", help="pricing method"
+    )
     pb.add_argument("--bond-dim", type=int, help="MPS bond dimension")
     pb.add_argument("--sweeps", type=int, help="cross sweep count")
     pb.add_argument("--tol", type=float, help="cross convergence tolerance")
@@ -178,147 +154,89 @@ def _load_config_file(path: str, allowed: set[str]) -> dict:
     return data
 
 
-def parse_args(argv: list[str] | None = None) -> RunConfig:
-    """Parse flags, fold in the config file, and return the merged RunConfig.
+def parse_args(argv: list[str] | None = None) -> tuple[argparse.Namespace, dict]:
+    """Parse the flags, config file first, and set aside its basket lists.
 
-    Every flag defaults to None so absent flags fall through to the config
-    file and then to the built-in defaults at use time. The namespace thus
-    names every flag of the subcommand, and those are the keys the file
-    may set.
+    Each file key is read as the token ``--key=value`` ahead of the
+    command line; a switch such as ``omit_timing`` takes a JSON boolean.
+    The file may set any flag of its subcommand but --config. Returns the
+    namespace and the file's ``spots``/``vols``/matrix ``corr`` lists that
+    no command-line flag replaced.
     """
-    args = build_parser().parse_args(argv)
-    options = {k: v for k, v in vars(args).items() if k != "command"}
-    if options.get("config"):
-        allowed = set(options)
-        if args.command == "price-basket":
-            allowed.update(_BASKET_LISTS)
-        file_values = _load_config_file(options["config"], allowed)
-        for key, value in file_values.items():
-            if options.get(key) is None:
-                options[key] = value
-        # A shared flag on the command line beats the file's per-asset list,
-        # whose length still gives the asset count.
-        for key, flag in (("spots", "s0"), ("vols", "vol")):
-            if getattr(args, flag) is not None and isinstance(options.get(key), list):
-                n_assets = len(options.pop(key))
-                if options.get("assets") is None:
-                    options["assets"] = n_assets
-    return RunConfig(command=args.command, options=options)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.config is None:
+        return args, {}
+    allowed = set(vars(args)) - {"command", "config"}
+    if args.command == "price-basket":
+        allowed.update(_BASKET_LISTS)
+    data = _load_config_file(args.config, allowed)
+    lists = {key: data.pop(key) for key in _BASKET_LISTS if isinstance(data.get(key), list)}
+    switches = {key for key, value in vars(args).items() if isinstance(value, bool)}
+    tokens = []
+    for key, value in data.items():
+        flag = "--" + key.replace("_", "-")
+        if key not in switches or not isinstance(value, bool):
+            tokens.append(f"{flag}={value}")
+        elif value:
+            tokens.append(flag)
+    rest = argv[argv.index(args.command) + 1 :]
+    merged = parser.parse_args([args.command, *tokens, *rest])
+    # Unless --assets is set, the spots or vols list gives the asset count,
+    # even where a command-line flag replaces its values.
+    n_assets = next((len(lists[key]) for key in ("spots", "vols") if key in lists), None)
+    if n_assets is not None and merged.assets is None:
+        merged.assets = n_assets
+    lists = {k: v for k, v in lists.items() if getattr(args, _BASKET_LISTS[k]) is None}
+    return merged, lists
 
 
-def _given(cfg: RunConfig, *params: str) -> dict:
-    """Library keyword arguments for those of ``params`` whose flag was set."""
-    kwargs = {}
-    for param in params:
-        flag, convert = _FLAG_PARAMS[param]
-        value = cfg.options.get(flag)
-        if value is not None:
-            kwargs[param] = convert(value)
-    return kwargs
+def _call(fn, options: dict, *args):
+    """``fn(*args, ...)`` with those of ``options`` that its signature names."""
+    names = inspect.signature(fn).parameters
+    return fn(*args, **{key: value for key, value in options.items() if key in names})
 
 
-def _asian_spec_from(cfg: RunConfig) -> AsianSpec:
-    given = _given(cfg, *_ASIAN_SPEC_DEFAULTS, "scheme", "right")
-    return AsianSpec(**_ASIAN_SPEC_DEFAULTS | given)
+def _price(args: argparse.Namespace, lists: dict) -> PriceReport:
+    """Price with the set flags as keywords; the library fills in the rest."""
+    options = {_KEYWORDS.get(k, k): v for k, v in vars(args).items() if v is not None}
+    if args.command == "price-asian":
+        spec = _call(AsianSpec, options)
+        pricer = ASIAN_PRICERS[args.method]
+    else:
+        spec = dataclasses.replace(_call(uniform_basket_spec, options), **lists)
+        pricer = BASKET_PRICERS[args.method][spec.style]
+    return _call(pricer, options, spec)
 
 
-def _basket_spec_from(cfg: RunConfig) -> BasketSpec:
-    """Build the basket spec; config-file lists allow heterogeneous assets.
-
-    Config keys `spots` and `vols` (lists) and a nested-list `corr` replace
-    the uniform values of the scalar flags, unless the flag itself was
-    given on the command line (see :func:`parse_args`).
-    """
-    opts = cfg.options
-    lists = {key: opts[key] for key in _BASKET_LISTS if isinstance(opts.get(key), list)}
-    n = opts.get("assets")
-    if n is None:
-        n = next(
-            (len(lists[key]) for key in ("spots", "vols") if key in lists),
-            _DEFAULTS["assets"],
-        )
-    params = ["spot", "strike", "rate", "vol", "expiry", "steps", "payoff_kind", "style"]
-    if "corr" not in lists:
-        params.append("rho")
-    spec = uniform_basket_spec(int(n), **_given(cfg, *params))
-    return dataclasses.replace(spec, **lists) if lists else spec
-
-
-def _price_asian(cfg: RunConfig) -> PriceReport:
-    spec = _asian_spec_from(cfg)
-    method = cfg.get("method", _DEFAULTS["method"])
-    if method == "bruteforce":
-        return price_asian_bruteforce(spec)
-    if method == "montecarlo":
-        n_samples = int(cfg.get("samples", _DEFAULTS["samples"]))
-        return price_asian_montecarlo(spec, n_samples, **_given(cfg, "seed"))
-    bond_dim = int(cfg.get("bond_dim", _DEFAULTS["bond_dim"]))
-    if method == "ttcross":
-        knobs = _given(cfg, "seed", "n_sweeps", "tol")
-        return price_asian_ttcross(spec, bond_dim, **knobs)
-    if method == "variational":
-        knobs = _given(cfg, "seed", "n_sweeps")
-        return price_asian_variational(spec, bond_dim, **knobs)
-    raise ValueError(f"unknown Asian method {method!r}")
-
-
-def _price_basket(cfg: RunConfig) -> PriceReport:
-    spec = _basket_spec_from(cfg)
-    method = cfg.get("method", _DEFAULTS["method"])
-    if method == "bruteforce":
-        return price_basket_bruteforce(spec)
-    if method != "ttcross":
-        raise ValueError(f"unknown basket method {method!r}")
-    bond_dim = int(cfg.get("bond_dim", _DEFAULTS["basket_bond_dim"]))
-    knobs = _given(cfg, "seed", "n_sweeps", "tol")
-    if spec.style == "american":
-        return price_american_basket(spec, bond_dim, **knobs)
-    return price_european_basket(spec, bond_dim, **knobs)
-
-
-def _resolve_output_path(path: str | None) -> str | None:
-    if path is None:
-        return None
-    if not os.path.isabs(path):
-        base = os.environ.get("MPSPRICER_OUTPUT_DIR")
-        if base:
-            return os.path.join(base, path)
-    return path
-
-
-def _emit(cfg: RunConfig, report: PriceReport) -> None:
-    """Write the report as JSON to --output-path, or else to stdout."""
-    doc = report.to_dict(omit_timing=bool(cfg.options.get("omit_timing")))
-    text = json.dumps(doc, indent=2) + "\n"
-    path = _resolve_output_path(cfg.options.get("output_path"))
+def _write(path: str | None, text: str) -> None:
+    """Write to ``path``, under $MPSPRICER_OUTPUT_DIR if relative, or to stdout."""
     if path is None:
         sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as f:
-            f.write(text)
-
-
-def _dump_mps(cfg: RunConfig, report: PriceReport) -> None:
-    path = cfg.options.get("dump_mps")
-    if path is None:
         return
-    if report.mps is None:
-        raise ValueError(
-            f"--dump-mps requires an MPS-producing method, not {report.method!r}"
-        )
-    with open(_resolve_output_path(path), "w", encoding="utf-8", newline="") as f:
-        json.dump(report.mps.to_document(), f, indent=2)
-        f.write("\n")
+    base = os.environ.get("MPSPRICER_OUTPUT_DIR")
+    if base and not os.path.isabs(path):
+        path = os.path.join(base, path)
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        f.write(text)
 
 
 def main(argv: list[str] | None = None) -> int:
     """Price one invocation; returns the process exit status."""
     try:
-        cfg = parse_args(argv)
-        price = {"price-asian": _price_asian, "price-basket": _price_basket}
-        report = price[cfg.command](cfg)
-        _dump_mps(cfg, report)
-        _emit(cfg, report)
+        args, lists = parse_args(argv)
+        report = _price(args, lists)
+        # A non-finite price is an error, not a NaN token in the document.
+        doc = report.to_dict(omit_timing=args.omit_timing)
+        text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
+        if args.dump_mps is not None:
+            if report.mps is None:
+                raise ValueError(
+                    f"--dump-mps requires an MPS-producing method, not {report.method!r}"
+                )
+            _write(args.dump_mps, json.dumps(report.mps.to_document(), indent=2) + "\n")
+        _write(args.output_path, text)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

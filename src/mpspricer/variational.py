@@ -197,7 +197,7 @@ def _sweep_pass(
 
 
 def price_asian_variational(
-    spec: AsianSpec, bond_dim: int, seed: int = 0, n_sweeps: int = 2
+    spec: AsianSpec, bond_dim: int = 32, seed: int = 0, n_sweeps: int = 2
 ) -> PriceReport:
     """Lower-bound Asian price from an optimized binary path filter.
 

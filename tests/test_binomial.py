@@ -19,6 +19,7 @@ from mpspricer import (
     path_probability,
     rb_params,
     tree_price,
+    uniform_basket_spec,
 )
 
 from conftest import black_scholes_price
@@ -105,6 +106,30 @@ def test_spec_validation():
     ):
         with pytest.raises(ValueError):
             SingleAssetSpec(**bad)
+
+
+def _lattice_spec(lattice: str, **fields):
+    """A valid 6-step spec on ``lattice`` (a scheme or "basket"), ``fields`` replaced."""
+    kw = dict(spot=100.0, strike=100.0, rate=0.1, vol=0.5, expiry=1.0, steps=6) | fields
+    if lattice == "basket":
+        return uniform_basket_spec(2, **kw)
+    return SingleAssetSpec(scheme=lattice, **kw)
+
+
+@pytest.mark.parametrize("lattice", ["crr", "rb", "basket"])
+@pytest.mark.parametrize("field", ["spot", "strike", "rate", "vol", "expiry"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_specs_reject_non_finite_inputs(lattice, field, value):
+    # Each of these once built a spec that priced NaN or 0.0.
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        _lattice_spec(lattice, **{field: value})
+
+
+@pytest.mark.parametrize("lattice", ["crr", "rb", "basket"])
+@pytest.mark.parametrize("steps", [6.5, 6.0, "6"])
+def test_specs_reject_non_integer_steps(lattice, steps):
+    with pytest.raises(TypeError, match="steps must be an integer"):
+        _lattice_spec(lattice, steps=steps)
 
 
 def test_tree_price_rejects_unknown_style():

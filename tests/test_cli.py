@@ -1,10 +1,23 @@
 """CLI: flag parsing, config merging, document emission, determinism."""
 
 import json
+import math
 
 import pytest
 
-from mpspricer import AsianSpec, price_asian_bruteforce
+from mpspricer import (
+    AsianSpec,
+    PriceReport,
+    price_american_basket,
+    price_asian_bruteforce,
+    price_asian_montecarlo,
+    price_asian_ttcross,
+    price_asian_variational,
+    price_basket_bruteforce,
+    price_european_basket,
+    uniform_basket_spec,
+)
+from mpspricer import cli
 from mpspricer.cli import main, parse_args
 
 
@@ -17,12 +30,122 @@ def run_cli(args, tmp_path, name="out"):
 def test_parse_merges_config_with_flag_priority(tmp_path):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({"steps": 9, "strike": 123.0}))
-    cfg = parse_args(
+    args, lists = parse_args(
         ["price-asian", "--config", str(cfg_file), "--strike", "50"]
     )
-    assert cfg.command == "price-asian"
-    assert cfg.options["steps"] == 9
-    assert cfg.options["strike"] == 50.0
+    assert args.command == "price-asian"
+    assert args.steps == 9
+    assert args.strike == 50.0
+    assert lists == {}
+
+
+def _document(report):
+    return (json.dumps(report.to_dict(omit_timing=True), indent=2) + "\n").encode()
+
+
+@pytest.mark.parametrize(
+    "args, expected",
+    [
+        pytest.param(
+            ["price-asian", "--method", "ttcross"],
+            lambda: price_asian_ttcross(AsianSpec()), id="asian-ttcross",
+        ),
+        pytest.param(
+            ["price-asian", "--method", "variational"],
+            lambda: price_asian_variational(AsianSpec()), id="asian-variational",
+        ),
+        pytest.param(
+            ["price-asian", "--method", "montecarlo"],
+            lambda: price_asian_montecarlo(AsianSpec()), id="asian-montecarlo",
+        ),
+        pytest.param(
+            ["price-asian", "--method", "bruteforce"],
+            lambda: price_asian_bruteforce(AsianSpec()), id="asian-bruteforce",
+        ),
+        pytest.param(
+            ["price-basket", "--method", "ttcross"],
+            lambda: price_european_basket(uniform_basket_spec()),
+            id="basket-ttcross-european",
+        ),
+        pytest.param(
+            ["price-basket", "--method", "ttcross", "--style", "american"],
+            lambda: price_american_basket(uniform_basket_spec(style="american")),
+            id="basket-ttcross-american",
+        ),
+        pytest.param(
+            ["price-basket", "--method", "bruteforce"],
+            lambda: price_basket_bruteforce(uniform_basket_spec()),
+            id="basket-bruteforce-european",
+        ),
+        pytest.param(
+            ["price-basket", "--method", "bruteforce", "--style", "american"],
+            lambda: price_basket_bruteforce(uniform_basket_spec(style="american")),
+            id="basket-bruteforce-american",
+        ),
+    ],
+)
+def test_defaults_are_library_defaults(args, expected, tmp_path):
+    # Every value the flags leave unset is the spec's or the pricer's own.
+    code, raw = run_cli([*args, "--omit-timing"], tmp_path)
+    assert code == 0
+    assert raw == _document(expected())
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize(
+    "command, values",
+    [
+        pytest.param("price-asian", {"steps": 12.7}, id="fractional-steps"),
+        pytest.param("price-asian", {"steps": True}, id="boolean-steps"),
+        pytest.param("price-asian", {"bond_dim": 8.9}, id="fractional-bond-dim"),
+        pytest.param("price-asian", {"seed": 1.5}, id="fractional-seed"),
+        pytest.param("price-basket", {"assets": 2.5}, id="fractional-assets"),
+        pytest.param("price-asian", {"omit_timing": "no"}, id="string-switch"),
+        pytest.param("price-asian", {"config": "x.json"}, id="nested-config"),
+    ],
+)
+def test_config_file_values_use_flag_types(command, values, tmp_path):
+    # Each of these once priced a converted value, or ignored the key.
+    cfg_file = tmp_path / "c.json"
+    cfg_file.write_text(json.dumps({"method": "bruteforce", "steps": 4} | values))
+    out = tmp_path / "c.out"
+    code = _exit_code([command, "--config", str(cfg_file), "--output-path", str(out)])
+    assert code != 0
+    assert not out.exists()
+
+
+def test_config_file_switch_takes_json_boolean(tmp_path):
+    cfg_file = tmp_path / "c.json"
+    for omit in (True, False):
+        cfg_file.write_text(json.dumps({"method": "bruteforce", "omit_timing": omit}))
+        code, raw = run_cli(["price-asian", "--config", str(cfg_file)], tmp_path)
+        assert code == 0
+        assert (json.loads(raw)["wall_time_s"] == 0.0) is omit
+
+
+def test_non_finite_price_is_error(monkeypatch, tmp_path, capsys):
+    def nan_pricer(spec):
+        return PriceReport(price=math.nan, method="bruteforce")
+
+    monkeypatch.setitem(cli.ASIAN_PRICERS, "bruteforce", nan_pricer)
+    code, raw = run_cli(["price-asian", "--method", "bruteforce"], tmp_path)
+    assert code == 1
+    assert raw == b""
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_non_finite_spec_flag_is_error(tmp_path, capsys):
+    args = ["price-asian", "--method", "bruteforce", "--steps", "6", "--strike", "nan"]
+    code, raw = run_cli(args, tmp_path)
+    assert code == 1
+    assert raw == b""
+    assert "strike must be finite" in capsys.readouterr().err
 
 
 def test_price_asian_bruteforce_passthrough(tmp_path):
