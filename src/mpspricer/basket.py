@@ -60,6 +60,8 @@ class BasketSpec:
         cm = np.array(corr)
         if cm.shape != (m, m):
             raise ValueError(f"corr must be {m}x{m}, got {cm.shape}")
+        if not np.all(np.isfinite(cm)):
+            raise ValueError("corr entries must be finite")
         if not np.allclose(cm, cm.T, atol=1e-12):
             raise ValueError("corr must be symmetric")
         if not np.allclose(np.diag(cm), 1.0, atol=1e-12):
@@ -126,8 +128,6 @@ class DecoupledModel:
     y0: np.ndarray
     up: np.ndarray
     down: np.ndarray
-    dt: float
-    n_steps: int
 
     @property
     def n_assets(self) -> int:
@@ -153,13 +153,7 @@ def decouple(spec: BasketSpec) -> DecoupledModel:
     y0 = scipy.linalg.solve_triangular(g, np.log(spec.spots), lower=True)
     sqdt = math.sqrt(dt)
     return DecoupledModel(
-        g=g,
-        alpha=alpha,
-        y0=y0,
-        up=alpha * dt + sqdt,
-        down=alpha * dt - sqdt,
-        dt=dt,
-        n_steps=spec.steps,
+        g=g, alpha=alpha, y0=y0, up=alpha * dt + sqdt, down=alpha * dt - sqdt
     )
 
 
@@ -230,19 +224,20 @@ def terminal_label_pmf(n_steps: int) -> np.ndarray:
     return v[:, 0]
 
 
-def payoff_to_mps(
-    spec: BasketSpec,
-    model: DecoupledModel,
-    step: int,
-    cfg: CrossConfig,
+def _cross_mps(
+    model: DecoupledModel, step: int, cfg: CrossConfig, evaluate
 ) -> tuple[MPS, CrossResult]:
-    """Payoff on the step grid as an MPS, one site per asset, by cross."""
-    f = GridFunction(
-        dims=(step + 1,) * model.n_assets,
-        evaluate=lambda lab: basket_payoff(spec, model, lab, step),
-    )
+    """``evaluate`` on the step grid as an MPS, one site per asset, by cross."""
+    f = GridFunction(dims=(step + 1,) * model.n_assets, evaluate=evaluate)
     result = ttcross_approximate(f, cfg)
     return result.mps, result
+
+
+def payoff_to_mps(
+    spec: BasketSpec, model: DecoupledModel, step: int, cfg: CrossConfig
+) -> tuple[MPS, CrossResult]:
+    """Payoff on the step grid as an MPS, one site per asset, by cross."""
+    return _cross_mps(model, step, cfg, lambda lab: basket_payoff(spec, model, lab, step))
 
 
 def _reapproximate(
@@ -254,15 +249,12 @@ def _reapproximate(
     cfg: CrossConfig,
 ) -> tuple[MPS, CrossResult]:
     """Step-k-1 value function max(disc*continuation, payoff) as an MPS."""
-    f = GridFunction(
-        dims=(step + 1,) * model.n_assets,
-        evaluate=lambda lab: np.maximum(
-            disc * continuation.evaluate_batch(lab),
-            basket_payoff(spec, model, lab, step),
-        ),
-    )
-    result = ttcross_approximate(f, cfg)
-    return result.mps, result
+
+    def evaluate(lab: np.ndarray) -> np.ndarray:
+        held = disc * continuation.evaluate_batch(lab)
+        return np.maximum(held, basket_payoff(spec, model, lab, step))
+
+    return _cross_mps(model, step, cfg, evaluate)
 
 
 def _price_tensor(
@@ -289,13 +281,12 @@ def _price_tensor(
     n, m = spec.steps, spec.n_assets
     disc = math.exp(-spec.rate * spec.dt)
     start_time = time.perf_counter()
-
-    def step_cfg(step: int) -> CrossConfig:
-        return CrossConfig(
-            max_bond=bond_dim, n_sweeps=n_sweeps, tol=tol, seed=seed + step
-        )
-
-    terminal, cross = payoff_to_mps(spec, model, n, step_cfg(n))
+    # Every step's config is built, and so checked, before any cross runs.
+    cfgs = [
+        CrossConfig(max_bond=bond_dim, n_sweeps=n_sweeps, tol=tol, seed=seed + step)
+        for step in range(n + 1)
+    ]
+    terminal, cross = payoff_to_mps(spec, model, n, cfgs[n])
     crosses = {n: cross}
     value = terminal
     for k in range(n, 0, -1):
@@ -303,7 +294,7 @@ def _price_tensor(
         value = value.apply_site_matrices([pk_t] * m)
         if american:
             value, crosses[k - 1] = _reapproximate(
-                spec, model, value, k - 1, disc, step_cfg(k - 1)
+                spec, model, value, k - 1, disc, cfgs[k - 1]
             )
     warnings = [f"step {k}: {w}" for k, c in crosses.items() for w in c.warnings]
     diagnostics = {

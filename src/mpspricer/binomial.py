@@ -128,6 +128,8 @@ class SingleAssetSpec:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
         if self.right not in RIGHTS:
             raise ValueError(f"right must be one of {RIGHTS}, got {self.right!r}")
+        # Every pricer needs the scheme parameters: fail here if they do not exist.
+        self.params()
 
     @property
     def dt(self) -> float:

@@ -87,21 +87,11 @@ class MPS:
     def evaluate(self, indices: Sequence[int]) -> float:
         """Value of the encoded tensor at one multi-index of ints or bools."""
         idx = np.asarray(indices)
-        if idx.dtype.kind not in "biu":  # bool, signed or unsigned int
-            raise ValueError(f"indices must be integers, got {indices!r}")
         if idx.shape != (self.n_sites,):
             raise ValueError(
                 f"index tuple has shape {idx.shape}, expected ({self.n_sites},)"
             )
-        vec = np.ones((1,))
-        for k, t in enumerate(self._tensors):
-            x = int(idx[k])
-            if not 0 <= x < t.shape[1]:
-                raise ValueError(
-                    f"site {k}: index {x} outside physical range {t.shape[1]}"
-                )
-            vec = vec @ t[:, x, :]
-        return float(vec[0])
+        return float(self.evaluate_batch(idx[None, :])[0])
 
     def evaluate_batch(self, indices: np.ndarray) -> np.ndarray:
         """Evaluate many multi-indices at once.

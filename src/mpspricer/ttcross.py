@@ -32,6 +32,12 @@ _MEMO_RECENT = 2**15
 _BATCH_CAP = 2**18
 # A sweep must at least halve the probe change, or the run stops.
 _PLATEAU = 0.5
+# maxvol stops once no entry of mat @ inv(mat[rows]) exceeds 1 + _DOMINANCE
+# in magnitude, or after _MAXVOL_ITERS swaps.
+_DOMINANCE = 0.01
+_MAXVOL_ITERS = 100
+# The one index over zero axes: as the columns of a block, its rows alone.
+_NO_AXES = np.zeros((1, 0), np.int64)
 
 
 @dataclass(frozen=True)
@@ -63,6 +69,8 @@ class CrossConfig:
             raise ValueError(f"n_sweeps must be >= 1, got {self.n_sweeps}")
         if not self.tol > 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -92,15 +100,13 @@ class CrossResult:
     warnings: list[str] = field(default_factory=list)
 
 
-def maxvol(
-    mat: np.ndarray, dominance_tol: float = 0.01, max_iters: int = 100
-) -> np.ndarray:
+def maxvol(mat: np.ndarray) -> np.ndarray:
     """Select rows of a tall matrix with quasi-maximal volume.
 
     Returns r row indices of the (n, r) input such that every entry of
-    ``mat @ inv(mat[rows])`` has magnitude at most ``1 + dominance_tol``.
-    Raises on rank-deficient input; warns when the swap loop hits the
-    iteration cap and returns the best rows found.
+    ``mat @ inv(mat[rows])`` has magnitude at most 1.01. The swap loop
+    stops there or after 100 swaps; at that cap it warns and returns the
+    best rows found. Raises on rank-deficient input.
     """
     m = np.asarray(mat, dtype=np.float64)
     if m.ndim != 2:
@@ -114,19 +120,17 @@ def maxvol(
             "rank-deficient input: smallest singular value "
             f"{sv[-1]:.3e} vs largest {sv[0]:.3e}"
         )
-    rows, _, converged = _maxvol_iter(m, dominance_tol, max_iters)
+    rows, _, converged = _maxvol_iter(m)
     if not converged:
         warnings.warn(
-            f"maxvol did not converge within {max_iters} iterations",
+            f"maxvol did not converge within {_MAXVOL_ITERS} iterations",
             RuntimeWarning,
             stacklevel=2,
         )
     return rows
 
 
-def _maxvol_iter(
-    mat: np.ndarray, dominance_tol: float, max_iters: int
-) -> tuple[np.ndarray, np.ndarray, bool]:
+def _maxvol_iter(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
     """Swap loop behind :func:`maxvol`: rows, ``mat @ inv(mat[rows])``, converged.
 
     The input must have full column rank.
@@ -142,9 +146,9 @@ def _maxvol_iter(
     # own, and alternating the two thread pools costs more than the solve.
     b = np.linalg.solve(sub.T, mat.T).T  # mat @ inv(sub)
     converged = False
-    for _ in range(max_iters):
+    for _ in range(_MAXVOL_ITERS):
         i, j = np.unravel_index(np.argmax(np.abs(b)), b.shape)
-        if abs(b[i, j]) <= 1.0 + dominance_tol:
+        if abs(b[i, j]) <= 1.0 + _DOMINANCE:
             converged = True
             break
         # Replace pivot j by row i; rank-1 update keeps b = mat @ inv(sub).
@@ -158,52 +162,8 @@ def _maxvol_iter(
     return rows, b, converged
 
 
-def _numrank(s: np.ndarray) -> int:
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > _RANK_RTOL * s[0]))
-
-
-def _prefix_times_phys(prefixes: np.ndarray, d: int) -> np.ndarray:
-    """All (prefix, x) rows, prefix-major so row a*d + x extends prefix a."""
-    r, k = prefixes.shape
-    out = np.empty((r * d, k + 1), dtype=np.int64)
-    out[:, :k] = np.repeat(prefixes, d, axis=0)
-    out[:, k] = np.tile(np.arange(d), r)
-    return out
-
-
-def _phys_times_suffix(d: int, suffixes: np.ndarray) -> np.ndarray:
-    """All (x, suffix) columns, x-major so column x*r + j extends suffix j."""
-    r, k = suffixes.shape
-    out = np.empty((d * r, k + 1), dtype=np.int64)
-    out[:, 0] = np.repeat(np.arange(d), r)
-    out[:, 1:] = np.tile(suffixes, (d, 1))
-    return out
-
-
-def _key_strides(dims: tuple[int, ...]) -> np.ndarray | None:
-    """Mixed-radix strides of the grid as uint64, or None past 2^64 points.
-
-    A stride of exactly 2^64 wraps to 0, which is harmless: only leading
-    axes of size 1, whose index is always 0, have one.
-    """
-    if math.prod(dims) > 2**64:
-        return None
-    return np.cumprod((dims[1:] + (1,))[::-1], dtype=np.uint64)[::-1]
-
-
-def _row_keys(idx: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
-    """One sortable key per grid row: its mixed-radix position, else its bytes."""
-    strides = _key_strides(dims)
-    if strides is not None:
-        # Cast first: int64 @ uint64 would promote to float.
-        return idx.astype(np.uint64) @ strides
-    rows = np.ascontiguousarray(idx, dtype=np.int64)
-    return rows.view(np.dtype((np.void, rows.itemsize * len(dims)))).ravel()
-
-
 def _cross_indices(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Every (row, col) pair joined into one grid index, row-major."""
     nr, kr = rows.shape
     nc, kc = cols.shape
     out = np.empty((nr * nc, kr + kc), dtype=np.int64)
@@ -215,16 +175,20 @@ def _cross_indices(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
 def _block_keys(
     rows: np.ndarray, cols: np.ndarray, dims: tuple[int, ...]
 ) -> np.ndarray:
-    """Row keys of every (row, col) pair of a block, row-major.
+    """One sortable key per (row, col) pair of a block, row-major.
 
-    Equal to ``_row_keys`` of the joined index rows. A position is a
-    prefix's key plus a suffix's key, so the block's keys are an outer
-    sum and no joined row is built, except past 2^64 grid points.
+    A key is the joined index's mixed-radix position in the grid: a
+    prefix's key plus a suffix's key, so the block's keys are an outer sum
+    and no joined index is built. Past 2^64 grid points a key is the
+    joined index's bytes. A stride of exactly 2^64 wraps to 0, which is
+    harmless: only leading axes of size 1, whose index is always 0, have one.
     """
-    strides = _key_strides(dims)
-    if strides is None:
-        return _row_keys(_cross_indices(rows, cols), dims)
+    if math.prod(dims) > 2**64:
+        points = _cross_indices(rows, cols)
+        return points.view(np.dtype((np.void, points.itemsize * len(dims)))).ravel()
+    strides = np.cumprod((dims[1:] + (1,))[::-1], dtype=np.uint64)[::-1]
     k = rows.shape[1]
+    # Cast first: int64 @ uint64 would promote to float.
     return np.add.outer(
         rows.astype(np.uint64) @ strides[:k], cols.astype(np.uint64) @ strides[k:]
     ).ravel()
@@ -258,28 +222,23 @@ class _CrossRun:
         # New points go into the small run, which is merged into the large
         # one once it holds more than _MEMO_RECENT, so an insert copies
         # the small run and not the whole memo.
-        empty = _row_keys(np.zeros((0, self.n), np.int64), dims)
+        empty = _block_keys(np.zeros((0, self.n), np.int64), _NO_AXES, dims)
         self._memo = [(empty, np.zeros(0)), (empty, np.zeros(0))]
         self.rng = np.random.default_rng(cfg.seed)
         self.probes = self.rng.integers(
             0, np.array(dims, dtype=np.int64), size=(N_PROBE, self.n)
         )
         # iset[k]: (r, k) prefixes over axes 0..k-1; jset[k]: (r, n-k) suffixes.
-        self.iset: list = [np.zeros((1, 0), dtype=np.int64)] + [None] * self.n
-        self.jset: list = [None] * self.n + [np.zeros((1, 0), dtype=np.int64)]
+        self.iset: list = [_NO_AXES] + [None] * self.n
+        self.jset: list = [None] * self.n + [_NO_AXES]
         for k in range(self.n - 1, 0, -1):
             self.jset[k] = self._sample_suffixes(k)
 
     def _sample_suffixes(self, k: int) -> np.ndarray:
         """Random nested right pivots for bond k, built on top of jset[k+1]."""
-        nxt = self.jset[k + 1]
-        total = self.dims[k] * nxt.shape[0]
-        size = min(self.cfg.max_bond, total)
-        picks = np.sort(self.rng.choice(total, size=size, replace=False))
-        out = np.empty((size, self.n - k), dtype=np.int64)
-        out[:, 0] = picks // nxt.shape[0]
-        out[:, 1:] = nxt[picks % nxt.shape[0]]
-        return out
+        cols = _cross_indices(np.arange(self.dims[k])[:, None], self.jset[k + 1])
+        size = min(self.cfg.max_bond, cols.shape[0])
+        return cols[np.sort(self.rng.choice(cols.shape[0], size=size, replace=False))]
 
     def _eval(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Grid values on the block of prefixes ``rows`` by suffixes ``cols``.
@@ -328,16 +287,21 @@ class _CrossRun:
         self._memo = [big, recent]
 
     def _superblock(self, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        rows = _prefix_times_phys(self.iset[p], self.dims[p])
-        cols = _phys_times_suffix(self.dims[p + 1], self.jset[p + 2])
+        rows = _cross_indices(self.iset[p], np.arange(self.dims[p])[:, None])
+        cols = _cross_indices(np.arange(self.dims[p + 1])[:, None], self.jset[p + 2])
         return self._eval(rows, cols), rows, cols
 
     def _pivots(self, basis: np.ndarray, bond: int) -> tuple[np.ndarray, np.ndarray]:
         """Maxvol rows of an orthonormal basis and ``basis @ inv(basis[rows])``."""
-        sel, coeffs, ok = _maxvol_iter(basis, 0.01, 100)
+        sel, coeffs, ok = _maxvol_iter(basis)
         if not ok:
             self.warnings.append(f"maxvol hit iteration cap at bond {bond}")
         return sel, coeffs
+
+    def _rank(self, s: np.ndarray) -> int:
+        """Numerical rank of descending singular values, within 1..max_bond."""
+        rank = int(np.count_nonzero(s > _RANK_RTOL * s[0]))
+        return max(1, min(self.cfg.max_bond, rank))
 
     def _sweep_l2r(self) -> MPS:
         """Refine the left pivots and build the MPS from the same superblocks."""
@@ -345,7 +309,7 @@ class _CrossRun:
         for p in range(self.n - 1):
             phi, rows, _ = self._superblock(p)
             u, s, _ = np.linalg.svd(phi, full_matrices=False)
-            r = max(1, min(self.cfg.max_bond, _numrank(s)))
+            r = self._rank(s)
             sel, core = self._pivots(u[:, :r], p + 1)
             cores.append(core.reshape(self.iset[p].shape[0], self.dims[p], -1))
             self.iset[p + 1] = rows[sel]
@@ -357,7 +321,7 @@ class _CrossRun:
         for p in range(self.n - 2, -1, -1):
             phi, _, cols = self._superblock(p)
             _, s, vh = np.linalg.svd(phi, full_matrices=False)
-            r = max(1, min(self.cfg.max_bond, _numrank(s)))
+            r = self._rank(s)
             sel, _ = self._pivots(vh[:r].T, p + 1)
             self.jset[p + 1] = cols[sel]
 
@@ -380,13 +344,13 @@ class _CrossRun:
         Each bond keeps its numerical rank, at most max_bond and at least 1.
         """
         grid = np.indices(self.dims).reshape(self.n, -1).T
-        rest = self._eval(np.zeros((1, 0), dtype=np.int64), grid)
+        rest = self._eval(_NO_AXES, grid)
         cores = []
         for d in self.dims[:-1]:
             u, s, vh = np.linalg.svd(
                 rest.reshape(rest.shape[0] * d, -1), full_matrices=False
             )
-            r = max(1, min(self.cfg.max_bond, _numrank(s)))
+            r = self._rank(s)
             cores.append(u[:, :r].reshape(-1, d, r))
             rest = s[:r, None] * vh[:r]
         cores.append(rest.reshape(-1, self.dims[-1], 1))
@@ -397,8 +361,9 @@ class _CrossRun:
         rng = np.random.default_rng(np.random.SeedSequence(self.cfg.seed).spawn(1)[0])
         probes = rng.integers(0, np.array(self.dims), size=(N_PROBE, self.n))
         # Distinct rows only, as _eval takes; unique keys sort faster than rows.
-        probes = probes[np.unique(_row_keys(probes, self.dims), return_index=True)[1]]
-        want = self._eval(probes, np.zeros((1, 0), dtype=np.int64))[:, 0]
+        keys = _block_keys(probes, _NO_AXES, self.dims)
+        probes = probes[np.unique(keys, return_index=True)[1]]
+        want = self._eval(probes, _NO_AXES)[:, 0]
         err = float(np.max(np.abs(mps.evaluate_batch(probes) - want)))
         scale = float(np.max(np.abs(want)))
         return err / scale if scale > 0.0 else err

@@ -160,18 +160,14 @@ def _random_filter_sites(
     return sites
 
 
-def _joint_sum(psi_sites: list[np.ndarray], b_sites: tuple[np.ndarray, ...]) -> float:
-    """sum_x psi(x) * b(x) via the joint transfer chain."""
-    cur = np.ones((1, 1))
-    for ps, bs in zip(psi_sites, b_sites):
-        cur = np.einsum("la,lxr,axb->rb", cur, ps, bs, optimize=True)
-    return float(cur[0, 0])
-
-
 def _sweep_pass(
     psi: list[np.ndarray], b_sites: tuple[np.ndarray, ...], bond_dim: int
-) -> list[np.ndarray]:
-    """One left-to-right rebuild of every site against fixed right parts."""
+) -> tuple[list[np.ndarray], float]:
+    """One left-to-right rebuild of every site against fixed right parts.
+
+    Returns the new sites and sum_x psi(x) * b(x) over them, the left
+    environment the rebuild carries past the last site.
+    """
     n = len(psi)
     renv: list[np.ndarray | None] = [None] * (n + 1)
     renv[n] = np.ones((1, 1))
@@ -184,16 +180,16 @@ def _sweep_pass(
     for c in range(n):
         grad = center_gradient(lenv, renv[c + 1], b_sites[c])
         if c == n - 1:
-            new_sites.append((grad > 0.0).astype(np.float64))
-            break
-        dl, _, dr = grad.shape
-        l, _ = greedy_binary_decompose(
-            grad.transpose(1, 0, 2).reshape(2 * dl, dr), bond_dim
-        )
-        site = l.reshape(2, dl, -1).transpose(1, 0, 2)
+            site = (grad > 0.0).astype(np.float64)
+        else:
+            dl, _, dr = grad.shape
+            l, _ = greedy_binary_decompose(
+                grad.transpose(1, 0, 2).reshape(2 * dl, dr), bond_dim
+            )
+            site = l.reshape(2, dl, -1).transpose(1, 0, 2)
         new_sites.append(site)
         lenv = np.einsum("la,lxr,axb->rb", lenv, site, b_sites[c], optimize=True)
-    return new_sites
+    return new_sites, float(lenv[0, 0])
 
 
 def price_asian_variational(
@@ -218,8 +214,8 @@ def price_asian_variational(
     best_sites = None
     pass_prices = []
     for _ in range(n_sweeps):
-        psi = _sweep_pass(psi, b_sites, bond_dim)
-        price = disc * _joint_sum(psi, b_sites)
+        psi, total = _sweep_pass(psi, b_sites, bond_dim)
+        price = disc * total
         pass_prices.append(price)
         if price > best_price:
             best_price = price

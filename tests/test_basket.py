@@ -21,6 +21,7 @@ from mpspricer import (
     uniform_basket_spec,
     CrossConfig,
 )
+from mpspricer import basket
 from mpspricer.basket import _payoff_grid
 
 
@@ -320,6 +321,16 @@ def test_style_mismatch_rejected():
         price_european_basket(spec, bond_dim=4)
     with pytest.raises(ValueError, match="style"):
         price_american_basket(two_asset_spec(style="european"), bond_dim=4)
+
+
+@pytest.mark.parametrize("style", ["european", "american"])
+def test_negative_seed_rejected_before_any_cross(monkeypatch, style):
+    calls = []
+    monkeypatch.setattr(basket, "ttcross_approximate", lambda *args: calls.append(args))
+    pricer = price_european_basket if style == "european" else price_american_basket
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        pricer(two_asset_spec(style=style), bond_dim=4, seed=-1)
+    assert calls == []
 
 
 def test_european_deterministic():

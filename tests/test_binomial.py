@@ -132,6 +132,23 @@ def test_specs_reject_non_integer_steps(lattice, steps):
         _lattice_spec(lattice, steps=steps)
 
 
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        (lambda: SingleAssetSpec(vol=0.0), "degenerate"),
+        (lambda: SingleAssetSpec(rate=5.0, steps=2), "up probability"),
+        (lambda: SingleAssetSpec(scheme="rb", vol=-0.2), "non-negative"),
+        (lambda: uniform_basket_spec(3, rho=math.nan), "corr entries must be finite"),
+    ],
+    ids=["crr-zero-vol", "crr-up-probability", "rb-negative-vol", "corr-nan"],
+)
+def test_specs_reject_inputs_no_pricer_takes(build, match):
+    # Each of these once built a spec that failed only when priced, or, for
+    # the NaN correlation, failed as "corr must be symmetric".
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
 def test_tree_price_rejects_unknown_style():
     spec = SingleAssetSpec(spot=100, strike=100, rate=0.1, vol=0.5, expiry=1.0, steps=4)
     with pytest.raises(ValueError, match="style"):

@@ -1,5 +1,7 @@
 """Cross approximation: maxvol row selection and full sweeps."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -11,10 +13,11 @@ from mpspricer import (
     asian_linear_integrand,
     build_exact_payoff_mps,
     maxvol,
+    price_asian_ttcross,
     ttcross_approximate,
 )
 from mpspricer import ttcross
-from mpspricer.ttcross import _block_keys, _cross_indices, _row_keys
+from mpspricer.ttcross import _NO_AXES, _block_keys, _cross_indices
 
 from conftest import all_bitstrings
 
@@ -39,6 +42,21 @@ def test_maxvol_rejects_rank_deficient():
     col = np.arange(10.0)[:, None]
     with pytest.raises(ValueError, match="rank-deficient"):
         maxvol(np.hstack([col, 2.0 * col]))
+
+
+def test_maxvol_iteration_cap_warns(monkeypatch):
+    """With no swaps allowed, maxvol warns and the cross reports each cap."""
+    monkeypatch.setattr(ttcross, "_MAXVOL_ITERS", 0)
+    m = np.random.default_rng(2).normal(size=(40, 6))
+    with pytest.warns(RuntimeWarning, match="maxvol did not converge within 0"):
+        rows = maxvol(m)
+    assert len(set(rows.tolist())) == 6
+    report = price_asian_ttcross(AsianSpec(steps=14), bond_dim=4)
+    # Every non-square pivot basis of the 3 sweeps, then the stop note.
+    *capped, stop = report.warnings
+    assert len(capped) == 56
+    assert all(re.fullmatch(r"maxvol hit iteration cap at bond \d+", w) for w in capped)
+    assert stop.startswith("probe change plateaued")
 
 
 def test_maxvol_rejects_wide_and_non_matrix():
@@ -315,7 +333,10 @@ def test_grid_of_exactly_2_64_points():
     "dims", [(3, 1, 4, 2, 5), (1,) + (2,) * 64], ids=["mixed", "stride-2^64"]
 )
 def test_block_keys_are_keys_of_joined_rows(dims):
-    """Every split, empty prefix and empty suffix included."""
+    """A block's keys are those of its joined rows, as a block over no axes.
+
+    Every split, empty prefix and empty suffix included.
+    """
     rng = np.random.default_rng(0)
     high = np.array(dims, dtype=np.int64)
     n = len(dims)
@@ -324,7 +345,7 @@ def test_block_keys_are_keys_of_joined_rows(dims):
         cols = rng.integers(0, high[k:], size=(7, n - k))
         np.testing.assert_array_equal(
             _block_keys(rows, cols, dims),
-            _row_keys(_cross_indices(rows, cols), dims),
+            _block_keys(_cross_indices(rows, cols), _NO_AXES, dims),
         )
 
 
