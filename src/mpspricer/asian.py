@@ -9,12 +9,11 @@ compress.
 from __future__ import annotations
 
 import math
-import operator
 import time
 
 import numpy as np
 
-from .binomial import SingleAssetSpec, path_prices, path_probability
+from .binomial import SingleAssetSpec, check_int, path_prices, path_probability
 from .reports import PriceReport
 from .ttcross import CrossConfig, GridFunction, ttcross_approximate
 
@@ -153,14 +152,8 @@ def price_asian_montecarlo(
     spec: AsianSpec, n_samples: int = 100_000, seed: int = 0
 ) -> PriceReport:
     """Plain Monte Carlo over i.i.d. Bernoulli(p_up) step indicators."""
-    try:
-        n_samples = operator.index(n_samples)
-    except TypeError:
-        raise TypeError(
-            f"n_samples must be an integer, got {type(n_samples).__name__} {n_samples!r}"
-        ) from None
-    if n_samples < 2:
-        raise ValueError(f"n_samples must be >= 2, got {n_samples}")
+    n_samples = check_int("n_samples", n_samples, 2)
+    check_int("seed", seed, 0)
     params = spec.params()
     rng = np.random.default_rng(seed)
     disc = math.exp(-spec.rate * spec.expiry)

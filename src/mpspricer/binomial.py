@@ -95,12 +95,20 @@ def check_lattice_inputs(
             raise ValueError(f"{name} must be finite, got {value}")
         if value <= 0 and name in ("spot", "strike", "expiry"):
             raise ValueError(f"{name} must be positive, got {value}")
+    check_int("steps", steps, 1)
+
+
+def check_int(name: str, value, minimum: int) -> int:
+    """``value`` as an int: TypeError unless an integer, ValueError below ``minimum``."""
     try:
-        operator.index(steps)
+        value = operator.index(value)
     except TypeError:
-        raise TypeError(f"steps must be an integer, got {steps!r}") from None
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
+        raise TypeError(
+            f"{name} must be an integer, got {type(value).__name__} {value!r}"
+        ) from None
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return value
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,12 @@ left-to-right sweep also builds the MPS: core p is ``U @ inv(U[sel])`` for
 the leading left singular vectors U and their maxvol rows sel, so its
 entries stay within 1.01 when maxvol converges, and the last core is the
 last superblock's rows sel. The MPS equals f at the last bond's left
-pivots times the last axis. A grid that one superblock at the bond budget
-would hold is instead evaluated once and compressed by TT-SVD.
+pivots times the last axis. A superblock whose pivot sets are unchanged
+since it was last factored is neither evaluated nor factored again, so the
+sweep turnarounds reuse their end superblocks and a confirming sweep,
+whose pivots no longer move, costs no SVD. A grid that one superblock at
+the bond budget would hold is instead evaluated once and compressed by
+TT-SVD.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from typing import Callable
 import numpy as np
 import scipy.linalg
 
+from .binomial import check_int
 from .mps import MPS
 
 N_PROBE = 1024
@@ -63,14 +68,11 @@ class CrossConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_bond < 1:
-            raise ValueError(f"max_bond must be >= 1, got {self.max_bond}")
-        if self.n_sweeps < 1:
-            raise ValueError(f"n_sweeps must be >= 1, got {self.n_sweeps}")
+        check_int("max_bond", self.max_bond, 1)
+        check_int("n_sweeps", self.n_sweeps, 1)
         if not self.tol > 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        check_int("seed", self.seed, 0)
 
 
 @dataclass
@@ -233,6 +235,9 @@ class _CrossRun:
         self.jset: list = [None] * self.n + [_NO_AXES]
         for k in range(self.n - 1, 0, -1):
             self.jset[k] = self._sample_suffixes(k)
+        # Per superblock p: the key (iset[p], jset[p+2]) it was last factored
+        # at, and its U[:, :r] and Vh[:r].
+        self._slots: list = [(None, None)] * (self.n - 1)
 
     def _sample_suffixes(self, k: int) -> np.ndarray:
         """Random nested right pivots for bond k, built on top of jset[k+1]."""
@@ -286,10 +291,23 @@ class _CrossRun:
             recent = (recent[0][:0], recent[1][:0])
         self._memo = [big, recent]
 
-    def _superblock(self, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _superblock(self, p: int) -> tuple[np.ndarray, ...]:
+        """Rows, columns and rank-truncated SVD factors U, Vh of superblock p.
+
+        The superblock depends only on iset[p] and jset[p+2]. While both
+        hold the bytes they had when it was last factored, the stored
+        factors are returned and neither f nor the SVD is called. Each set
+        has a fixed column count per bond, so equal bytes are equal arrays.
+        """
         rows = _cross_indices(self.iset[p], np.arange(self.dims[p])[:, None])
         cols = _cross_indices(np.arange(self.dims[p + 1])[:, None], self.jset[p + 2])
-        return self._eval(rows, cols), rows, cols
+        key = (self.iset[p].tobytes(), self.jset[p + 2].tobytes())
+        if self._slots[p][0] != key:
+            u, s, vh = np.linalg.svd(self._eval(rows, cols), full_matrices=False)
+            r = self._rank(s)
+            # Copies, so a slot does not hold the untruncated factors.
+            self._slots[p] = key, (u[:, :r].copy(), vh[:r].copy())
+        return rows, cols, *self._slots[p][1]
 
     def _pivots(self, basis: np.ndarray, bond: int) -> tuple[np.ndarray, np.ndarray]:
         """Maxvol rows of an orthonormal basis and ``basis @ inv(basis[rows])``."""
@@ -307,22 +325,19 @@ class _CrossRun:
         """Refine the left pivots and build the MPS from the same superblocks."""
         cores = []
         for p in range(self.n - 1):
-            phi, rows, _ = self._superblock(p)
-            u, s, _ = np.linalg.svd(phi, full_matrices=False)
-            r = self._rank(s)
-            sel, core = self._pivots(u[:, :r], p + 1)
+            rows, cols, u, _ = self._superblock(p)
+            sel, core = self._pivots(u, p + 1)
             cores.append(core.reshape(self.iset[p].shape[0], self.dims[p], -1))
             self.iset[p + 1] = rows[sel]
-        cores.append(phi[sel].reshape(-1, self.dims[-1], 1))
+        # Every point of the last core is in the memo: no call reaches f.
+        cores.append(self._eval(rows[sel], cols).reshape(-1, self.dims[-1], 1))
         return MPS(cores)
 
     def _sweep_r2l(self) -> None:
         """Refine the right pivots from the leading right singular vectors."""
         for p in range(self.n - 2, -1, -1):
-            phi, _, cols = self._superblock(p)
-            _, s, vh = np.linalg.svd(phi, full_matrices=False)
-            r = self._rank(s)
-            sel, _ = self._pivots(vh[:r].T, p + 1)
+            _, cols, _, vh = self._superblock(p)
+            sel, _ = self._pivots(vh.T, p + 1)
             self.jset[p + 1] = cols[sel]
 
     def _spans_grid(self) -> bool:
@@ -421,7 +436,9 @@ def ttcross_approximate(f: GridFunction, cfg: CrossConfig) -> CrossResult:
     Its values at a fixed seeded set of 1024 probe indices decide the stop:
     converged once they change by at most cfg.tol relative; unconverged,
     with a warning, once a change fails to halve the one before or after
-    cfg.n_sweeps sweeps. A grid that one superblock would span is
-    compressed by TT-SVD without sweeping.
+    cfg.n_sweeps sweeps. A superblock whose pivot sets are unchanged since
+    it was last factored is neither evaluated nor factored again, so a
+    sweep that only confirms the pivots costs no SVD. A grid that one
+    superblock would span is compressed by TT-SVD without sweeping.
     """
     return _CrossRun(f, cfg).run()

@@ -17,6 +17,7 @@ import time
 import numpy as np
 
 from .asian import AsianSpec
+from .binomial import check_int
 from .mps import MPS
 from .reports import PriceReport
 
@@ -201,10 +202,9 @@ def price_asian_variational(
     yields a valid filter, and the best pass is reported. The result
     never exceeds the exact discounted expectation.
     """
-    if bond_dim < 1:
-        raise ValueError(f"bond_dim must be >= 1, got {bond_dim}")
-    if n_sweeps < 1:
-        raise ValueError(f"n_sweeps must be >= 1, got {n_sweeps}")
+    check_int("bond_dim", bond_dim, 1)
+    check_int("n_sweeps", n_sweeps, 1)
+    check_int("seed", seed, 0)
     start_time = time.perf_counter()
     b_sites = build_exact_payoff_mps(spec).tensors
     rng = np.random.default_rng(seed)

@@ -14,6 +14,7 @@ from mpspricer import (
     price_asian_bruteforce,
     price_asian_montecarlo,
     price_asian_ttcross,
+    price_asian_variational,
 )
 from mpspricer.asian import _MC_CHUNK
 
@@ -248,6 +249,13 @@ def test_montecarlo_rejects_non_integer_sample_counts():
     with pytest.raises(TypeError, match="n_samples must be an integer, got float"):
         price_asian_montecarlo(spec, 1000.0, seed=0)
     assert price_asian_montecarlo(spec, np.int64(1000), seed=0).n_samples == 1000
+
+
+@pytest.mark.parametrize("price", [price_asian_montecarlo, price_asian_variational])
+def test_negative_seed_rejected_up_front(price):
+    # Both once failed in numpy with "expected non-negative integer".
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        price(AsianSpec(steps=8), seed=-1)
 
 
 def test_call_put_difference_is_discounted_forward():

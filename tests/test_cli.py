@@ -178,6 +178,15 @@ def test_price_asian_montecarlo_fields(tmp_path):
     assert doc["std_error"] > 0
 
 
+@pytest.mark.parametrize("method", ["montecarlo", "variational"])
+def test_negative_seed_is_error(method, tmp_path, capsys):
+    args = ["price-asian", "--method", method, "--steps", "8", "--seed", "-1"]
+    code, raw = run_cli(args, tmp_path)
+    assert code == 1
+    assert raw == b""
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+
+
 @pytest.mark.parametrize(
     "args, method",
     [

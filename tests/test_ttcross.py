@@ -14,7 +14,10 @@ from mpspricer import (
     build_exact_payoff_mps,
     maxvol,
     price_asian_ttcross,
+    price_asian_variational,
+    price_european_basket,
     ttcross_approximate,
+    uniform_basket_spec,
 )
 from mpspricer import ttcross
 from mpspricer.ttcross import _NO_AXES, _block_keys, _cross_indices
@@ -73,6 +76,29 @@ def test_config_validation():
         CrossConfig(max_bond=2, n_sweeps=0)
     with pytest.raises(ValueError):
         CrossConfig(max_bond=2, tol=0.0)
+
+
+@pytest.mark.parametrize(
+    "price, kwargs, match",
+    [
+        (price_asian_ttcross, {"bond_dim": 8.5}, "max_bond must be an integer, got float 8.5"),
+        (price_asian_ttcross, {"n_sweeps": 2.5}, "n_sweeps must be an integer, got float 2.5"),
+        (price_asian_ttcross, {"seed": 1.5}, "seed must be an integer, got float 1.5"),
+        (price_asian_variational, {"bond_dim": 4.5}, "bond_dim must be an integer"),
+        (price_asian_variational, {"n_sweeps": 1.5}, "n_sweeps must be an integer"),
+        (price_european_basket, {"bond_dim": 4.5}, "max_bond must be an integer"),
+    ],
+    ids=["ttcross-bond", "ttcross-sweeps", "ttcross-seed", "var-bond", "var-sweeps", "basket-bond"],
+)
+def test_integer_knobs_reject_non_integers(price, kwargs, match):
+    # Each of these once failed deep in the run with a numpy or range error.
+    spec = (
+        uniform_basket_spec(2, steps=4)
+        if price is price_european_basket
+        else AsianSpec(spot=100.0, strike=100.0, rate=0.1, vol=0.5, expiry=1.0, steps=8)
+    )
+    with pytest.raises(TypeError, match=match):
+        price(spec, **kwargs)
 
 
 def test_single_axis_is_exact():
@@ -363,3 +389,119 @@ def test_grid_one_superblock_spans_is_tt_svd():
     assert (res.n_evals, res.n_sweeps_run, res.converged) == (36, 0, True)
     assert res.left_pivots == res.right_pivots == []
     assert (res.stop_reason, res.probe_changes) == ("tt-svd", [])
+
+
+def _count_factorizations(monkeypatch):
+    """Record every superblock request: its key and the SVDs it cost."""
+    svds = []
+    real_svd = np.linalg.svd
+    monkeypatch.setattr(
+        np.linalg, "svd", lambda *a, **kw: svds.append(1) or real_svd(*a, **kw)
+    )
+    calls = []
+    real_superblock = ttcross._CrossRun._superblock
+
+    def superblock(run, p):
+        key = (p, run.iset[p].tobytes(), run.jset[p + 2].tobytes())
+        before = len(svds)
+        out = real_superblock(run, p)
+        calls.append((key, len(svds) - before))
+        return out
+
+    monkeypatch.setattr(ttcross._CrossRun, "_superblock", superblock)
+    return calls, svds
+
+
+def _sweeps(calls, n_axes):
+    """Superblock calls split into the first l2r sweep, then r2l + l2r pairs."""
+    m = n_axes - 1
+    return [calls[:m]] + [calls[i : i + 2 * m] for i in range(m, len(calls), 2 * m)]
+
+
+def test_confirming_sweep_factors_nothing(monkeypatch):
+    """An exact-rank run stops on tol once the MPS repeats, at no SVD cost.
+
+    The tol is one only a repeated MPS meets, so the last sweep is purely
+    a confirmation; every superblock in it was factored before.
+    """
+    calls, svds = _count_factorizations(monkeypatch)
+    weights = np.random.default_rng(3).normal(size=10)
+    res = ttcross_approximate(
+        GridFunction(dims=(2,) * 10, evaluate=lambda idx: 1.0 + idx @ weights),
+        CrossConfig(max_bond=2, tol=1e-300, seed=0),
+    )
+    assert (res.stop_reason, res.n_sweeps_run, res.probe_changes[-1]) == ("tol", 3, 0.0)
+    sweeps = _sweeps(calls, 10)
+    assert [sum(cost for _, cost in s) for s in sweeps] == [9, 8, 0]
+    assert len(svds) == len({key for key, _ in calls}) == 17
+
+
+def _hidden_grid(shape, seed):
+    hidden = np.random.default_rng(seed).normal(size=shape)
+    return GridFunction(dims=shape, evaluate=lambda idx: hidden[tuple(idx.T)])
+
+
+@pytest.mark.parametrize(
+    "f, cfg",
+    [
+        (_hidden_grid((3, 4, 3, 4), 7), CrossConfig(max_bond=3, n_sweeps=4, seed=5)),
+        (
+            asian_integrand(
+                AsianSpec(spot=100.0, strike=100.0, rate=0.1, vol=0.5, expiry=1.0, steps=12)
+            ),
+            CrossConfig(max_bond=4, n_sweeps=20, seed=0),
+        ),
+    ],
+    ids=["hidden-3x4x3x4", "asian-N12"],
+)
+def test_each_distinct_superblock_factored_once(monkeypatch, f, cfg):
+    """SVDs equal distinct (p, I_p, J_p+2) superblocks; turnarounds reuse."""
+    calls, svds = _count_factorizations(monkeypatch)
+    res = ttcross_approximate(f, cfg)
+    assert res.n_sweeps_run > 1
+    assert len(svds) == len({key for key, _ in calls}) < len(calls)
+    n = len(f.dims)
+    for r2l_l2r in _sweeps(calls, n)[1:]:
+        # The r2l sweep starts at the l2r sweep's last superblock, and the
+        # next l2r sweep at the r2l sweep's last.
+        assert r2l_l2r[0][0][0] == n - 2 and r2l_l2r[0][1] == 0
+        assert r2l_l2r[n - 1][0][0] == 0 and r2l_l2r[n - 1][1] == 0
+
+
+def test_moved_pivots_refactor_their_superblocks(monkeypatch):
+    """A superblock is factored again once I_p or J_p+2 changes, order alone too.
+
+    I_k is read by superblock k and J_k by superblock k-2. A reversed I_k
+    that the next l2r sweep puts back in order must not reuse the factors
+    of the reversed rows, or core k would not match core k-1's pivots.
+    """
+    f = _hidden_grid((3, 4, 3, 4, 3), 9)
+    run = ttcross._CrossRun(f, CrossConfig(max_bond=3, n_sweeps=4, seed=1))
+    run.run()
+    calls, svds = _count_factorizations(monkeypatch)
+    k = 2
+    run._superblock(k)
+    assert svds == []
+    for sets, p in ((run.iset, k), (run.jset, k - 2)):
+        sets[k] = sets[k][::-1].copy()
+        rows, cols, u, vh = run._superblock(p)
+        assert len(svds) == 1
+        np.testing.assert_array_equal(
+            rows, _cross_indices(run.iset[p], np.arange(f.dims[p])[:, None])
+        )
+        np.testing.assert_array_equal(
+            cols, _cross_indices(np.arange(f.dims[p + 1])[:, None], run.jset[p + 2])
+        )
+        phi = f.evaluate(_cross_indices(rows, cols)).reshape(len(rows), len(cols))
+        want_u, _, want_vh = np.linalg.svd(phi)
+        r = u.shape[1]
+        # Sign-free: the projectors onto the leading singular subspaces.
+        np.testing.assert_allclose(u @ u.T, want_u[:, :r] @ want_u[:, :r].T, atol=1e-12)
+        np.testing.assert_allclose(vh.T @ vh, want_vh[:r].T @ want_vh[:r], atol=1e-12)
+        svds.clear()
+    # Superblock k-1 puts I_k back in order; the reversed rows' factors are stale.
+    calls.clear()
+    mps = run._sweep_l2r()
+    assert [key[0] for key, cost in calls if cost] == [k]
+    last = np.array([tuple(row) + (x,) for row in run.iset[-2] for x in range(3)])
+    np.testing.assert_array_equal(mps.evaluate_batch(last), f.evaluate(last))
