@@ -2,11 +2,13 @@
 
 Correlated lognormal assets are rotated into independent coordinates via
 the Cholesky factor of the covariance; each coordinate follows an
-additive p = 1/2 binomial walk. A value function on the step-k outcome
-grid is an MPS with one site per asset; backward induction multiplies
-each physical leg by the transposed one-step conditional probability
-matrix, and the American early-exercise max is re-approximated per step
-by cross interpolation.
+additive p = 1/2 binomial walk, so its expiry label is Binomial(N, 1/2).
+A value function on the step-k outcome grid is an MPS with one site per
+asset, built by cross interpolation. A European price contracts the
+expiry payoff MPS once with the label distribution. American backward
+induction multiplies each physical leg by the transposed one-step
+conditional probability matrix and re-approximates the early-exercise
+max per step.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .binomial import check_lattice_inputs
+from .binomial import check_int, check_lattice_inputs
 from .mps import MPS, DENSE_ELEMENT_CAP
 from .reports import PriceReport
 from .ttcross import CrossConfig, CrossResult, GridFunction, ttcross_approximate
@@ -66,6 +68,14 @@ class BasketSpec:
             raise ValueError("corr must be symmetric")
         if not np.allclose(np.diag(cm), 1.0, atol=1e-12):
             raise ValueError("corr must have unit diagonal")
+        cov = np.outer(vols, vols) * cm
+        try:
+            np.linalg.cholesky(cov)
+        except np.linalg.LinAlgError:
+            raise ValueError(
+                f"covariance is not positive definite: leading minor of order "
+                f"{_first_bad_minor(cov)} is non-positive"
+            ) from None
         if self.payoff_kind not in PAYOFF_KINDS:
             raise ValueError(
                 f"payoff_kind must be one of {PAYOFF_KINDS}, got {self.payoff_kind!r}"
@@ -97,6 +107,7 @@ def uniform_basket_spec(
     style: str = "european",
 ) -> BasketSpec:
     """Equal-parameter basket with constant off-diagonal correlation."""
+    n_assets = check_int("n_assets", n_assets, 1)
     corr = tuple(
         tuple(1.0 if i == j else rho for j in range(n_assets))
         for i in range(n_assets)
@@ -137,15 +148,7 @@ class DecoupledModel:
 def decouple(spec: BasketSpec) -> DecoupledModel:
     """Rotate the correlated model into independent binomial coordinates."""
     vols = np.array(spec.vols)
-    cov = np.outer(vols, vols) * np.array(spec.corr)
-    try:
-        g = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        order = _first_bad_minor(cov)
-        raise ValueError(
-            f"covariance is not positive definite: leading minor of order "
-            f"{order} is non-positive"
-        ) from None
+    g = np.linalg.cholesky(np.outer(vols, vols) * np.array(spec.corr))
     dt = spec.dt
     alpha = scipy.linalg.solve_triangular(
         g, spec.rate - 0.5 * vols**2, lower=True
@@ -218,16 +221,29 @@ def conditional_prob_matrix(step: int) -> np.ndarray:
 
 def terminal_label_pmf(n_steps: int) -> np.ndarray:
     """Marginal label distribution at expiry: chained one-step matrices."""
+    n_steps = check_int("n_steps", n_steps, 0)
     v = np.ones((1, 1))
     for k in range(1, n_steps + 1):
         v = conditional_prob_matrix(k) @ v
     return v[:, 0]
 
 
-def _cross_mps(
-    model: DecoupledModel, step: int, cfg: CrossConfig, evaluate
+def _step_value(
+    spec: BasketSpec,
+    model: DecoupledModel,
+    step: int,
+    cfg: CrossConfig,
+    continuation: MPS | None = None,
+    disc: float = 1.0,
 ) -> tuple[MPS, CrossResult]:
-    """``evaluate`` on the step grid as an MPS, one site per asset, by cross."""
+    """The step-grid payoff, or max(disc * continuation, payoff), as an MPS by cross."""
+
+    def evaluate(lab: np.ndarray) -> np.ndarray:
+        if continuation is None:
+            return basket_payoff(spec, model, lab, step)
+        held = disc * continuation.evaluate_batch(lab)
+        return np.maximum(held, basket_payoff(spec, model, lab, step))
+
     f = GridFunction(dims=(step + 1,) * model.n_assets, evaluate=evaluate)
     result = ttcross_approximate(f, cfg)
     return result.mps, result
@@ -237,24 +253,7 @@ def payoff_to_mps(
     spec: BasketSpec, model: DecoupledModel, step: int, cfg: CrossConfig
 ) -> tuple[MPS, CrossResult]:
     """Payoff on the step grid as an MPS, one site per asset, by cross."""
-    return _cross_mps(model, step, cfg, lambda lab: basket_payoff(spec, model, lab, step))
-
-
-def _reapproximate(
-    spec: BasketSpec,
-    model: DecoupledModel,
-    continuation: MPS,
-    step: int,
-    disc: float,
-    cfg: CrossConfig,
-) -> tuple[MPS, CrossResult]:
-    """Step-k-1 value function max(disc*continuation, payoff) as an MPS."""
-
-    def evaluate(lab: np.ndarray) -> np.ndarray:
-        held = disc * continuation.evaluate_batch(lab)
-        return np.maximum(held, basket_payoff(spec, model, lab, step))
-
-    return _cross_mps(model, step, cfg, evaluate)
+    return _step_value(spec, model, step, cfg)
 
 
 def _price_tensor(
@@ -265,57 +264,34 @@ def _price_tensor(
     n_sweeps: int,
     tol: float,
 ) -> PriceReport:
-    """Backward induction over value-function MPSs from the terminal payoff.
+    """Price from the expiry payoff MPS, crossed with seed ``seed + steps``.
 
-    Each step applies the transposed conditional matrices to every site.
-    American style then rebuilds max(discounted continuation, payoff) on
-    the earlier grid by cross approximation (seeded per step), exercise at
-    the root included. European style discounts once at the end and checks
-    the result against contracting the terminal MPS with the label
-    distribution, flagging a disagreement beyond 1e-9.
+    European style contracts that MPS once with the label distribution.
+    American style applies the transposed conditional matrices to every
+    site and rebuilds max(discounted continuation, payoff) on each earlier
+    grid by a cross seeded with ``seed + step``, exercise at the root included.
     """
     if spec.style != style:
         raise ValueError(f"spec style is {spec.style!r}, expected {style!r}")
-    american = style == "american"
     model = decouple(spec)
     n, m = spec.steps, spec.n_assets
-    disc = math.exp(-spec.rate * spec.dt)
     start_time = time.perf_counter()
     # Every step's config is built, and so checked, before any cross runs.
     cfgs = [
         CrossConfig(max_bond=bond_dim, n_sweeps=n_sweeps, tol=tol, seed=seed + step)
         for step in range(n + 1)
     ]
-    terminal, cross = payoff_to_mps(spec, model, n, cfgs[n])
+    value, cross = _step_value(spec, model, n, cfgs[n])
     crosses = {n: cross}
-    value = terminal
-    for k in range(n, 0, -1):
-        pk_t = conditional_prob_matrix(k).T
-        value = value.apply_site_matrices([pk_t] * m)
-        if american:
-            value, crosses[k - 1] = _reapproximate(
-                spec, model, value, k - 1, disc, cfgs[k - 1]
-            )
-    warnings = [f"step {k}: {w}" for k, c in crosses.items() for w in c.warnings]
-    diagnostics = {
-        "n_evals": sum(c.n_evals for c in crosses.values()),
-        "converged": all(c.converged for c in crosses.values()),
-        "heldout_residual": max(c.heldout_residual for c in crosses.values()),
-    }
-    mps = value
-    if american:
+    if style == "american":
+        disc = math.exp(-spec.rate * spec.dt)
+        for k in range(n, 0, -1):
+            held = value.apply_site_matrices([conditional_prob_matrix(k).T] * m)
+            value, crosses[k - 1] = _step_value(spec, model, k - 1, cfgs[k - 1], held, disc)
         price = value.sum_all()
     else:
-        disc_total = math.exp(-spec.rate * spec.expiry)
-        price = disc_total * value.sum_all()
-        pmf = terminal_label_pmf(n)
-        alt = disc_total * terminal.apply_site_matrices([pmf[None, :]] * m).sum_all()
-        if abs(price - alt) > 1e-9 * max(1.0, abs(price)):
-            warnings.append(
-                f"recursion and terminal contraction disagree: {price} vs {alt}"
-            )
-        diagnostics = {"terminal_contraction_price": alt, **diagnostics}
-        mps = terminal
+        weights = [terminal_label_pmf(n)[None, :]] * m
+        price = math.exp(-spec.rate * spec.expiry) * value.apply_site_matrices(weights).sum_all()
     return PriceReport(
         price=price,
         method="ttcross",
@@ -323,9 +299,13 @@ def _price_tensor(
         bond_dim=bond_dim,
         n_sweeps=sum(c.n_sweeps_run for c in crosses.values()),
         wall_time_s=time.perf_counter() - start_time,
-        warnings=warnings,
-        diagnostics=diagnostics,
-        mps=mps,
+        warnings=[f"step {k}: {w}" for k, c in crosses.items() for w in c.warnings],
+        diagnostics={
+            "n_evals": sum(c.n_evals for c in crosses.values()),
+            "converged": all(c.converged for c in crosses.values()),
+            "heldout_residual": max(c.heldout_residual for c in crosses.values()),
+        },
+        mps=value,
     )
 
 
@@ -336,12 +316,11 @@ def price_european_basket(
     n_sweeps: int = 8,
     tol: float = 1e-10,
 ) -> PriceReport:
-    """European basket put via the terminal payoff MPS.
+    """European basket put: one contraction of the expiry payoff MPS.
 
-    Prices two ways: chaining transposed conditional matrices down to the
-    root, and contracting the terminal MPS against the label distribution.
-    The first is reported with the terminal MPS; a disagreement beyond
-    1e-9 is flagged.
+    The expiry payoff is crossed into an MPS with seed ``seed + steps``, every
+    site is contracted with the Binomial(steps, 1/2) label distribution and
+    the sum is discounted over the expiry. The payoff MPS is reported.
     """
     return _price_tensor(spec, "european", bond_dim, seed, n_sweeps, tol)
 

@@ -80,7 +80,9 @@ class CrossResult:
     """Output of a cross run: the MPS, its pivots and how the run stopped.
 
     ``n_evals`` counts the distinct grid points sent to the grid function,
-    each at most once. ``probe_changes`` holds, per sweep after the first,
+    each at most once. ``converged`` means the probe values stopped moving,
+    not that the MPS matches f: a cross that never sees part of f can settle
+    far from it. ``probe_changes`` holds, per sweep after the first,
     the MPS's largest change on the stopping probes relative to their
     largest value. ``stop_reason`` is "tol" (a change at most ``tol``, the
     one ``converged`` stop of a sweeping run), "plateau" (a change above
