@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 
-from .binomial import SingleAssetSpec, check_int, path_prices, path_probability
+from .binomial import SchemeParams, SingleAssetSpec, check_int, path_prices, path_probability
 from .reports import PriceReport
 from .ttcross import CrossConfig, GridFunction, ttcross_approximate
 
@@ -47,24 +47,60 @@ def asian_path_payoff(spec: AsianSpec, bits: np.ndarray) -> np.ndarray:
     return np.maximum(asian_linear_payoff(spec, bits), 0.0)
 
 
-def _integrand(spec: AsianSpec, payoff) -> GridFunction:
-    """p(x) * payoff(spec, x) as a grid function on {0,1}^N."""
+def _partial_paths(
+    spot: float, params: SchemeParams, bits: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """Running-price sum, last price and probability of paths started at ``spot``.
+
+    A path of no moves sums to 0, ends at ``spot`` and has probability 1.
+    """
+    prices = path_prices(spot, params, bits)
+    last = prices[:, -1] if prices.shape[1] else np.full(prices.shape[0], spot)
+    return prices.sum(axis=-1), last, path_probability(params, bits)
+
+
+def _path_means(head_sum, head_last, tail_sum, n: int) -> np.ndarray:
+    """Means of every head joined with every tail, shape (tails, heads).
+
+    Tails are priced from 1.0, so a tail's prices scale by its head's last
+    price: the mean of a joined path of n moves is
+    (head_sum + head_last * tail_sum) / n.
+    """
+    return (head_sum + np.multiply.outer(tail_sum, head_last)) / n
+
+
+def _integrand(spec: AsianSpec, floored: bool) -> GridFunction:
+    """p(x) times the payoff on {0,1}^N, with the floor at zero or without.
+
+    Its block prices the row prefixes from the spot and the column
+    suffixes from 1.0, and joins them by :func:`_path_means`.
+    """
     params = spec.params()
+    payoff = asian_path_payoff if floored else asian_linear_payoff
 
     def evaluate(bits: np.ndarray) -> np.ndarray:
         return path_probability(params, bits) * payoff(spec, bits)
 
-    return GridFunction(dims=(2,) * spec.steps, evaluate=evaluate)
+    def block(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        head_sum, head_last, p_head = _partial_paths(spec.spot, params, rows)
+        tail_sum, _, p_tail = _partial_paths(1.0, params, cols)
+        means = _path_means(head_sum, head_last, tail_sum, spec.steps).T
+        excess = _signed_excess(spec, means)
+        if floored:
+            np.maximum(excess, 0.0, out=excess)
+        return np.multiply.outer(p_head, p_tail) * excess
+
+    return GridFunction(dims=(2,) * spec.steps, evaluate=evaluate, block=block)
 
 
 def asian_integrand(spec: AsianSpec) -> GridFunction:
     """Probability-weighted payoff p(x) * v(x) as a grid function on {0,1}^N."""
-    return _integrand(spec, asian_path_payoff)
+    return _integrand(spec, floored=True)
 
 
 def asian_linear_integrand(spec: AsianSpec) -> GridFunction:
     """p(x) times the unfloored payoff; exactly bond dimension 2 as an MPS."""
-    return _integrand(spec, asian_linear_payoff)
+    return _integrand(spec, floored=False)
 
 
 def _enumerate_bits(n: int) -> np.ndarray:
@@ -77,11 +113,10 @@ def _enumerate_bits(n: int) -> np.ndarray:
 def price_asian_bruteforce(spec: AsianSpec) -> PriceReport:
     """Exact price by summing all 2^N paths; refuses N > BRUTEFORCE_MAX_STEPS.
 
-    Each path is a head of the first N//2 moves and a tail of the rest.
-    Tails are priced from 1.0, so a tail's prices scale by its head's last
-    price: the path mean is (head_sum + head_last * tail_sum) / N and its
-    probability p_head * p_tail. The 2^N payoffs are evaluated in blocks of
-    tails against every head, from O(2^(N/2) N) path-price work.
+    Each path is a head of the first N//2 moves and a tail of the rest,
+    priced from the spot and from 1.0: its mean is :func:`_path_means` and
+    its probability p_head * p_tail. The 2^N payoffs are evaluated in
+    blocks of tails against every head, from O(2^(N/2) N) path-price work.
     """
     n = spec.steps
     if n > BRUTEFORCE_MAX_STEPS:
@@ -91,20 +126,15 @@ def price_asian_bruteforce(spec: AsianSpec) -> PriceReport:
         )
     params = spec.params()
     start_time = time.perf_counter()
-    head_bits = _enumerate_bits(n // 2)
-    tail_bits = _enumerate_bits(n - n // 2)
-    head = path_prices(spec.spot, params, head_bits)
-    tail = path_prices(1.0, params, tail_bits)
-    head_sum = head.sum(axis=-1)
-    head_last = head[:, -1] if n > 1 else np.full(1, spec.spot)
-    tail_sum = tail.sum(axis=-1)
-    p_head = path_probability(params, head_bits)
-    p_tail = path_probability(params, tail_bits)
+    head_sum, head_last, p_head = _partial_paths(
+        spec.spot, params, _enumerate_bits(n // 2)
+    )
+    tail_sum, _, p_tail = _partial_paths(1.0, params, _enumerate_bits(n - n // 2))
     rows = max(1, _ENUM_CHUNK // len(head_sum))
     acc = 0.0
     for start in range(0, len(tail_sum), rows):
         block = slice(start, start + rows)
-        means = (head_sum + np.multiply.outer(tail_sum[block], head_last)) / n
+        means = _path_means(head_sum, head_last, tail_sum[block], n)
         payoff = np.maximum(_signed_excess(spec, means), 0.0)
         acc += float(p_tail[block] @ (payoff @ p_head))
     price = math.exp(-spec.rate * spec.expiry) * acc

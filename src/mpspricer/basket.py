@@ -190,18 +190,22 @@ def asset_prices_at(
     return np.exp(y @ model.g.T)
 
 
+def _put(spec: BasketSpec, prices: np.ndarray) -> np.ndarray:
+    """Put payoff on the basket of asset prices along the last axis."""
+    if spec.payoff_kind == "min":
+        agg = prices.min(axis=-1)
+    elif spec.payoff_kind == "max":
+        agg = prices.max(axis=-1)
+    else:
+        agg = prices.mean(axis=-1)
+    return np.maximum(spec.strike - agg, 0.0)
+
+
 def basket_payoff(
     spec: BasketSpec, model: DecoupledModel, labels: np.ndarray, step: int
 ) -> np.ndarray:
     """Put payoff on the aggregated basket at the given grid labels."""
-    prices = asset_prices_at(model, labels, step)
-    if spec.payoff_kind == "min":
-        agg = prices.min(axis=1)
-    elif spec.payoff_kind == "max":
-        agg = prices.max(axis=1)
-    else:
-        agg = prices.mean(axis=1)
-    return np.maximum(spec.strike - agg, 0.0)
+    return _put(spec, asset_prices_at(model, labels, step))
 
 
 def conditional_prob_matrix(step: int) -> np.ndarray:
@@ -228,6 +232,43 @@ def terminal_label_pmf(n_steps: int) -> np.ndarray:
     return v[:, 0]
 
 
+def _step_function(
+    spec: BasketSpec,
+    model: DecoupledModel,
+    step: int,
+    continuation: MPS | None = None,
+    disc: float = 1.0,
+) -> GridFunction:
+    """The step-grid payoff, or max(disc * continuation, payoff), as a grid function.
+
+    Both separate across every cut of the asset axes, so a block of prefixes
+    by suffixes is built from per-side factors: ``log S = g @ y`` is the sum
+    of the prefix labels' and the suffix labels' terms, and the continuation
+    is a product of left and right environments.
+    """
+    yv = outcome_values(model, step)
+    m = model.n_assets
+
+    def evaluate(lab: np.ndarray) -> np.ndarray:
+        if continuation is None:
+            return basket_payoff(spec, model, lab, step)
+        held = disc * continuation.evaluate_batch(lab)
+        return np.maximum(held, basket_payoff(spec, model, lab, step))
+
+    def block(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        k = rows.shape[1]
+        head = np.exp(yv[np.arange(k), rows] @ model.g[:, :k].T)
+        tail = np.exp(yv[np.arange(k, m), cols] @ model.g[:, k:].T)
+        pay = _put(spec, head[:, None, :] * tail[None, :, :])
+        if continuation is None:
+            return pay
+        left = continuation.left_environments(rows)
+        held = left @ continuation.right_environments(cols).T
+        return np.maximum(disc * held, pay)
+
+    return GridFunction(dims=(step + 1,) * m, evaluate=evaluate, block=block)
+
+
 def _step_value(
     spec: BasketSpec,
     model: DecoupledModel,
@@ -236,15 +277,8 @@ def _step_value(
     continuation: MPS | None = None,
     disc: float = 1.0,
 ) -> tuple[MPS, CrossResult]:
-    """The step-grid payoff, or max(disc * continuation, payoff), as an MPS by cross."""
-
-    def evaluate(lab: np.ndarray) -> np.ndarray:
-        if continuation is None:
-            return basket_payoff(spec, model, lab, step)
-        held = disc * continuation.evaluate_batch(lab)
-        return np.maximum(held, basket_payoff(spec, model, lab, step))
-
-    f = GridFunction(dims=(step + 1,) * model.n_assets, evaluate=evaluate)
+    """:func:`_step_function` as an MPS by cross."""
+    f = _step_function(spec, model, step, continuation, disc)
     result = ttcross_approximate(f, cfg)
     return result.mps, result
 

@@ -109,37 +109,31 @@ class MPS:
         -------
         Array of shape ``(B,)`` with one value per row.
         """
-        idx = np.asarray(indices)
-        if idx.dtype.kind not in "biu":  # bool, signed or unsigned int
-            raise ValueError(f"indices must be integers, got dtype {idx.dtype}")
-        # NumPy 1.x bincount refuses uint64; intp suits every accepted dtype.
-        idx = idx.astype(np.intp, copy=False)
-        if idx.ndim != 2 or idx.shape[1] != self.n_sites:
-            raise ValueError(
-                f"expected index array of shape (B, {self.n_sites}), got {idx.shape}"
-            )
-        if idx.shape[0] == 0:
-            return np.zeros(0)
-        for k, d in enumerate(self.physical_dims):
-            col = idx[:, k]
-            if col.min() < 0 or col.max() >= d:
-                raise ValueError(
-                    f"site {k}: indices outside physical range {d}"
-                )
-        # cur[i] is the running row vector of original row perm[i]; rows are
-        # re-sorted by physical value at each site so every group is a slice.
-        perm = np.arange(idx.shape[0])
-        cur = np.ones((idx.shape[0], 1))
-        for k, t in enumerate(self._tensors):
-            col = idx[perm, k]
-            order = np.argsort(col, kind="stable")
-            perm = perm[order]
-            bounds = np.cumsum(np.bincount(col, minlength=t.shape[1]))[:-1]
-            groups = np.split(cur[order], bounds)
-            cur = np.concatenate([g @ t[:, x, :] for x, g in enumerate(groups)])
-        vals = np.empty(idx.shape[0])
-        vals[perm] = cur[:, 0]
-        return vals
+        idx = _check_indices(indices, self.physical_dims, "all")
+        return _chain(self._tensors, idx)[:, 0]
+
+    def left_environments(self, prefixes: np.ndarray) -> np.ndarray:
+        """Row vectors of the first k sites at each prefix, shape ``(B, D_k)``.
+
+        ``prefixes`` has shape ``(B, k)`` for any k from 0 to ``n_sites``;
+        at k = 0 every row is ``[1.0]``. Contracted by the grouped GEMMs of
+        :meth:`evaluate_batch`.
+        """
+        idx = _check_indices(prefixes, self.physical_dims, "leading")
+        return _chain(self._tensors[: idx.shape[1]], idx)
+
+    def right_environments(self, suffixes: np.ndarray) -> np.ndarray:
+        """Column vectors of the last k sites at each suffix, as rows ``(B, D)``.
+
+        ``suffixes`` has shape ``(B, k)`` for any k from 0 to ``n_sites``;
+        at k = 0 every row is ``[1.0]``. So the MPS at ``prefixes[i]`` joined
+        with ``suffixes[j]`` is ``(left_environments(prefixes) @
+        right_environments(suffixes).T)[i, j]`` when the two cover every site.
+        """
+        idx = _check_indices(suffixes, self.physical_dims, "trailing")
+        k = idx.shape[1]
+        flipped = [t.transpose(2, 1, 0) for t in self._tensors[::-1][:k]]
+        return _chain(flipped, idx[:, ::-1])
 
     def sum_all(self) -> float:
         """Sum of the encoded tensor over every index combination."""
@@ -209,3 +203,49 @@ class MPS:
     def __repr__(self) -> str:
         dims = "x".join(str(d) for d in self.physical_dims)
         return f"MPS(n_sites={self.n_sites}, dims={dims}, max_bond={self.max_bond})"
+
+
+def _check_indices(indices, dims: tuple[int, ...], cover: str) -> np.ndarray:
+    """Index rows as intp, checked against the physical ``dims``.
+
+    ``cover`` is "all" (one column per site), or "leading" or "trailing"
+    (the first or the last k sites, for any k up to all of them).
+    """
+    idx = np.asarray(indices)
+    if idx.dtype.kind not in "biu":  # bool, signed or unsigned int
+        raise ValueError(f"indices must be integers, got dtype {idx.dtype}")
+    # NumPy 1.x bincount refuses uint64; intp suits every accepted dtype.
+    idx = idx.astype(np.intp, copy=False)
+    n = len(dims)
+    k = idx.shape[1] if idx.ndim == 2 else -1
+    if not 0 <= k <= n or (cover == "all" and k != n):
+        want = f"(B, {n})" if cover == "all" else f"(B, k) with k <= {n}"
+        raise ValueError(f"expected index array of shape {want}, got {idx.shape}")
+    first = n - k if cover == "trailing" else 0
+    if idx.shape[0]:
+        for j in range(k):
+            col, d = idx[:, j], dims[first + j]
+            if col.min() < 0 or col.max() >= d:
+                raise ValueError(f"site {first + j}: indices outside physical range {d}")
+    return idx
+
+
+def _chain(tensors: Sequence[np.ndarray], idx: np.ndarray) -> np.ndarray:
+    """Row vectors of the site matrices picked by each index row, multiplied.
+
+    Shape (B, D), with D the right bond of the last tensor (1 if none).
+    """
+    # cur[i] is the running row vector of original row perm[i]; rows are
+    # re-sorted by physical value at each site so every group is a slice.
+    perm = np.arange(idx.shape[0])
+    cur = np.ones((idx.shape[0], 1))
+    for k, t in enumerate(tensors):
+        col = idx[perm, k]
+        order = np.argsort(col, kind="stable")
+        perm = perm[order]
+        bounds = np.cumsum(np.bincount(col, minlength=t.shape[1]))[:-1]
+        groups = np.split(cur[order], bounds)
+        cur = np.concatenate([g @ t[:, x, :] for x, g in enumerate(groups)])
+    out = np.empty_like(cur)
+    out[perm] = cur
+    return out

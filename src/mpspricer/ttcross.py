@@ -13,7 +13,11 @@ since it was last factored is neither evaluated nor factored again, so the
 sweep turnarounds reuse their end superblocks and a confirming sweep,
 whose pivots no longer move, costs no SVD. A grid that one superblock at
 the bond budget would hold is instead evaluated once and compressed by
-TT-SVD.
+TT-SVD. Every superblock, the whole grid included, is asked of the grid
+function as one block of row prefixes by column suffixes. A function that
+separates across the cut gives a ``block`` that builds it from one factor
+per row and one per column; any other is evaluated point by point. No
+value is remembered between blocks.
 """
 
 from __future__ import annotations
@@ -31,9 +35,10 @@ from .mps import MPS
 
 N_PROBE = 1024
 _RANK_RTOL = 1e-14
+# A run whose held-out residual exceeds this warns: f was not learned.
+_HELDOUT_WARN = 0.1
 _DEFICIENCY_RTOL = 1e-12
-_MEMO_RECENT = 2**15
-# Most grid points sent to the grid function in one call.
+# Most grid points sent to a pointwise grid function in one call.
 _BATCH_CAP = 2**18
 # A sweep must at least halve the probe change, or the run stops.
 _PLATEAU = 0.5
@@ -47,15 +52,21 @@ _NO_AXES = np.zeros((1, 0), np.int64)
 
 @dataclass(frozen=True)
 class GridFunction:
-    """Real function on a product grid, evaluated in batches.
+    """Real function on a product grid, evaluated in batches or in blocks.
 
     ``evaluate`` takes an int array of shape (B, n_axes), one grid index
-    per row, and returns a float array of shape (B,). It must be pure:
-    the sweep logic assumes repeated evaluation gives identical values.
+    per row, and returns a float array of shape (B,). ``block``, when
+    given, takes prefixes (R, k) over the first k axes and suffixes
+    (C, n_axes - k) over the rest, either side possibly over no axes, and
+    returns the (R, C) values at every prefix joined with every suffix. It
+    must agree with ``evaluate`` up to round-off, and the cross then calls
+    it alone. Both must be pure: the sweep logic assumes repeated
+    evaluation gives the same values.
     """
 
     dims: tuple[int, ...]
     evaluate: Callable[[np.ndarray], np.ndarray]
+    block: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
 
 @dataclass(frozen=True)
@@ -79,17 +90,19 @@ class CrossConfig:
 class CrossResult:
     """Output of a cross run: the MPS, its pivots and how the run stopped.
 
-    ``n_evals`` counts the distinct grid points sent to the grid function,
-    each at most once. ``converged`` means the probe values stopped moving,
-    not that the MPS matches f: a cross that never sees part of f can settle
-    far from it. ``probe_changes`` holds, per sweep after the first,
-    the MPS's largest change on the stopping probes relative to their
-    largest value. ``stop_reason`` is "tol" (a change at most ``tol``, the
-    one ``converged`` stop of a sweeping run), "plateau" (a change above
-    half the one before), "cap" (``n_sweeps`` ran out) or "tt-svd" (one
-    superblock would hold the grid, so it was compressed by TT-SVD with no
-    pivots and 0 sweeps). ``heldout_residual`` is max|f - mps| / max|f| on
-    1024 probes drawn apart from the stopping ones (max|mps| if f is 0 there).
+    ``n_evals`` counts the grid values computed, a point asked for twice
+    counted twice; the held-out probes add 1024. ``converged`` means the
+    probe values stopped moving, not that the MPS matches f: a cross that
+    never sees part of f can settle far from it. ``probe_changes`` holds,
+    per sweep after the first, the MPS's largest change on the stopping
+    probes relative to their largest value. ``stop_reason`` is "tol" (a
+    change at most ``tol``, the one ``converged`` stop of a sweeping run),
+    "plateau" (a change above half the one before), "cap" (``n_sweeps`` ran
+    out) or "tt-svd" (one superblock would hold the grid, so it was
+    compressed by TT-SVD with no pivots and 0 sweeps). ``heldout_residual``
+    is max|f - mps| / max|f| on 1024 probes drawn apart from the stopping
+    ones (max|mps| if f is 0 there); above 0.1 it adds a warning, whatever
+    the stop reason.
     """
 
     mps: MPS
@@ -176,36 +189,6 @@ def _cross_indices(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return out
 
 
-def _block_keys(
-    rows: np.ndarray, cols: np.ndarray, dims: tuple[int, ...]
-) -> np.ndarray:
-    """One sortable key per (row, col) pair of a block, row-major.
-
-    A key is the joined index's mixed-radix position in the grid: a
-    prefix's key plus a suffix's key, so the block's keys are an outer sum
-    and no joined index is built. Past 2^64 grid points a key is the
-    joined index's bytes. A stride of exactly 2^64 wraps to 0, which is
-    harmless: only leading axes of size 1, whose index is always 0, have one.
-    """
-    if math.prod(dims) > 2**64:
-        points = _cross_indices(rows, cols)
-        return points.view(np.dtype((np.void, points.itemsize * len(dims)))).ravel()
-    strides = np.cumprod((dims[1:] + (1,))[::-1], dtype=np.uint64)[::-1]
-    k = rows.shape[1]
-    # Cast first: int64 @ uint64 would promote to float.
-    return np.add.outer(
-        rows.astype(np.uint64) @ strides[:k], cols.astype(np.uint64) @ strides[k:]
-    ).ravel()
-
-
-def _merge(
-    run: tuple[np.ndarray, np.ndarray], keys: np.ndarray, vals: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """A sorted (keys, values) run with sorted keys absent from it added."""
-    pos = np.searchsorted(run[0], keys)
-    return np.insert(run[0], pos, keys), np.insert(run[1], pos, vals)
-
-
 class _CrossRun:
     """One seeded cross-approximation run over a fixed grid function."""
 
@@ -221,13 +204,6 @@ class _CrossRun:
         self.n = len(dims)
         self.n_evals = 0
         self.warnings: list[str] = []
-        # Memo of every grid value this run has seen, as sorted runs of
-        # (keys, values): a large one, and a small one of recent points.
-        # New points go into the small run, which is merged into the large
-        # one once it holds more than _MEMO_RECENT, so an insert copies
-        # the small run and not the whole memo.
-        empty = _block_keys(np.zeros((0, self.n), np.int64), _NO_AXES, dims)
-        self._memo = [(empty, np.zeros(0)), (empty, np.zeros(0))]
         self.rng = np.random.default_rng(cfg.seed)
         self.probes = self.rng.integers(
             0, np.array(dims, dtype=np.int64), size=(N_PROBE, self.n)
@@ -250,48 +226,16 @@ class _CrossRun:
     def _eval(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Grid values on the block of prefixes ``rows`` by suffixes ``cols``.
 
-        Returns shape (len(rows), len(cols)). Both sets hold distinct rows,
-        so the block's keys are distinct. Only points new to the run reach
-        f, once each, in chunks of at most _BATCH_CAP.
+        Returns shape (len(rows), len(cols)): ``f.block`` if f has one,
+        else ``f.evaluate`` on the joined points in chunks of _BATCH_CAP.
         """
-        nc = cols.shape[0]
-        keys = _block_keys(rows, cols, self.dims)
-        order = np.argsort(keys)
-        keys = keys[order]
-        vals = np.empty(keys.shape[0])
-        known = np.zeros(keys.shape[0], dtype=bool)
-        for run_keys, run_vals in self._memo:
-            pos = np.searchsorted(run_keys, keys)
-            hit = pos < run_keys.shape[0]
-            hit[hit] = run_keys[pos[hit]] == keys[hit]
-            vals[hit] = run_vals[pos[hit]]
-            known |= hit
-        new = np.flatnonzero(~known)
-        if new.size:
-            r, c = np.divmod(order[new], nc)
-            points = np.concatenate([rows[r], cols[c]], axis=1)
-            vals[new] = np.concatenate(
-                [
-                    np.asarray(
-                        self.f.evaluate(points[i : i + _BATCH_CAP]), dtype=np.float64
-                    )
-                    for i in range(0, points.shape[0], _BATCH_CAP)
-                ]
-            )
-            self.n_evals += new.size
-            self._remember(keys[new], vals[new])
-        out = np.empty(keys.shape[0])
-        out[order] = vals
-        return out.reshape(rows.shape[0], nc)
-
-    def _remember(self, keys: np.ndarray, vals: np.ndarray) -> None:
-        """Add sorted keys that are new to the memo, with their values."""
-        big, recent = self._memo
-        recent = _merge(recent, keys, vals)
-        if recent[0].shape[0] > _MEMO_RECENT:
-            big = _merge(big, *recent)
-            recent = (recent[0][:0], recent[1][:0])
-        self._memo = [big, recent]
+        self.n_evals += rows.shape[0] * cols.shape[0]
+        if self.f.block is not None:
+            return np.asarray(self.f.block(rows, cols), dtype=np.float64)
+        points = _cross_indices(rows, cols)
+        chunks = range(0, points.shape[0], _BATCH_CAP)
+        vals = [self.f.evaluate(points[i : i + _BATCH_CAP]) for i in chunks]
+        return np.concatenate(vals, dtype=np.float64).reshape(rows.shape[0], -1)
 
     def _superblock(self, p: int) -> tuple[np.ndarray, ...]:
         """Rows, columns and rank-truncated SVD factors U, Vh of superblock p.
@@ -331,7 +275,6 @@ class _CrossRun:
             sel, core = self._pivots(u, p + 1)
             cores.append(core.reshape(self.iset[p].shape[0], self.dims[p], -1))
             self.iset[p + 1] = rows[sel]
-        # Every point of the last core is in the memo: no call reaches f.
         cores.append(self._eval(rows[sel], cols).reshape(-1, self.dims[-1], 1))
         return MPS(cores)
 
@@ -358,10 +301,16 @@ class _CrossRun:
     def _tt_svd(self) -> MPS:
         """Evaluate the whole grid once and compress it by TT-SVD.
 
-        Each bond keeps its numerical rank, at most max_bond and at least 1.
+        The grid is asked for as every prefix of the first n//2 axes by
+        every suffix, which is row-major. Each bond keeps its numerical
+        rank, at most max_bond and at least 1.
         """
-        grid = np.indices(self.dims).reshape(self.n, -1).T
-        rest = self._eval(_NO_AXES, grid)
+        half = self.n // 2
+        rows, cols = (
+            np.indices(d).reshape(len(d), math.prod(d)).T
+            for d in (self.dims[:half], self.dims[half:])
+        )
+        rest = self._eval(rows, cols).reshape(1, -1)
         cores = []
         for d in self.dims[:-1]:
             u, s, vh = np.linalg.svd(
@@ -377,9 +326,6 @@ class _CrossRun:
         """max|f - mps| / max|f| on probes independent of the stopping ones."""
         rng = np.random.default_rng(np.random.SeedSequence(self.cfg.seed).spawn(1)[0])
         probes = rng.integers(0, np.array(self.dims), size=(N_PROBE, self.n))
-        # Distinct rows only, as _eval takes; unique keys sort faster than rows.
-        keys = _block_keys(probes, _NO_AXES, self.dims)
-        probes = probes[np.unique(keys, return_index=True)[1]]
         want = self._eval(probes, _NO_AXES)[:, 0]
         err = float(np.max(np.abs(mps.evaluate_batch(probes) - want)))
         scale = float(np.max(np.abs(want)))
@@ -388,6 +334,10 @@ class _CrossRun:
     def _result(self, mps: MPS, sweeps: int, changes: list, stop: str) -> CrossResult:
         """The run's CrossResult; a TT-SVD run reports no pivots."""
         residual = self._heldout_residual(mps)
+        if residual > _HELDOUT_WARN:
+            self.warnings.append(
+                f"held-out residual {residual:.3e} exceeds {_HELDOUT_WARN}"
+            )
         bonds = range(1, self.n) if sweeps else ()
         return CrossResult(
             mps=mps,

@@ -186,3 +186,19 @@ def test_sum_all_equals_batch_total(n_sites, seed):
     m = random_mps(n_sites, (2,) * n_sites, bonds, seed=seed)
     total = m.evaluate_batch(all_bitstrings(n_sites)).sum()
     assert m.sum_all() == pytest.approx(total, rel=1e-10, abs=1e-12)
+
+
+def test_environments_join_to_the_batch_values():
+    """Left times right environments over every split of the sites."""
+    m = random_mps(4, MIXED, (2, 3, 2), seed=4)
+    rows = np.indices(MIXED).reshape(4, -1).T
+    want = m.evaluate_batch(rows)
+    for k in range(5):
+        left = m.left_environments(rows[:, :k])
+        right = m.right_environments(rows[:, k:])
+        np.testing.assert_allclose(np.sum(left * right, axis=1), want, rtol=1e-12)
+    assert m.left_environments(rows[:3, :0]).tolist() == [[1.0]] * 3
+    with pytest.raises(ValueError, match="site 3: indices outside physical range 2"):
+        m.right_environments(np.array([[0, 2]]))
+    with pytest.raises(ValueError, match="shape"):
+        m.left_environments(np.zeros((1, 5), dtype=int))

@@ -6,21 +6,24 @@ import numpy as np
 import pytest
 
 from mpspricer import (
+    MPS,
     AsianSpec,
     CrossConfig,
     GridFunction,
     asian_integrand,
     asian_linear_integrand,
     build_exact_payoff_mps,
+    decouple,
     maxvol,
+    price_american_basket,
     price_asian_ttcross,
     price_asian_variational,
     price_european_basket,
     ttcross_approximate,
     uniform_basket_spec,
 )
-from mpspricer import ttcross
-from mpspricer.ttcross import _NO_AXES, _block_keys, _cross_indices
+from mpspricer import asian, basket, ttcross
+from mpspricer.ttcross import _NO_AXES, _cross_indices
 
 from conftest import all_bitstrings
 
@@ -152,8 +155,9 @@ def test_interpolation_at_retained_pivots():
     """Bounded interpolation cores, and exact values at the last pivots.
 
     Under truncation the MPS need not match f at every (I_k, J_k) cross;
-    it does at every (last-bond left pivot, x). The Asian case is one
-    whose cores, solved against raw cross matrices, were singular.
+    it does at every (last-bond left pivot, x), bit for bit the values the
+    run computes there (the Asian integrand's from its block). The Asian
+    case is one whose cores, solved against raw cross matrices, were singular.
     """
     hidden = np.random.default_rng(7).normal(size=(3, 4, 3, 4))
     spec = AsianSpec(spot=100.0, strike=100.0, rate=0.1, vol=0.5, expiry=1.0, steps=16)
@@ -172,10 +176,11 @@ def test_interpolation_at_retained_pivots():
         n = len(f.dims)
         assert len(res.left_pivots) == len(res.right_pivots) == n - 1
         assert all(res.left_pivots) and all(res.right_pivots)
-        rows = np.array(
-            [left + (x,) for left in res.left_pivots[-1] for x in range(f.dims[-1])]
-        )
-        np.testing.assert_array_equal(res.mps.evaluate_batch(rows), f.evaluate(rows))
+        lefts = np.array(res.left_pivots[-1])
+        last = np.arange(f.dims[-1])[:, None]
+        want = ttcross._CrossRun(f, cfg)._eval(lefts, last).ravel()
+        got = res.mps.evaluate_batch(_cross_indices(lefts, last))
+        np.testing.assert_array_equal(got, want)
 
 
 def test_deterministic_given_seed():
@@ -267,7 +272,8 @@ def test_heldout_residual_is_relative_max_error_off_the_stopping_probes():
         err.max() / np.abs(hidden).max(), rel=1e-12
     )
     assert res.heldout_residual > 0.0
-    assert res.n_evals == 64
+    # Every value computed counts, the 1024 held-out probes included.
+    assert res.n_evals == 80 + 1024
 
 
 def test_mixed_axis_sizes():
@@ -310,23 +316,31 @@ def test_rejects_bad_dims():
         ttcross_approximate(g, CrossConfig(max_bond=2))
 
 
-def test_each_grid_point_evaluated_once_per_run():
+def test_n_evals_counts_every_value_computed():
+    """A point asked for twice is computed and counted twice, block or not."""
     seen = []
 
     def f(idx):
         seen.extend(map(tuple, idx.tolist()))
         return np.cos(idx @ np.arange(1.0, 7.0))
 
-    res = ttcross_approximate(
-        GridFunction(dims=(3, 4, 2, 5, 3, 2), evaluate=f),
-        CrossConfig(max_bond=4, n_sweeps=3, seed=0),
-    )
-    assert len(seen) == len(set(seen))
-    assert res.n_evals == len(set(seen))
+    dims = (3, 4, 2, 5, 3, 2)
+    cfg = CrossConfig(max_bond=4, n_sweeps=3, seed=0)
+    res = ttcross_approximate(GridFunction(dims=dims, evaluate=f), cfg)
+    assert res.n_evals == len(seen) == 1536
+    assert len(set(seen)) < len(seen)
+    blocks = []
+
+    def block(rows, cols):
+        blocks.append(rows.shape[0] * cols.shape[0])
+        return f(_cross_indices(rows, cols)).reshape(rows.shape[0], -1)
+
+    res_block = ttcross_approximate(GridFunction(dims, _raises, block), cfg)
+    assert res_block.n_evals == sum(blocks) == 1536
 
 
 def test_grid_beyond_uint64_positions():
-    """2^70 points cannot be coded in one uint64; rows are keyed by bytes."""
+    """2^70 points, more than one uint64 can number: no point is ever numbered."""
     weights = np.random.default_rng(4).normal(size=70)
 
     def f(idx):
@@ -341,7 +355,7 @@ def test_grid_beyond_uint64_positions():
 
 
 def test_grid_of_exactly_2_64_points():
-    """The largest grid whose positions still fit one uint64 key."""
+    """The largest grid whose positions one uint64 can number."""
     weights = np.random.default_rng(6).normal(size=64)
 
     def f(idx):
@@ -355,26 +369,6 @@ def test_grid_of_exactly_2_64_points():
     np.testing.assert_allclose(res.mps.evaluate_batch(rows), f(rows), rtol=1e-10)
 
 
-@pytest.mark.parametrize(
-    "dims", [(3, 1, 4, 2, 5), (1,) + (2,) * 64], ids=["mixed", "stride-2^64"]
-)
-def test_block_keys_are_keys_of_joined_rows(dims):
-    """A block's keys are those of its joined rows, as a block over no axes.
-
-    Every split, empty prefix and empty suffix included.
-    """
-    rng = np.random.default_rng(0)
-    high = np.array(dims, dtype=np.int64)
-    n = len(dims)
-    for k in range(n + 1):
-        rows = rng.integers(0, high[:k], size=(5, k))
-        cols = rng.integers(0, high[k:], size=(7, n - k))
-        np.testing.assert_array_equal(
-            _block_keys(rows, cols, dims),
-            _block_keys(_cross_indices(rows, cols), _NO_AXES, dims),
-        )
-
-
 def test_grid_one_superblock_spans_is_tt_svd():
     """A 6x6 grid at bond 2 is its best rank-2 approximation, unswept."""
     hidden = np.random.default_rng(8).normal(size=(6, 6))
@@ -386,7 +380,8 @@ def test_grid_one_superblock_spans_is_tt_svd():
     np.testing.assert_allclose(
         res.mps.to_dense(), (u[:, :2] * s[:2]) @ vh[:2], rtol=1e-12, atol=1e-12
     )
-    assert (res.n_evals, res.n_sweeps_run, res.converged) == (36, 0, True)
+    # The 36 grid values, then the 1024 held-out probes.
+    assert (res.n_evals, res.n_sweeps_run, res.converged) == (36 + 1024, 0, True)
     assert res.left_pivots == res.right_pivots == []
     assert (res.stop_reason, res.probe_changes) == ("tt-svd", [])
 
@@ -505,3 +500,83 @@ def test_moved_pivots_refactor_their_superblocks(monkeypatch):
     assert [key[0] for key, cost in calls if cost] == [k]
     last = np.array([tuple(row) + (x,) for row in run.iset[-2] for x in range(3)])
     np.testing.assert_array_equal(mps.evaluate_batch(last), f.evaluate(last))
+
+
+def _raises(idx):
+    raise AssertionError("evaluate called on a grid function with a block")
+
+
+def _asian_functions():
+    for right in ("call", "put"):
+        for scheme in ("crr", "rb"):
+            spec = AsianSpec(steps=9, right=right, scheme=scheme)
+            yield f"asian-{right}-{scheme}-floored", asian_integrand(spec)
+            yield f"asian-{right}-{scheme}-linear", asian_linear_integrand(spec)
+
+
+def _basket_functions():
+    rng = np.random.default_rng(3)
+    # A positive continuation of bond 3 that crosses the payoff somewhere.
+    bonds = (1, 3, 3, 3, 1)
+    sites = [rng.uniform(0.5, 1.5, size=(bonds[k], 6, bonds[k + 1])) for k in range(4)]
+    for kind in ("min", "max", "avg"):
+        spec = uniform_basket_spec(4, strike=160.0, steps=5, payoff_kind=kind)
+        model = decouple(spec)
+        yield f"basket-{kind}", basket._step_function(spec, model, 5)
+        yield f"basket-{kind}-held", basket._step_function(spec, model, 5, MPS(sites), 0.3)
+
+
+_BLOCK_CASES = list(_asian_functions()) + list(_basket_functions())
+
+
+@pytest.mark.parametrize("f", [f for _, f in _BLOCK_CASES], ids=[i for i, _ in _BLOCK_CASES])
+def test_block_equals_pointwise(f):
+    """Every split of the axes, over none of them on either side included."""
+    rng = np.random.default_rng(0)
+    high = np.array(f.dims)
+    n = len(f.dims)
+    scales = []
+    for k in range(n + 1):
+        rows = rng.integers(0, high[:k], size=(5, k))
+        cols = rng.integers(0, high[k:], size=(7, n - k))
+        got = f.block(rows, cols)
+        want = f.evaluate(_cross_indices(rows, cols)).reshape(5, 7)
+        scales.append(np.max(np.abs(want)))
+        assert got.shape == (5, 7)
+        assert np.max(np.abs(got - want)) <= 1e-13 * scales[-1]
+    assert max(scales) > 0.0
+
+
+def test_cross_with_a_block_never_calls_evaluate():
+    f = asian_integrand(AsianSpec(steps=14))
+    res = ttcross_approximate(
+        GridFunction(f.dims, _raises, f.block), CrossConfig(max_bond=8, seed=0)
+    )
+    assert res.n_sweeps_run > 1
+    assert res.n_evals > 0
+
+
+def _pointwise(monkeypatch, module):
+    """Route ``module``'s crosses through GridFunctions with no block."""
+
+    def cross(f, cfg):
+        return ttcross_approximate(GridFunction(dims=f.dims, evaluate=f.evaluate), cfg)
+
+    monkeypatch.setattr(module, "ttcross_approximate", cross)
+
+
+@pytest.mark.parametrize(
+    "module, price, spec, bond",
+    [
+        (asian, price_asian_ttcross, AsianSpec(steps=16), 8),
+        (basket, price_american_basket, uniform_basket_spec(4, steps=8, style="american"), 8),
+    ],
+    ids=["asian-N16", "american-m4"],
+)
+def test_pointwise_functions_price_as_blocks_do(monkeypatch, module, price, spec, bond):
+    """A GridFunction of dims and evaluate alone takes the pointwise path."""
+    by_block = price(spec, bond_dim=bond, seed=0)
+    _pointwise(monkeypatch, module)
+    by_point = price(spec, bond_dim=bond, seed=0)
+    assert by_point.price == pytest.approx(by_block.price, rel=1e-9)
+    assert by_point.diagnostics["n_evals"] == by_block.diagnostics["n_evals"]
