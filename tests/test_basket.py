@@ -20,9 +20,10 @@ from mpspricer import (
     tree_price,
     uniform_basket_spec,
     CrossConfig,
+    GridFunction,
 )
 from mpspricer import basket
-from mpspricer.basket import _payoff_grid
+from mpspricer.basket import PAYOFF_KINDS, _payoff_grid, _put, _step_function
 
 
 def two_asset_spec(style="european", steps=6, rho=0.25):
@@ -264,8 +265,50 @@ def test_bruteforce_european_matches_pmf_contraction():
     assert price_basket_bruteforce(spec).price == pytest.approx(want, rel=1e-12)
 
 
-def test_dense_payoff_grid_across_chunks():
-    # 41^3 = 68,921 points: more than one chunk of the dense evaluation.
+@pytest.mark.parametrize("kind", PAYOFF_KINDS)
+@pytest.mark.parametrize("m", range(1, 9))
+def test_put_folds_the_assets_as_the_price_cube_does(kind, m):
+    """Bitwise, but for numpy's pairwise sum over 8 or more assets."""
+    rng = np.random.default_rng(m)
+    head = rng.lognormal(math.log(100.0), 0.3, size=(30, m))
+    tail = rng.lognormal(0.0, 0.2, size=(20, m))
+    cube = head[:, None, :] * tail[None, :, :]
+    agg = {"min": cube.min(axis=-1), "max": cube.max(axis=-1), "avg": cube.mean(axis=-1)}[kind]
+    want = np.maximum(100.0 - agg, 0.0)
+    got = _put(uniform_basket_spec(m, strike=100.0, payoff_kind=kind), head, tail)
+    assert got.shape == (30, 20)
+    assert np.count_nonzero(want) > 0
+    if kind == "avg" and m >= 8:
+        assert np.max(np.abs(got - want) / agg) <= 1e-15
+    else:
+        np.testing.assert_array_equal(got, want)
+
+
+def _recorded_blocks(monkeypatch):
+    """Record every (rows, cols) that a step function's block is asked for."""
+    calls = []
+    step_function = basket._step_function
+
+    def recording(*args, **kwargs):
+        f = step_function(*args, **kwargs)
+
+        def block(rows, cols):
+            calls.append((rows, cols))
+            return f.block(rows, cols)
+
+        return GridFunction(f.dims, f.evaluate, block)
+
+    monkeypatch.setattr(basket, "_step_function", recording)
+    return calls
+
+
+def _all_labels(m, step):
+    return np.indices((step + 1,) * m).reshape(m, -1).T
+
+
+def test_dense_payoff_grid_across_chunks(monkeypatch):
+    """The chunked grid is one whole-grid block, and the payoff to round-off."""
+    # 41^3 = 68,921 points: more than one block call.
     spec = BasketSpec(
         spots=(95.0, 100.0, 110.0), strike=105.0, rate=0.1,
         vols=(0.5, 0.4, 0.3),
@@ -273,9 +316,44 @@ def test_dense_payoff_grid_across_chunks():
         expiry=1.0, steps=40, payoff_kind="avg", style="european",
     )
     model = decouple(spec)
-    labels = np.indices((41,) * 3).reshape(3, -1).T
-    want = basket_payoff(spec, model, labels, 40).reshape((41,) * 3)
-    np.testing.assert_allclose(_payoff_grid(spec, model, 40), want, rtol=1e-15, atol=0)
+    calls = _recorded_blocks(monkeypatch)
+    grid = _payoff_grid(spec, model, 40)
+    assert len(calls) > 1
+    assert max(len(rows) * len(cols) for rows, cols in calls) <= basket._GRID_CHUNK
+    rows = np.concatenate([rows for rows, _ in calls])
+    whole = _step_function(spec, model, 40).block(rows, calls[0][1])
+    np.testing.assert_array_equal(grid.reshape(whole.shape), whole)
+    want = basket_payoff(spec, model, _all_labels(3, 40), 40)
+    assert np.max(np.abs(grid.reshape(-1) - want)) <= 1e-13 * np.max(want)
+
+
+@pytest.mark.parametrize(
+    "m, steps, row_axes, col_axes", [(2, 5, 0, 2), (1, 300, 1, 0)],
+    ids=["no-leading-axes", "no-trailing-axes"],
+)
+def test_dense_payoff_grid_with_no_axes_on_one_side(monkeypatch, m, steps, row_axes, col_axes):
+    spec = two_asset_spec(steps=steps) if m == 2 else uniform_basket_spec(1, steps=steps)
+    model = decouple(spec)
+    calls = _recorded_blocks(monkeypatch)
+    grid = _payoff_grid(spec, model, steps)
+    assert {(rows.shape[1], cols.shape[1]) for rows, cols in calls} == {(row_axes, col_axes)}
+    assert grid.shape == (steps + 1,) * m
+    want = basket_payoff(spec, model, _all_labels(m, steps), steps)
+    assert np.max(np.abs(grid.reshape(-1) - want)) <= 1e-13 * np.max(want)
+
+
+@pytest.mark.parametrize(
+    "m, n, want", [(8, 6, 38.80087356225202), (6, 8, 35.95569009701281)]
+)
+def test_bruteforce_american_min_pinned(monkeypatch, m, n, want):
+    """Every grid of these oracles takes more than one bounded block call."""
+    calls = _recorded_blocks(monkeypatch)
+    spec = uniform_basket_spec(m, steps=n, payoff_kind="min", style="american")
+    assert price_basket_bruteforce(spec).price == pytest.approx(want, rel=1e-12, abs=0)
+    assert max(len(rows) * len(cols) for rows, cols in calls) <= basket._GRID_CHUNK
+    grids = [(len(rows), len(cols)) for rows, cols in calls]
+    assert sum(r * c for r, c in grids) == sum((k + 1) ** m for k in range(n + 1))
+    assert len(calls) > n + 1
 
 
 def test_bruteforce_refuses_huge_grids():
