@@ -32,19 +32,23 @@ def black_scholes_price(
     return strike * math.exp(-rate * expiry) * ncdf(-d2) - spot * ncdf(-d1)
 
 
+def loop_path_sum(spot: float, params, moves) -> float:
+    """Sum of one path's post-step prices by a plain loop; truthy moves go up."""
+    price = spot
+    running = 0.0
+    for b in moves:
+        price *= params.up if b else params.down
+        running += price
+    return running
+
+
 def enumerate_asian_price(spec: AsianSpec) -> float:
     """Asian price by plain per-path Python loops; only sane for N <= 16."""
     p = spec.params()
     total = 0.0
     for bits in itertools.product((0, 1), repeat=spec.steps):
-        price = spec.spot
-        running = 0.0
-        n_up = 0
-        for b in bits:
-            price *= p.up if b else p.down
-            running += price
-            n_up += b
-        avg = running / spec.steps
+        n_up = sum(bits)
+        avg = loop_path_sum(spec.spot, p, bits) / spec.steps
         payoff = max(avg - spec.strike, 0.0) if spec.right == "call" else max(
             spec.strike - avg, 0.0
         )

@@ -2,23 +2,26 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from mpspricer import (
     AsianSpec,
+    asian,
     asian_path_payoff,
     crr_params,
+    path_prices,
     path_probability,
     price_asian_bruteforce,
     price_asian_montecarlo,
     price_asian_ttcross,
     price_asian_variational,
 )
-from mpspricer.asian import _MC_CHUNK
+from mpspricer.asian import _MC_BLOCK_VALUES, _path_sum_kernel
 
-from conftest import enumerate_asian_price
+from conftest import enumerate_asian_price, loop_path_sum
 
 # mpmath: e^{-r} * (p_u * (S0*u - K) + (1-p_u) * 0) at S0=K=100, r=0.1,
 # vol=0.5, T=1, N=1 (down path average 60.65 is out of the money).
@@ -240,12 +243,63 @@ def test_montecarlo_sample_counts_above_chunk_size():
 def test_montecarlo_blocks_draw_one_stream():
     """Blocks of draws price like one draw of every sample at once."""
     spec = AsianSpec(spot=100, strike=100, rate=0.1, vol=0.5, expiry=1.0, steps=7)
-    n = 3 * _MC_CHUNK + 123
+    n = 3 * (_MC_BLOCK_VALUES // spec.steps) + 123
     got = price_asian_montecarlo(spec, n, seed=5)
     bits = np.random.default_rng(5).random((n, spec.steps)) < spec.params().p_up
     vals = math.exp(-spec.rate * spec.expiry) * asian_path_payoff(spec, bits)
     assert got.price == pytest.approx(vals.mean(), rel=1e-12)
     assert got.std_error == pytest.approx(vals.std(ddof=1) / math.sqrt(n), rel=1e-9)
+
+
+def test_montecarlo_prices_without_path_price_arrays(monkeypatch):
+    """Monte Carlo sums its paths by lookup tables, not by the pointwise payoff."""
+    spec = AsianSpec(spot=100, strike=100, rate=0.1, vol=0.5, expiry=1.0, steps=64)
+    n = 20_000
+    bits = np.random.default_rng(11).random((n, spec.steps)) < spec.params().p_up
+    want = math.exp(-spec.rate * spec.expiry) * asian_path_payoff(spec, bits).mean()
+
+    def refuse(*args):
+        raise AssertionError("Monte Carlo built a path-price array")
+
+    monkeypatch.setattr(asian, "path_prices", refuse)
+    monkeypatch.setattr(asian, "asian_path_payoff", refuse)
+    assert price_asian_montecarlo(spec, n, seed=11).price == pytest.approx(want, rel=1e-12)
+
+
+def test_montecarlo_block_memory_does_not_grow_with_steps():
+    spec = AsianSpec(spot=100, strike=100, rate=0.1, vol=0.5, expiry=1.0, steps=2000)
+    tracemalloc.start()
+    try:
+        price_asian_montecarlo(spec, 8192, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # A block is 2 MiB of uniforms and a bool per uniform; 140 MiB when a
+    # block was a fixed 4096 paths whatever the steps.
+    assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("steps", [1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 100])
+@pytest.mark.parametrize("scheme, vol", [("crr", 0.5), ("rb", 0.5), ("rb", 0.0)])
+def test_path_sum_kernel_matches_path_prices(steps, scheme, vol):
+    spec = AsianSpec(
+        spot=100, strike=100, rate=0.1, vol=vol, expiry=1.0, steps=steps, scheme=scheme
+    )
+    params = spec.params()
+    path_sums = _path_sum_kernel(spec.spot, params, steps)
+    rng = np.random.default_rng(steps)
+    bits = rng.random((300, steps)) < params.p_up
+    bits[0], bits[1] = True, False
+    # Any nonzero step indicator is an up move.
+    counts = bits * rng.integers(1, 4, size=bits.shape)
+    want = path_prices(spec.spot, params, bits).sum(axis=-1)
+    loop = [loop_path_sum(spec.spot, params, row) for row in counts[:30]]
+    for moves in (bits, counts):
+        got = path_sums(moves)
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(got[:30], loop, rtol=1e-14, atol=0)
+        np.testing.assert_array_equal(path_sums(moves[:1]), got[:1])
+        assert path_sums(moves[:0]).shape == (0,)
 
 
 def test_montecarlo_rejects_tiny_sample_counts():
