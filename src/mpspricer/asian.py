@@ -15,10 +15,9 @@ import numpy as np
 
 from .binomial import SchemeParams, SingleAssetSpec, check_int, path_prices, path_probability
 from .reports import PriceReport
-from .ttcross import CrossConfig, GridFunction, ttcross_approximate
+from .ttcross import CrossConfig, GridFunction, grid_blocks, ttcross_approximate
 
 BRUTEFORCE_MAX_STEPS = 25
-_ENUM_CHUNK = 1 << 16
 # Monte Carlo uniforms per block (2 MiB), so a block's memory does not grow
 # with the steps. They fill row-major, so the block size only regroups the
 # sums. Any block of 2^16 to 2^20 uniforms priced 10^6 paths in 0.13-0.19 s
@@ -33,8 +32,7 @@ AsianSpec = SingleAssetSpec
 
 def _signed_excess(spec: AsianSpec, means: np.ndarray) -> np.ndarray:
     """Path mean minus strike, sign-flipped for puts: the unfloored payoff."""
-    signed = means - spec.strike
-    return signed if spec.right == "call" else -signed
+    return means - spec.strike if spec.right == "call" else spec.strike - means
 
 
 def asian_linear_payoff(spec: AsianSpec, bits: np.ndarray) -> np.ndarray:
@@ -60,21 +58,14 @@ def _partial_paths(
     return prices.sum(axis=-1), last, path_probability(params, bits)
 
 
-def _path_means(head_sum, head_last, tail_sum, n: int) -> np.ndarray:
-    """Means of every head joined with every tail, shape (tails, heads).
-
-    Tails are priced from 1.0, so a tail's prices scale by its head's last
-    price: the mean of a joined path of n moves is
-    (head_sum + head_last * tail_sum) / n.
-    """
-    return (head_sum + np.multiply.outer(tail_sum, head_last)) / n
-
-
 def _integrand(spec: AsianSpec, floored: bool) -> GridFunction:
     """p(x) times the payoff on {0,1}^N, with the floor at zero or without.
 
     Its block prices the row prefixes from the spot and the column
-    suffixes from 1.0, and joins them by :func:`_path_means`.
+    suffixes from 1.0. A suffix's prices scale by its prefix's last price,
+    so the mean of a joined path of N moves is
+    (head_sum + head_last * tail_sum) / N, and its probability
+    p_head * p_tail.
     """
     params = spec.params()
     payoff = asian_path_payoff if floored else asian_linear_payoff
@@ -85,11 +76,15 @@ def _integrand(spec: AsianSpec, floored: bool) -> GridFunction:
     def block(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         head_sum, head_last, p_head = _partial_paths(spec.spot, params, rows)
         tail_sum, _, p_tail = _partial_paths(1.0, params, cols)
-        means = _path_means(head_sum, head_last, tail_sum, spec.steps).T
+        means = np.multiply.outer(head_last, tail_sum)
+        means += head_sum[:, None]
+        means /= spec.steps
         excess = _signed_excess(spec, means)
         if floored:
             np.maximum(excess, 0.0, out=excess)
-        return np.multiply.outer(p_head, p_tail) * excess
+        out = np.multiply.outer(p_head, p_tail)
+        out *= excess
+        return out
 
     return GridFunction(dims=(2,) * spec.steps, evaluate=evaluate, block=block)
 
@@ -104,20 +99,14 @@ def asian_linear_integrand(spec: AsianSpec) -> GridFunction:
     return _integrand(spec, floored=False)
 
 
-def _enumerate_bits(n: int) -> np.ndarray:
-    """Bit rows of all 2^n paths of n moves; bit i is the step-i move."""
-    ids = np.arange(1 << n, dtype=np.uint64)
-    shifts = np.arange(n, dtype=np.uint64)
-    return ((ids[:, None] >> shifts[None, :]) & np.uint64(1)).astype(np.uint8)
-
-
 def price_asian_bruteforce(spec: AsianSpec) -> PriceReport:
     """Exact price by summing all 2^N paths; refuses N > BRUTEFORCE_MAX_STEPS.
 
-    Each path is a head of the first N//2 moves and a tail of the rest,
-    priced from the spot and from 1.0: its mean is :func:`_path_means` and
-    its probability p_head * p_tail. The 2^N payoffs are evaluated in
-    blocks of tails against every head, from O(2^(N/2) N) path-price work.
+    The sum is ``math.fsum`` over the blocks of :func:`asian_integrand`
+    that :func:`~mpspricer.ttcross.grid_blocks` walks. Each block joins a
+    run of heads (the first N - min(N, 8) moves, priced from the spot)
+    with every tail (the rest, priced from 1.0), so path prices are
+    computed per head and per tail, not per path.
     """
     n = spec.steps
     if n > BRUTEFORCE_MAX_STEPS:
@@ -125,20 +114,9 @@ def price_asian_bruteforce(spec: AsianSpec) -> PriceReport:
             f"brute force over 2^{n} = {1 << n} paths exceeds the "
             f"2^{BRUTEFORCE_MAX_STEPS} cap; use a tensor method or Monte Carlo"
         )
-    params = spec.params()
     start_time = time.perf_counter()
-    head_sum, head_last, p_head = _partial_paths(
-        spec.spot, params, _enumerate_bits(n // 2)
-    )
-    tail_sum, _, p_tail = _partial_paths(1.0, params, _enumerate_bits(n - n // 2))
-    rows = max(1, _ENUM_CHUNK // len(head_sum))
-    acc = 0.0
-    for start in range(0, len(tail_sum), rows):
-        block = slice(start, start + rows)
-        means = _path_means(head_sum, head_last, tail_sum[block], n)
-        payoff = np.maximum(_signed_excess(spec, means), 0.0)
-        acc += float(p_tail[block] @ (payoff @ p_head))
-    price = math.exp(-spec.rate * spec.expiry) * acc
+    total = math.fsum(block.sum() for block in grid_blocks(asian_integrand(spec)))
+    price = math.exp(-spec.rate * spec.expiry) * total
     return PriceReport(
         price=price,
         method="bruteforce",

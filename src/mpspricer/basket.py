@@ -23,11 +23,10 @@ import scipy.linalg
 from .binomial import check_int, check_lattice_inputs
 from .mps import MPS, DENSE_ELEMENT_CAP
 from .reports import PriceReport
-from .ttcross import CrossConfig, CrossResult, GridFunction, ttcross_approximate
+from .ttcross import CrossConfig, CrossResult, GridFunction, grid_blocks, ttcross_approximate
 
 PAYOFF_KINDS = ("min", "max", "avg")
 BASKET_STYLES = ("european", "american")
-_GRID_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -216,8 +215,7 @@ def conditional_prob_matrix(step: int) -> np.ndarray:
     Column j has probability 1/2 on rows j (down move) and j+1 (up move);
     columns sum to one.
     """
-    if step < 1:
-        raise ValueError(f"step must be >= 1, got {step}")
+    step = check_int("step", step, 1)
     p = np.zeros((step + 1, step))
     idx = np.arange(step)
     p[idx, idx] = 0.5
@@ -247,7 +245,7 @@ def _step_function(
     by suffixes is built from per-side factors: ``log S = g @ y`` is the sum
     of the prefix labels' and the suffix labels' terms, which :func:`_put`
     takes as two price factors, and the continuation is a product of left
-    and right environments. :func:`_payoff_grid` is built from this block.
+    and right environments. :func:`_payoff_grid` walks this block.
     """
     yv = outcome_values(model, step)
     m = model.n_assets
@@ -272,25 +270,12 @@ def _step_function(
     return GridFunction(dims=(step + 1,) * m, evaluate=evaluate, block=block)
 
 
-def _step_value(
-    spec: BasketSpec,
-    model: DecoupledModel,
-    step: int,
-    cfg: CrossConfig,
-    continuation: MPS | None = None,
-    disc: float = 1.0,
-) -> tuple[MPS, CrossResult]:
-    """:func:`_step_function` as an MPS by cross."""
-    f = _step_function(spec, model, step, continuation, disc)
-    result = ttcross_approximate(f, cfg)
-    return result.mps, result
-
-
 def payoff_to_mps(
     spec: BasketSpec, model: DecoupledModel, step: int, cfg: CrossConfig
 ) -> tuple[MPS, CrossResult]:
     """Payoff on the step grid as an MPS, one site per asset, by cross."""
-    return _step_value(spec, model, step, cfg)
+    result = ttcross_approximate(_step_function(spec, model, step), cfg)
+    return result.mps, result
 
 
 def _price_tensor(
@@ -318,13 +303,15 @@ def _price_tensor(
         CrossConfig(max_bond=bond_dim, n_sweeps=n_sweeps, tol=tol, seed=seed + step)
         for step in range(n + 1)
     ]
-    value, cross = _step_value(spec, model, n, cfgs[n])
-    crosses = {n: cross}
+    crosses = {n: ttcross_approximate(_step_function(spec, model, n), cfgs[n])}
+    value = crosses[n].mps
     if style == "american":
         disc = math.exp(-spec.rate * spec.dt)
         for k in range(n, 0, -1):
             held = value.apply_site_matrices([conditional_prob_matrix(k).T] * m)
-            value, crosses[k - 1] = _step_value(spec, model, k - 1, cfgs[k - 1], held, disc)
+            f = _step_function(spec, model, k - 1, held, disc)
+            crosses[k - 1] = ttcross_approximate(f, cfgs[k - 1])
+            value = crosses[k - 1].mps
         price = value.sum_all()
     else:
         weights = [terminal_label_pmf(n)[None, :]] * m
@@ -380,34 +367,23 @@ def price_american_basket(
 def _payoff_grid(spec: BasketSpec, model: DecoupledModel, step: int) -> np.ndarray:
     """Dense payoff over the full step grid, shape (step+1,)^m.
 
-    The grid is the cross's :func:`_step_function` block of every row-major
-    prefix of the leading axes by every suffix of the trailing ones, asked
-    for in chunks of at most ``_GRID_CHUNK`` values. The trailing axes hold
-    at most ``isqrt(_GRID_CHUNK)`` labels, so prices are exponentiated per
-    prefix and per suffix of each chunk, not per grid point.
+    The grid is filled in place from the cross's :func:`_step_function`
+    block, walked by :func:`~mpspricer.ttcross.grid_blocks`.
     """
-    m, d = model.n_assets, step + 1
-    tail = 0
-    while tail < m and d ** (tail + 1) <= math.isqrt(_GRID_CHUNK):
-        tail += 1
-    n_rows, n_cols = d ** (m - tail), d**tail
-
-    def labels(axes: int, start: int, stop: int) -> np.ndarray:
-        """Row-major label rows start..stop-1 over ``axes`` axes."""
-        return np.arange(start, stop)[:, None] // d ** np.arange(axes - 1, -1, -1) % d
-
-    block = _step_function(spec, model, step).block
-    cols = labels(tail, 0, n_cols)
-    chunk = _GRID_CHUNK // n_cols
-    out = np.empty((n_rows, n_cols))
-    for i in range(0, n_rows, chunk):
-        out[i : i + chunk] = block(labels(m - tail, i, min(i + chunk, n_rows)), cols)
-    return out.reshape((d,) * m)
+    f = _step_function(spec, model, step)
+    out = np.empty(math.prod(f.dims))
+    done = 0
+    for block in grid_blocks(f):
+        out[done : done + block.size] = block.ravel()
+        done += block.size
+    return out.reshape(f.dims)
 
 
 def price_basket_bruteforce(spec: BasketSpec) -> PriceReport:
     """Exact backward induction on the dense outcome grid.
 
+    Each step's payoff grid is :func:`_payoff_grid`: the cross's own
+    step-function block, walked by :func:`~mpspricer.ttcross.grid_blocks`.
     Refuses when the terminal grid (steps+1)^m exceeds ``DENSE_ELEMENT_CAP``.
     """
     model = decouple(spec)

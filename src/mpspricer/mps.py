@@ -192,12 +192,14 @@ class MPS:
 
     @classmethod
     def from_document(cls, doc: dict) -> "MPS":
-        if doc.get("format") != "mps":
+        if doc.get("format") != "mps" or "sites" not in doc:
             raise ValueError("document is not an MPS dump")
-        sites = [
-            np.array(site["values"], dtype=np.float64).reshape(site["shape"])
-            for site in doc["sites"]
-        ]
+        sites = []
+        for i, site in enumerate(doc["sites"]):
+            for key in ("shape", "values"):
+                if key not in site:
+                    raise ValueError(f"site {i} of the MPS document has no {key!r}")
+            sites.append(np.array(site["values"], dtype=np.float64).reshape(site["shape"]))
         return cls(sites)
 
     def __repr__(self) -> str:

@@ -13,11 +13,15 @@ since it was last factored is neither evaluated nor factored again, so the
 sweep turnarounds reuse their end superblocks and a confirming sweep,
 whose pivots no longer move, costs no SVD. A grid that one superblock at
 the bond budget would hold is instead evaluated once and compressed by
-TT-SVD. Every superblock, the whole grid included, is asked of the grid
-function as one block of row prefixes by column suffixes. A function that
-separates across the cut gives a ``block`` that builds it from one factor
-per row and one per column; any other is evaluated point by point. No
-value is remembered between blocks.
+TT-SVD (Oseledets 2011). Every superblock is asked of the grid function as
+one block of row prefixes by column suffixes. A function that separates
+across the cut gives a ``block`` that builds it from one factor per row
+and one per column; any other is evaluated point by point. No value is
+remembered between blocks.
+
+:func:`grid_blocks` is the one walk over a whole grid: the TT-SVD and the
+dense oracles of the Asian and basket pricers all enumerate their grids
+through it, in blocks of at most 2^16 values.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 import scipy.linalg
@@ -38,8 +42,9 @@ _RANK_RTOL = 1e-14
 # A run whose held-out residual exceeds this warns: f was not learned.
 _HELDOUT_WARN = 0.1
 _DEFICIENCY_RTOL = 1e-12
-# Most grid points sent to a pointwise grid function in one call.
-_BATCH_CAP = 2**18
+# Most grid values asked of a grid function in one call: the points of one
+# pointwise call, and the values of one block of a whole-grid walk.
+_CHUNK = 1 << 16
 # A sweep must at least halve the probe change, or the run stops.
 _PLATEAU = 0.5
 # maxvol stops once no entry of mat @ inv(mat[rows]) exceeds 1 + _DOMINANCE
@@ -190,6 +195,48 @@ def _cross_indices(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return out
 
 
+def _block_values(f: GridFunction, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """f on every prefix in ``rows`` joined with every suffix in ``cols``.
+
+    Returns shape (len(rows), len(cols)): ``f.block`` if f has one, else
+    ``f.evaluate`` on the joined points, at most _CHUNK of them per call.
+    """
+    if f.block is not None:
+        return np.asarray(f.block(rows, cols), dtype=np.float64)
+    points = _cross_indices(rows, cols)
+    chunks = range(0, points.shape[0], _CHUNK)
+    vals = [f.evaluate(points[i : i + _CHUNK]) for i in chunks]
+    return np.concatenate(vals, dtype=np.float64).reshape(rows.shape[0], -1)
+
+
+def _labels(dims: tuple[int, ...], start: int, stop: int) -> np.ndarray:
+    """Row-major grid indices number start..stop-1 over axes of sizes ``dims``."""
+    strides = [math.prod(dims[i + 1 :]) for i in range(len(dims))]
+    radix = np.array(dims, dtype=np.int64)
+    return np.arange(start, stop)[:, None] // np.array(strides, dtype=np.int64) % radix
+
+
+def grid_blocks(f: GridFunction) -> Iterator[np.ndarray]:
+    """Every value of f's grid in row-major order, as consecutive (R, C) blocks.
+
+    The columns are every suffix over the trailing axes that together hold
+    at most isqrt(_CHUNK) points, possibly none of them; each block's rows
+    are the next prefixes over the leading axes, at most _CHUNK // C of
+    them. No block holds more than _CHUNK values, and a separable block's
+    per-row and per-column work stays balanced. Blocks go through
+    :func:`_block_values`, so f may be pointwise only.
+    """
+    dims = tuple(int(d) for d in f.dims)
+    cut = len(dims)
+    while cut and math.prod(dims[cut - 1 :]) <= math.isqrt(_CHUNK):
+        cut -= 1
+    cols = _labels(dims[cut:], 0, math.prod(dims[cut:]))
+    n_rows, step = math.prod(dims[:cut]), _CHUNK // cols.shape[0]
+    for start in range(0, n_rows, step):
+        rows = _labels(dims[:cut], start, min(start + step, n_rows))
+        yield _block_values(f, rows, cols)
+
+
 class _CrossRun:
     """One seeded cross-approximation run over a fixed grid function."""
 
@@ -225,18 +272,9 @@ class _CrossRun:
         return cols[np.sort(self.rng.choice(cols.shape[0], size=size, replace=False))]
 
     def _eval(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Grid values on the block of prefixes ``rows`` by suffixes ``cols``.
-
-        Returns shape (len(rows), len(cols)): ``f.block`` if f has one,
-        else ``f.evaluate`` on the joined points in chunks of _BATCH_CAP.
-        """
+        """:func:`_block_values` of f, counted in ``n_evals``."""
         self.n_evals += rows.shape[0] * cols.shape[0]
-        if self.f.block is not None:
-            return np.asarray(self.f.block(rows, cols), dtype=np.float64)
-        points = _cross_indices(rows, cols)
-        chunks = range(0, points.shape[0], _BATCH_CAP)
-        vals = [self.f.evaluate(points[i : i + _BATCH_CAP]) for i in chunks]
-        return np.concatenate(vals, dtype=np.float64).reshape(rows.shape[0], -1)
+        return _block_values(self.f, rows, cols)
 
     def _superblock(self, p: int) -> tuple[np.ndarray, ...]:
         """Rows, columns and rank-truncated SVD factors U, Vh of superblock p.
@@ -302,16 +340,11 @@ class _CrossRun:
     def _tt_svd(self) -> MPS:
         """Evaluate the whole grid once and compress it by TT-SVD.
 
-        The grid is asked for as every prefix of the first n//2 axes by
-        every suffix, which is row-major. Each bond keeps its numerical
-        rank, at most max_bond and at least 1.
+        The grid is the row-major concatenation of :func:`grid_blocks`.
+        Each bond keeps its numerical rank, at most max_bond and at least 1.
         """
-        half = self.n // 2
-        rows, cols = (
-            np.indices(d).reshape(len(d), math.prod(d)).T
-            for d in (self.dims[:half], self.dims[half:])
-        )
-        rest = self._eval(rows, cols).reshape(1, -1)
+        rest = np.concatenate([b.ravel() for b in grid_blocks(self.f)])[None]
+        self.n_evals += rest.size
         cores = []
         for d in self.dims[:-1]:
             u, s, vh = np.linalg.svd(

@@ -72,8 +72,7 @@ def greedy_binary_decompose(
     mat = np.array(a, dtype=np.float64)
     if mat.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {mat.shape}")
-    if target_rows < 1:
-        raise ValueError(f"target_rows must be >= 1, got {target_rows}")
+    target_rows = check_int("target_rows", target_rows, 1)
     n_rows = mat.shape[0]
     membership = np.eye(n_rows, dtype=bool)
     active = np.ones(n_rows, dtype=bool)

@@ -105,8 +105,8 @@ def per_path_price(spec: AsianSpec) -> float:
 
 
 def test_bruteforce_chunking_crosses_boundary():
-    # 2^18 paths are 2^9 heads by 2^9 tails; at most 2^16 means per block
-    # puts 2^7 tails in a block, so the sum runs over four tail blocks.
+    # 2^18 paths are 2^10 heads by 2^8 tails; at most 2^16 values per block
+    # puts 2^8 heads in a block, so the sum runs over four head blocks.
     for right in ("call", "put"):
         spec = AsianSpec(
             spot=100, strike=100, rate=0.1, vol=0.5, expiry=1.0, steps=18,

@@ -22,7 +22,7 @@ from mpspricer import (
     CrossConfig,
     GridFunction,
 )
-from mpspricer import basket
+from mpspricer import basket, ttcross
 from mpspricer.basket import PAYOFF_KINDS, _payoff_grid, _put, _step_function
 
 
@@ -126,8 +126,13 @@ def test_conditional_matrix_structure():
     np.testing.assert_array_equal(p, want)
     for k in (1, 4, 9):
         np.testing.assert_allclose(conditional_prob_matrix(k).sum(axis=0), 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^step must be >= 1, got 0$"):
         conditional_prob_matrix(0)
+
+
+def test_conditional_prob_matrix_names_a_non_integer_step():
+    with pytest.raises(TypeError, match="^step must be an integer, got float 2.5$"):
+        conditional_prob_matrix(2.5)
 
 
 def test_chained_matrices_give_binomial_pmf():
@@ -319,7 +324,7 @@ def test_dense_payoff_grid_across_chunks(monkeypatch):
     calls = _recorded_blocks(monkeypatch)
     grid = _payoff_grid(spec, model, 40)
     assert len(calls) > 1
-    assert max(len(rows) * len(cols) for rows, cols in calls) <= basket._GRID_CHUNK
+    assert max(len(rows) * len(cols) for rows, cols in calls) <= ttcross._CHUNK
     rows = np.concatenate([rows for rows, _ in calls])
     whole = _step_function(spec, model, 40).block(rows, calls[0][1])
     np.testing.assert_array_equal(grid.reshape(whole.shape), whole)
@@ -350,7 +355,7 @@ def test_bruteforce_american_min_pinned(monkeypatch, m, n, want):
     calls = _recorded_blocks(monkeypatch)
     spec = uniform_basket_spec(m, steps=n, payoff_kind="min", style="american")
     assert price_basket_bruteforce(spec).price == pytest.approx(want, rel=1e-12, abs=0)
-    assert max(len(rows) * len(cols) for rows, cols in calls) <= basket._GRID_CHUNK
+    assert max(len(rows) * len(cols) for rows, cols in calls) <= ttcross._CHUNK
     grids = [(len(rows), len(cols)) for rows, cols in calls]
     assert sum(r * c for r, c in grids) == sum((k + 1) ** m for k in range(n + 1))
     assert len(calls) > n + 1
@@ -491,7 +496,7 @@ def test_cross_prices_pinned_bitwise():
     assert eu.n_sweeps == 0
     am_spec = uniform_basket_spec(3, steps=8, style="american")
     am = price_american_basket(am_spec, bond_dim=8, seed=0)
-    assert am.price.hex() == "0x1.c0942cfc8e47cp+4"
+    assert am.price.hex() == "0x1.c0942cfc8e474p+4"
     # Only the expiry grid is crossed; every other step is TT-SVD.
     assert am.n_sweeps == 3
     for report, spec in [(eu, eu_spec), (am, am_spec)]:

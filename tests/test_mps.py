@@ -175,6 +175,14 @@ def test_from_document_rejects_garbage():
         MPS.from_document({"format": "mps", "sites": [{"shape": [1, 2, 1], "values": [1.0]}]})
 
 
+@pytest.mark.parametrize("key", ["values", "shape"])
+def test_from_document_names_the_site_missing_a_key(key):
+    doc = random_mps(2, (2, 3), (2,), seed=1).to_document()
+    del doc["sites"][1][key]
+    with pytest.raises(ValueError, match=f"site 1 of the MPS document has no '{key}'"):
+        MPS.from_document(doc)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     n_sites=st.integers(min_value=1, max_value=5),

@@ -23,7 +23,7 @@ from mpspricer import (
     uniform_basket_spec,
 )
 from mpspricer import asian, basket, ttcross
-from mpspricer.ttcross import _NO_AXES, _cross_indices
+from mpspricer.ttcross import _CHUNK, _NO_AXES, _cross_indices, grid_blocks
 
 from conftest import all_bitstrings
 
@@ -300,7 +300,7 @@ def test_eval_counting_and_batch_cap(monkeypatch):
         calls.append(idx.shape[0])
         return np.ones(idx.shape[0])
 
-    monkeypatch.setattr(ttcross, "_BATCH_CAP", 16)
+    monkeypatch.setattr(ttcross, "_CHUNK", 16)
     cfg = CrossConfig(max_bond=2, n_sweeps=1, seed=0)
     res = ttcross_approximate(GridFunction(dims=(2,) * 6, evaluate=f), cfg)
     assert max(calls) <= 16
@@ -580,3 +580,85 @@ def test_pointwise_functions_price_as_blocks_do(monkeypatch, module, price, spec
     by_point = price(spec, bond_dim=bond, seed=0)
     assert by_point.price == pytest.approx(by_block.price, rel=1e-9)
     assert by_point.diagnostics["n_evals"] == by_block.diagnostics["n_evals"]
+
+
+def _positions(dims, calls):
+    """Pointwise and block grid functions valued at each point's row-major position.
+
+    Both append the number of values of every call to ``calls``.
+    """
+    def position(idx):
+        return np.ravel_multi_index(tuple(idx.T), dims).astype(np.float64)
+
+    def evaluate(idx):
+        calls.append(len(idx))
+        return position(idx)
+
+    def block(rows, cols):
+        calls.append(len(rows) * len(cols))
+        return position(_cross_indices(rows, cols)).reshape(len(rows), -1)
+
+    return GridFunction(dims, evaluate), GridFunction(dims, _raises, block)
+
+
+@pytest.mark.parametrize(
+    "dims, n_blocks, n_cols",
+    [
+        ((2, 3, 4), 1, 24),  # every axis on the trailing side
+        ((300, 400), 2, 1),  # no axis fits there
+        ((3, 4, 2, 5, 3), 1, 120),
+        ((5, 7, 11, 3, 4, 2, 5, 3), 3, 120),
+        ((2,) * 18, 4, 256),
+        ((257,), 1, 1),
+        ((256,), 1, 256),
+    ],
+)
+@pytest.mark.parametrize("kind", [0, 1], ids=["evaluate", "block"])
+def test_grid_blocks_walk_the_grid_row_major(dims, n_blocks, n_cols, kind):
+    calls = []
+    blocks = list(grid_blocks(_positions(dims, calls)[kind]))
+    assert len(blocks) == n_blocks
+    assert all(b.shape[1] == n_cols and b.size <= _CHUNK for b in blocks)
+    assert max(calls) <= _CHUNK and sum(calls) == np.prod(dims)
+    grid = np.indices(dims).reshape(len(dims), -1).T
+    want = _positions(dims, [])[0].evaluate(grid)
+    np.testing.assert_array_equal(np.concatenate([b.ravel() for b in blocks]), want)
+
+
+def test_tt_svd_grid_is_one_walk():
+    """The TT-SVD's grid is the walk's, counted once in n_evals."""
+    hidden = np.random.default_rng(9).normal(size=(3, 4, 2, 5))
+    calls = []
+    f = GridFunction(
+        hidden.shape, lambda idx: calls.append(len(idx)) or hidden[tuple(idx.T)]
+    )
+    res = ttcross_approximate(f, CrossConfig(max_bond=10, seed=0))
+    assert res.stop_reason == "tt-svd"
+    assert calls[0] == hidden.size and res.n_evals == hidden.size + 1024
+    np.testing.assert_allclose(res.mps.to_dense(), hidden, rtol=1e-12, atol=1e-12)
+
+
+def test_asian_bruteforce_walks_each_path_once(monkeypatch):
+    """N=18: every block call at most one chunk, all 2^18 paths exactly once."""
+    calls = []
+    integrand = asian.asian_integrand
+
+    def recording(spec):
+        f = integrand(spec)
+
+        def block(rows, cols):
+            calls.append((rows, cols))
+            return f.block(rows, cols)
+
+        return GridFunction(f.dims, _raises, block)
+
+    monkeypatch.setattr(asian, "asian_integrand", recording)
+    spec = AsianSpec(spot=100.0, strike=100.0, rate=0.1, vol=0.5, expiry=1.0, steps=18)
+    price = asian.price_asian_bruteforce(spec).price
+    assert max(len(rows) * len(cols) for rows, cols in calls) <= _CHUNK
+    seen = np.concatenate(
+        [np.ravel_multi_index(tuple(_cross_indices(r, c).T), (2,) * 18) for r, c in calls]
+    )
+    np.testing.assert_array_equal(np.sort(seen), np.arange(1 << 18))
+    want = sum(float(integrand(spec).block(r, c).sum()) for r, c in calls)
+    assert price == np.exp(-spec.rate * spec.expiry) * want

@@ -124,6 +124,11 @@ def test_greedy_validation():
         greedy_binary_decompose(np.ones((2, 2)), 0)
 
 
+def test_greedy_rejects_a_non_integer_target():
+    with pytest.raises(TypeError, match="target_rows must be an integer"):
+        greedy_binary_decompose(np.ones((3, 2)), 1.5)
+
+
 def test_center_update_is_sign_of_gradient():
     rng = np.random.default_rng(4)
     left = rng.normal(size=(3, 2))
