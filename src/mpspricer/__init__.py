@@ -12,19 +12,17 @@ from .asian import (
     BRUTEFORCE_MAX_STEPS,
     AsianSpec,
     asian_integrand,
-    asian_linear_integrand,
-    asian_path_payoff,
     price_asian_bruteforce,
     price_asian_montecarlo,
     price_asian_ttcross,
 )
 from .basket import (
+    DENSE_ELEMENT_CAP,
     BasketSpec,
     DecoupledModel,
     basket_payoff,
     conditional_prob_matrix,
     decouple,
-    payoff_to_mps,
     price_american_basket,
     price_basket_bruteforce,
     price_european_basket,
@@ -41,20 +39,18 @@ from .binomial import (
     rb_params,
     tree_price,
 )
-from .mps import DENSE_ELEMENT_CAP, MPS
+from .mps import MPS
 from .reports import PriceReport
 from .ttcross import (
     CrossConfig,
     CrossResult,
     GridFunction,
-    maxvol,
     ttcross_approximate,
 )
 from .variational import (
     build_exact_payoff_mps,
     greedy_binary_decompose,
     price_asian_variational,
-    variational_center_update,
 )
 
 __version__ = "0.1.0"
@@ -66,7 +62,6 @@ __all__ = [
     "GridFunction",
     "CrossConfig",
     "CrossResult",
-    "maxvol",
     "ttcross_approximate",
     "SchemeParams",
     "SingleAssetSpec",
@@ -78,15 +73,12 @@ __all__ = [
     "tree_price",
     "AsianSpec",
     "asian_integrand",
-    "asian_linear_integrand",
-    "asian_path_payoff",
     "price_asian_bruteforce",
     "price_asian_montecarlo",
     "price_asian_ttcross",
     "BRUTEFORCE_MAX_STEPS",
     "build_exact_payoff_mps",
     "greedy_binary_decompose",
-    "variational_center_update",
     "price_asian_variational",
     "BasketSpec",
     "DecoupledModel",
@@ -95,7 +87,6 @@ __all__ = [
     "basket_payoff",
     "conditional_prob_matrix",
     "terminal_label_pmf",
-    "payoff_to_mps",
     "price_european_basket",
     "price_american_basket",
     "price_basket_bruteforce",

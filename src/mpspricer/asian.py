@@ -15,7 +15,7 @@ import numpy as np
 
 from .binomial import SchemeParams, SingleAssetSpec, check_int, path_prices, path_probability
 from .reports import PriceReport
-from .ttcross import CrossConfig, GridFunction, grid_blocks, ttcross_approximate
+from .ttcross import _NO_AXES, CrossConfig, GridFunction, grid_blocks, ttcross_approximate
 
 BRUTEFORCE_MAX_STEPS = 25
 # Monte Carlo uniforms per block (2 MiB), so a block's memory does not grow
@@ -35,17 +35,6 @@ def _signed_excess(spec: AsianSpec, means: np.ndarray) -> np.ndarray:
     return means - spec.strike if spec.right == "call" else spec.strike - means
 
 
-def asian_linear_payoff(spec: AsianSpec, bits: np.ndarray) -> np.ndarray:
-    """Payoff with the floor at zero dropped (mean - K, sign-flipped for puts)."""
-    means = path_prices(spec.spot, spec.params(), bits).mean(axis=-1)
-    return _signed_excess(spec, means)
-
-
-def asian_path_payoff(spec: AsianSpec, bits: np.ndarray) -> np.ndarray:
-    """Undiscounted payoff of each path: the mean-price payoff at expiry."""
-    return np.maximum(asian_linear_payoff(spec, bits), 0.0)
-
-
 def _partial_paths(
     spot: float, params: SchemeParams, bits: np.ndarray
 ) -> tuple[np.ndarray, ...]:
@@ -58,20 +47,16 @@ def _partial_paths(
     return prices.sum(axis=-1), last, path_probability(params, bits)
 
 
-def _integrand(spec: AsianSpec, floored: bool) -> GridFunction:
-    """p(x) times the payoff on {0,1}^N, with the floor at zero or without.
+def asian_integrand(spec: AsianSpec) -> GridFunction:
+    """Probability-weighted payoff p(x) * v(x) as a grid function on {0,1}^N.
 
-    Its block prices the row prefixes from the spot and the column
-    suffixes from 1.0. A suffix's prices scale by its prefix's last price,
-    so the mean of a joined path of N moves is
+    The block is its one definition: it prices the row prefixes from the
+    spot and the column suffixes from 1.0. A suffix's prices scale by its
+    prefix's last price, so the mean of a joined path of N moves is
     (head_sum + head_last * tail_sum) / N, and its probability
-    p_head * p_tail.
+    p_head * p_tail. A path alone is a row joined with the empty suffix.
     """
     params = spec.params()
-    payoff = asian_path_payoff if floored else asian_linear_payoff
-
-    def evaluate(bits: np.ndarray) -> np.ndarray:
-        return path_probability(params, bits) * payoff(spec, bits)
 
     def block(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         head_sum, head_last, p_head = _partial_paths(spec.spot, params, rows)
@@ -80,23 +65,16 @@ def _integrand(spec: AsianSpec, floored: bool) -> GridFunction:
         means += head_sum[:, None]
         means /= spec.steps
         excess = _signed_excess(spec, means)
-        if floored:
-            np.maximum(excess, 0.0, out=excess)
+        np.maximum(excess, 0.0, out=excess)
         out = np.multiply.outer(p_head, p_tail)
         out *= excess
         return out
 
-    return GridFunction(dims=(2,) * spec.steps, evaluate=evaluate, block=block)
-
-
-def asian_integrand(spec: AsianSpec) -> GridFunction:
-    """Probability-weighted payoff p(x) * v(x) as a grid function on {0,1}^N."""
-    return _integrand(spec, floored=True)
-
-
-def asian_linear_integrand(spec: AsianSpec) -> GridFunction:
-    """p(x) times the unfloored payoff; exactly bond dimension 2 as an MPS."""
-    return _integrand(spec, floored=False)
+    return GridFunction(
+        dims=(2,) * spec.steps,
+        evaluate=lambda bits: block(bits, _NO_AXES)[:, 0],
+        block=block,
+    )
 
 
 def price_asian_bruteforce(spec: AsianSpec) -> PriceReport:

@@ -21,12 +21,14 @@ import numpy as np
 import scipy.linalg
 
 from .binomial import check_int, check_lattice_inputs
-from .mps import MPS, DENSE_ELEMENT_CAP
+from .mps import MPS
 from .reports import PriceReport
-from .ttcross import CrossConfig, CrossResult, GridFunction, grid_blocks, ttcross_approximate
+from .ttcross import CrossConfig, GridFunction, grid_blocks, ttcross_approximate
 
 PAYOFF_KINDS = ("min", "max", "avg")
 BASKET_STYLES = ("european", "american")
+# Most values the dense oracle's terminal grid may hold (128 MiB of floats).
+DENSE_ELEMENT_CAP = 2**24
 
 
 @dataclass(frozen=True)
@@ -130,11 +132,10 @@ class DecoupledModel:
 
     ``g`` is the lower Cholesky factor of the covariance; log-prices are
     ``g @ y``. Each y coordinate moves by ``up`` or ``down`` per step with
-    probability 1/2 each.
+    probability 1/2 each; their mean is dt times the drift g^-1 (r - vol^2/2).
     """
 
     g: np.ndarray
-    alpha: np.ndarray
     y0: np.ndarray
     up: np.ndarray
     down: np.ndarray
@@ -155,7 +156,7 @@ def decouple(spec: BasketSpec) -> DecoupledModel:
     y0 = scipy.linalg.solve_triangular(g, np.log(spec.spots), lower=True)
     sqdt = math.sqrt(dt)
     return DecoupledModel(
-        g=g, alpha=alpha, y0=y0, up=alpha * dt + sqdt, down=alpha * dt - sqdt
+        g=g, y0=y0, up=alpha * dt + sqdt, down=alpha * dt - sqdt
     )
 
 
@@ -179,16 +180,6 @@ def outcome_values(model: DecoupledModel, step: int) -> np.ndarray:
     )
 
 
-def asset_prices_at(
-    model: DecoupledModel, labels: np.ndarray, step: int
-) -> np.ndarray:
-    """Asset prices for label rows, shape (B, m)."""
-    lab = np.asarray(labels)
-    yv = outcome_values(model, step)  # (m, step+1)
-    y = yv[np.arange(model.n_assets)[None, :], lab]  # (B, m)
-    return np.exp(y @ model.g.T)
-
-
 def _put(spec: BasketSpec, head: np.ndarray, tail: np.ndarray) -> np.ndarray:
     """Put payoff, shape (H, T), on prices head[h, i] * tail[t, i] folded over assets i."""
     fold = {"min": np.minimum, "max": np.maximum, "avg": np.add}[spec.payoff_kind]
@@ -204,9 +195,14 @@ def _put(spec: BasketSpec, head: np.ndarray, tail: np.ndarray) -> np.ndarray:
 def basket_payoff(
     spec: BasketSpec, model: DecoupledModel, labels: np.ndarray, step: int
 ) -> np.ndarray:
-    """Put payoff on the aggregated basket at the given grid labels."""
-    prices = asset_prices_at(model, labels, step)
-    return _put(spec, prices, np.ones((1, model.n_assets)))[:, 0]
+    """Put payoff on the aggregated basket at grid label rows, shape (B,).
+
+    The pointwise form of :func:`_step_function`'s block: asset i is priced
+    exp(sum_k g[i, k] y_k) at each coordinate's step value y_k.
+    """
+    m = model.n_assets
+    prices = np.exp(outcome_values(model, step)[np.arange(m), labels] @ model.g.T)
+    return _put(spec, prices, np.ones((1, m)))[:, 0]
 
 
 def conditional_prob_matrix(step: int) -> np.ndarray:
@@ -268,14 +264,6 @@ def _step_function(
         return np.maximum(disc * held, pay)
 
     return GridFunction(dims=(step + 1,) * m, evaluate=evaluate, block=block)
-
-
-def payoff_to_mps(
-    spec: BasketSpec, model: DecoupledModel, step: int, cfg: CrossConfig
-) -> tuple[MPS, CrossResult]:
-    """Payoff on the step grid as an MPS, one site per asset, by cross."""
-    result = ttcross_approximate(_step_function(spec, model, step), cfg)
-    return result.mps, result
 
 
 def _price_tensor(

@@ -11,11 +11,10 @@ take each physical value there.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
-
-DENSE_ELEMENT_CAP = 2**24
 
 
 class MPS:
@@ -83,15 +82,6 @@ class MPS:
 
     def __len__(self) -> int:
         return len(self._tensors)
-
-    def evaluate(self, indices: Sequence[int]) -> float:
-        """Value of the encoded tensor at one multi-index of ints or bools."""
-        idx = np.asarray(indices)
-        if idx.shape != (self.n_sites,):
-            raise ValueError(
-                f"index tuple has shape {idx.shape}, expected ({self.n_sites},)"
-            )
-        return float(self.evaluate_batch(idx[None, :])[0])
 
     def evaluate_batch(self, indices: np.ndarray) -> np.ndarray:
         """Evaluate many multi-indices at once.
@@ -163,23 +153,6 @@ class MPS:
             new_sites.append(np.einsum("pd,ldr->lpr", mat, t, optimize=True))
         return MPS(new_sites)
 
-    def to_dense(self, max_elements: int = DENSE_ELEMENT_CAP) -> np.ndarray:
-        """Contract to a dense array of shape ``physical_dims``.
-
-        Refuses when the element count exceeds ``max_elements``.
-        """
-        total = 1
-        for d in self.physical_dims:
-            total *= d
-        if total > max_elements:
-            raise ValueError(
-                f"dense conversion needs {total} elements, cap is {max_elements}"
-            )
-        res = self._tensors[0][0]  # (d_0, D)
-        for t in self._tensors[1:]:
-            res = np.tensordot(res, t, axes=([-1], [0]))
-        return res[..., 0]
-
     def to_document(self) -> dict:
         """Plain-data description: list of sites with shape and row-major values."""
         return {
@@ -192,14 +165,21 @@ class MPS:
 
     @classmethod
     def from_document(cls, doc: dict) -> "MPS":
-        if doc.get("format") != "mps" or "sites" not in doc:
+        """The MPS a :meth:`to_document` dump describes; names the first bad site."""
+        if not isinstance(doc, dict) or doc.get("format") != "mps" or "sites" not in doc:
             raise ValueError("document is not an MPS dump")
         sites = []
         for i, site in enumerate(doc["sites"]):
             for key in ("shape", "values"):
                 if key not in site:
                     raise ValueError(f"site {i} of the MPS document has no {key!r}")
-            sites.append(np.array(site["values"], dtype=np.float64).reshape(site["shape"]))
+            values = np.array(site["values"], dtype=np.float64)
+            if values.size != math.prod(site["shape"]):
+                raise ValueError(
+                    f"site {i} of the MPS document has {values.size} values "
+                    f"for shape {tuple(site['shape'])}"
+                )
+            sites.append(values.reshape(site["shape"]))
         return cls(sites)
 
     def __repr__(self) -> str:

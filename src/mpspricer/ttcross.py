@@ -16,8 +16,8 @@ the bond budget would hold is instead evaluated once and compressed by
 TT-SVD (Oseledets 2011). Every superblock is asked of the grid function as
 one block of row prefixes by column suffixes. A function that separates
 across the cut gives a ``block`` that builds it from one factor per row
-and one per column; any other is evaluated point by point. No value is
-remembered between blocks.
+and one per column, and is then asked for nothing else; any other is
+evaluated point by point. No value is remembered between blocks.
 
 :func:`grid_blocks` is the one walk over a whole grid: the TT-SVD and the
 dense oracles of the Asian and basket pricers all enumerate their grids
@@ -27,7 +27,6 @@ through it, in blocks of at most 2^16 values.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
@@ -41,7 +40,6 @@ N_PROBE = 1024
 _RANK_RTOL = 1e-14
 # A run whose held-out residual exceeds this warns: f was not learned.
 _HELDOUT_WARN = 0.1
-_DEFICIENCY_RTOL = 1e-12
 # Most grid values asked of a grid function in one call: the points of one
 # pointwise call, and the values of one block of a whole-grid walk.
 _CHUNK = 1 << 16
@@ -57,16 +55,16 @@ _NO_AXES = np.zeros((1, 0), np.int64)
 
 @dataclass(frozen=True)
 class GridFunction:
-    """Real function on a product grid, evaluated in batches or in blocks.
+    """Real function on a product grid, evaluated in blocks or point by point.
 
-    ``evaluate`` takes an int array of shape (B, n_axes), one grid index
-    per row, and returns a float array of shape (B,). ``block``, when
-    given, takes prefixes (R, k) over the first k axes and suffixes
-    (C, n_axes - k) over the rest, either side possibly over no axes, and
-    returns the (R, C) values at every prefix joined with every suffix. It
-    must agree with ``evaluate`` up to round-off, and the cross then calls
-    it alone. Both must be pure: the sweep logic assumes repeated
-    evaluation gives the same values.
+    ``block``, when given, takes prefixes (R, k) over the first k axes and
+    suffixes (C, n_axes - k) over the rest, either side possibly over no
+    axes, and returns the (R, C) values at every prefix joined with every
+    suffix; the cross then calls it alone. ``evaluate`` takes an int array
+    (B, n_axes), one grid index per row, and returns (B,) values. With a
+    block it must agree with ``block(points, _NO_AXES)[:, 0]`` up to
+    round-off; the Asian integrand's is exactly that. Both must be pure:
+    the sweep logic assumes repeated evaluation gives the same values.
     """
 
     dims: tuple[int, ...]
@@ -122,40 +120,11 @@ class CrossResult:
     warnings: list[str] = field(default_factory=list)
 
 
-def maxvol(mat: np.ndarray) -> np.ndarray:
-    """Select rows of a tall matrix with quasi-maximal volume.
-
-    Returns r row indices of the (n, r) input such that every entry of
-    ``mat @ inv(mat[rows])`` has magnitude at most 1.01. The swap loop
-    stops there or after 100 swaps; at that cap it warns and returns the
-    best rows found. Raises on rank-deficient input.
-    """
-    m = np.asarray(mat, dtype=np.float64)
-    if m.ndim != 2:
-        raise ValueError(f"expected a matrix, got shape {m.shape}")
-    n, r = m.shape
-    if r < 1 or n < r:
-        raise ValueError(f"need n >= r >= 1, got shape {m.shape}")
-    sv = np.linalg.svd(m, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] <= _DEFICIENCY_RTOL * sv[0]:
-        raise ValueError(
-            "rank-deficient input: smallest singular value "
-            f"{sv[-1]:.3e} vs largest {sv[0]:.3e}"
-        )
-    rows, _, converged = _maxvol_iter(m)
-    if not converged:
-        warnings.warn(
-            f"maxvol did not converge within {_MAXVOL_ITERS} iterations",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return rows
-
-
 def _maxvol_iter(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Swap loop behind :func:`maxvol`: rows, ``mat @ inv(mat[rows])``, converged.
+    """Quasi-maximal-volume rows of an (n, r) matrix of full column rank.
 
-    The input must have full column rank.
+    Returns the rows, ``mat @ inv(mat[rows])`` and whether its entries came
+    within 1 + _DOMINANCE in magnitude before _MAXVOL_ITERS swaps.
     """
     n, r = mat.shape
     if n == r:

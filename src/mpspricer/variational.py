@@ -112,22 +112,13 @@ def greedy_binary_decompose(
     return l, m
 
 
-def variational_center_update(
-    left_env: np.ndarray, right_env: np.ndarray, b_site: np.ndarray
-) -> np.ndarray:
-    """Optimal binary center tensor for fixed environments.
-
-    The cost is linear in the center, with gradient
-    G[alpha, x, beta] = sum_{a,b} left_env[alpha,a] B^x[a,b] right_env[beta,b];
-    each entry is set to 1 exactly where its gradient is positive.
-    """
-    g = center_gradient(left_env, right_env, b_site)
-    return (g > 0.0).astype(np.float64)
-
-
 def center_gradient(
     left_env: np.ndarray, right_env: np.ndarray, b_site: np.ndarray
 ) -> np.ndarray:
+    """G[l, x, r] = sum_ab left_env[l, a] B^x[a, b] right_env[r, b].
+
+    The cost is linear in the center; its best binary value is G > 0.
+    """
     return np.einsum(
         "la,axb,rb->lxr", left_env, b_site, right_env, optimize=True
     )

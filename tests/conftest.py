@@ -1,9 +1,10 @@
 """Shared oracles for the test suite.
 
 Everything here is computed independently of the package internals:
-closed-form Black-Scholes via the error function, and Asian prices by
-direct itertools enumeration of paths. Both exist so the fast library
-implementations have something honest to be compared against.
+closed-form Black-Scholes via the error function, Asian integrands and
+prices by per-path loops, and MPS values by multiplying the picked site
+matrices one row at a time or contracting every bond. They exist so the
+fast library implementations have something honest to be compared against.
 """
 
 import itertools
@@ -12,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from mpspricer import AsianSpec
+from mpspricer import MPS, AsianSpec, GridFunction
 
 
 def black_scholes_price(
@@ -42,18 +43,59 @@ def loop_path_sum(spot: float, params, moves) -> float:
     return running
 
 
+def path_integrand(spec: AsianSpec, moves, floor: bool = True) -> float:
+    """p(x) times one path's Asian payoff by a plain loop; truthy moves go up.
+
+    p(x) is p_up^k (1 - p_up)^(N - k) for k up moves. ``floor=False`` drops
+    the max(., 0), leaving the bond-2 integrand of the exact payoff MPS.
+    """
+    p = spec.params()
+    n_up = sum(bool(b) for b in moves)
+    avg = loop_path_sum(spec.spot, p, moves) / spec.steps
+    excess = avg - spec.strike if spec.right == "call" else spec.strike - avg
+    payoff = max(excess, 0.0) if floor else excess
+    return p.p_up**n_up * (1.0 - p.p_up) ** (spec.steps - n_up) * payoff
+
+
+def path_integrands(spec: AsianSpec, bits, floor: bool = True) -> np.ndarray:
+    """:func:`path_integrand` of every row of ``bits``."""
+    return np.array([path_integrand(spec, row, floor) for row in bits])
+
+
 def enumerate_asian_price(spec: AsianSpec) -> float:
     """Asian price by plain per-path Python loops; only sane for N <= 16."""
-    p = spec.params()
     total = 0.0
     for bits in itertools.product((0, 1), repeat=spec.steps):
-        n_up = sum(bits)
-        avg = loop_path_sum(spec.spot, p, bits) / spec.steps
-        payoff = max(avg - spec.strike, 0.0) if spec.right == "call" else max(
-            spec.strike - avg, 0.0
-        )
-        total += p.p_up**n_up * (1.0 - p.p_up) ** (spec.steps - n_up) * payoff
+        total += path_integrand(spec, bits)
     return math.exp(-spec.rate * spec.expiry) * total
+
+
+def mps_values(mps: MPS, indices) -> np.ndarray:
+    """Each index row's product of the site matrices it picks, row by row."""
+    out = []
+    for row in np.asarray(indices):
+        vec = np.ones((1, 1))
+        for t, x in zip(mps.tensors, row):
+            vec = vec @ t[:, int(x), :]
+        out.append(vec[0, 0])
+    return np.array(out)
+
+
+def mps_dense(mps: MPS) -> np.ndarray:
+    """The full tensor an MPS encodes, shape ``physical_dims``, bond by bond."""
+    out = mps.tensors[0][0]
+    for t in mps.tensors[1:]:
+        out = np.tensordot(out, t, axes=([-1], [0]))
+    return out[..., 0]
+
+
+def mps_grid_function(mps: MPS) -> GridFunction:
+    """An MPS as a black-box grid function, its blocks joined environments."""
+
+    def block(rows, cols):
+        return mps.left_environments(rows) @ mps.right_environments(cols).T
+
+    return GridFunction(dims=mps.physical_dims, evaluate=mps.evaluate_batch, block=block)
 
 
 @pytest.fixture

@@ -15,6 +15,8 @@ import pytest
 import mpspricer as mp
 from mpspricer.cli import main as cli_main
 
+from conftest import mps_grid_function
+
 STANDARD = dict(spot=100.0, strike=100.0, rate=0.1, vol=0.5, expiry=1.0)
 
 
@@ -49,11 +51,11 @@ def test_criterion_01_payoff_mps_sum_identity():
 
 def test_criterion_02_cross_recovers_hidden_rank_two():
     spec = mp.AsianSpec(steps=20, **STANDARD)
+    exact = mp.build_exact_payoff_mps(spec)
     res = mp.ttcross_approximate(
-        mp.asian_linear_integrand(spec),
+        mps_grid_function(exact),
         mp.CrossConfig(max_bond=2, n_sweeps=8, tol=1e-12, seed=5),
     )
-    exact = mp.build_exact_payoff_mps(spec)
     probes = np.random.default_rng(11).integers(0, 2, size=(1000, 20))
     want = exact.evaluate_batch(probes)
     err = np.max(np.abs(res.mps.evaluate_batch(probes) - want)) / np.max(

@@ -10,7 +10,7 @@ import pytest
 from mpspricer import (
     AsianSpec,
     asian,
-    asian_path_payoff,
+    asian_integrand,
     crr_params,
     path_prices,
     path_probability,
@@ -26,6 +26,13 @@ from conftest import enumerate_asian_price, loop_path_sum
 # mpmath: e^{-r} * (p_u * (S0*u - K) + (1-p_u) * 0) at S0=K=100, r=0.1,
 # vol=0.5, T=1, N=1 (down path average 60.65 is out of the money).
 ASIAN_N1_CALL = 28.084640724297127
+
+
+def path_payoffs(spec: AsianSpec, bits: np.ndarray) -> np.ndarray:
+    """Each path's undiscounted payoff from its own row of prices, no head/tail split."""
+    means = path_prices(spec.spot, spec.params(), bits).mean(axis=-1)
+    excess = means - spec.strike if spec.right == "call" else spec.strike - means
+    return np.maximum(excess, 0.0)
 
 
 def test_spec_validation():
@@ -56,8 +63,9 @@ def test_path_payoff_by_hand():
     spec = AsianSpec(spot=100, strike=100, rate=0.1, vol=0.5, expiry=2.0, steps=2)
     p = crr_params(0.1, 0.5, 1.0)
     avg_up_down = (100 * p.up + 100 * p.up * p.down) / 2
-    got = asian_path_payoff(spec, np.array([[1, 0]]))
-    assert got[0] == pytest.approx(max(avg_up_down - 100, 0.0), rel=1e-14)
+    want = p.p_up * (1.0 - p.p_up) * max(avg_up_down - 100, 0.0)
+    got = asian_integrand(spec).evaluate(np.array([[1, 0]]))
+    assert got[0] == pytest.approx(want, rel=1e-14)
 
 
 def test_bruteforce_single_step_frozen():
@@ -99,7 +107,7 @@ def per_path_price(spec: AsianSpec) -> float:
         ids = np.arange(start, min(start + (1 << 16), 1 << n), dtype=np.uint64)
         bits = ((ids[:, None] >> shifts) & np.uint64(1)).astype(np.uint8)
         acc += float(
-            np.dot(path_probability(params, bits), asian_path_payoff(spec, bits))
+            np.dot(path_probability(params, bits), path_payoffs(spec, bits))
         )
     return math.exp(-spec.rate * spec.expiry) * acc
 
@@ -246,23 +254,23 @@ def test_montecarlo_blocks_draw_one_stream():
     n = 3 * (_MC_BLOCK_VALUES // spec.steps) + 123
     got = price_asian_montecarlo(spec, n, seed=5)
     bits = np.random.default_rng(5).random((n, spec.steps)) < spec.params().p_up
-    vals = math.exp(-spec.rate * spec.expiry) * asian_path_payoff(spec, bits)
+    vals = math.exp(-spec.rate * spec.expiry) * path_payoffs(spec, bits)
     assert got.price == pytest.approx(vals.mean(), rel=1e-12)
     assert got.std_error == pytest.approx(vals.std(ddof=1) / math.sqrt(n), rel=1e-9)
 
 
 def test_montecarlo_prices_without_path_price_arrays(monkeypatch):
-    """Monte Carlo sums its paths by lookup tables, not by the pointwise payoff."""
+    """Monte Carlo sums its paths by lookup tables, not by the integrand."""
     spec = AsianSpec(spot=100, strike=100, rate=0.1, vol=0.5, expiry=1.0, steps=64)
     n = 20_000
     bits = np.random.default_rng(11).random((n, spec.steps)) < spec.params().p_up
-    want = math.exp(-spec.rate * spec.expiry) * asian_path_payoff(spec, bits).mean()
+    want = math.exp(-spec.rate * spec.expiry) * path_payoffs(spec, bits).mean()
 
     def refuse(*args):
         raise AssertionError("Monte Carlo built a path-price array")
 
     monkeypatch.setattr(asian, "path_prices", refuse)
-    monkeypatch.setattr(asian, "asian_path_payoff", refuse)
+    monkeypatch.setattr(asian, "asian_integrand", refuse)
     assert price_asian_montecarlo(spec, n, seed=11).price == pytest.approx(want, rel=1e-12)
 
 

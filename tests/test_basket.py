@@ -11,7 +11,6 @@ from mpspricer import (
     basket_payoff,
     conditional_prob_matrix,
     decouple,
-    payoff_to_mps,
     price_american_basket,
     price_basket_bruteforce,
     price_european_basket,
@@ -21,9 +20,12 @@ from mpspricer import (
     uniform_basket_spec,
     CrossConfig,
     GridFunction,
+    ttcross_approximate,
 )
 from mpspricer import basket, ttcross
-from mpspricer.basket import PAYOFF_KINDS, _payoff_grid, _put, _step_function
+from mpspricer.basket import (
+    PAYOFF_KINDS, _payoff_grid, _put, _step_function, outcome_values,
+)
 
 
 def two_asset_spec(style="european", steps=6, rho=0.25):
@@ -96,8 +98,9 @@ def test_decouple_reproduces_covariance():
     cov = np.outer(vols, vols) * np.array(spec.corr)
     np.testing.assert_allclose(model.g @ model.g.T, cov, rtol=1e-12, atol=1e-14)
     assert np.allclose(model.g, np.tril(model.g))
+    drift = (model.up + model.down) / (2.0 * spec.dt)
     np.testing.assert_allclose(
-        model.g @ model.alpha, spec.rate - 0.5 * vols**2, rtol=1e-12
+        model.g @ drift, spec.rate - 0.5 * vols**2, rtol=1e-12
     )
     np.testing.assert_allclose(
         model.g @ model.y0, np.log(spec.spots), rtol=1e-12
@@ -158,10 +161,7 @@ def test_single_asset_grid_is_rb_lattice():
     )
     model = decouple(spec)
     p = rb_params(0.1, 0.5, spec.dt)
-    from mpspricer.basket import asset_prices_at
-
-    labels = np.arange(6)[:, None]
-    prices = asset_prices_at(model, labels, 5)[:, 0]
+    prices = np.exp(model.g[0, 0] * outcome_values(model, 5)[0])
     j = np.arange(6)
     want = 100.0 * p.up**j * p.down ** (5 - j)
     np.testing.assert_allclose(prices, want, rtol=1e-11)
@@ -171,9 +171,8 @@ def test_basket_payoff_kinds():
     spec = two_asset_spec()
     model = decouple(spec)
     labels = np.array([[0, 3], [2, 1]])
-    from mpspricer.basket import asset_prices_at
-
-    prices = asset_prices_at(model, labels, 3)
+    y = outcome_values(model, 3)
+    prices = np.exp(np.stack([y[0, labels[:, 0]], y[1, labels[:, 1]]], axis=1) @ model.g.T)
     for kind in ("min", "max", "avg"):
         k_spec = BasketSpec(
             spots=spec.spots, strike=spec.strike, rate=spec.rate,
@@ -197,7 +196,8 @@ def test_payoff_mps_single_asset_exact():
         expiry=1.0, steps=6, payoff_kind="min", style="european",
     )
     model = decouple(spec)
-    mps, cross = payoff_to_mps(spec, model, 6, CrossConfig(max_bond=4))
+    cross = ttcross_approximate(_step_function(spec, model, 6), CrossConfig(max_bond=4))
+    mps = cross.mps
     # The 7 grid values, then the 1024 held-out probes.
     assert cross.n_evals == 7 + 1024
     labels = np.arange(7)[:, None]
@@ -209,8 +209,8 @@ def test_payoff_mps_single_asset_exact():
 def test_payoff_mps_two_assets_via_cross():
     spec = two_asset_spec(steps=5)
     model = decouple(spec)
-    mps, cross = payoff_to_mps(spec, model, 5, CrossConfig(max_bond=6, seed=0))
-    assert cross is not None
+    cfg = CrossConfig(max_bond=6, seed=0)
+    mps = ttcross_approximate(_step_function(spec, model, 5), cfg).mps
     grid = np.stack(np.meshgrid(np.arange(6), np.arange(6), indexing="ij"), -1)
     labels = grid.reshape(-1, 2)
     np.testing.assert_allclose(

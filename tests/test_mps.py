@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from mpspricer import MPS
 
-from conftest import all_bitstrings
+from conftest import all_bitstrings, mps_dense, mps_values
 
 
 def random_mps(n_sites, phys, bonds, seed=0):
@@ -70,9 +70,9 @@ def test_tensors_are_frozen_copies():
 
 def test_evaluate_matches_dense():
     m = random_mps(5, (2,) * 5, (3, 4, 4, 3), seed=1)
-    dense = m.to_dense()
-    for idx in [(0, 0, 0, 0, 0), (1, 1, 1, 1, 1), (0, 1, 0, 1, 0)]:
-        assert m.evaluate(idx) == pytest.approx(dense[idx], rel=1e-12)
+    dense = mps_dense(m)
+    idx = np.array([(0, 0, 0, 0, 0), (1, 1, 1, 1, 1), (0, 1, 0, 1, 0)])
+    np.testing.assert_allclose(m.evaluate_batch(idx), dense[tuple(idx.T)], rtol=1e-12)
 
 
 MIXED = (3, 1, 5, 2)
@@ -92,15 +92,14 @@ MIXED = (3, 1, 5, 2)
 def test_evaluate_batch_matches_pointwise(phys, idx):
     m = random_mps(len(phys), phys, (2, 3, 5, 3, 2)[: len(phys) - 1], seed=2)
     batch = m.evaluate_batch(idx)
-    single = np.array([m.evaluate(tuple(row)) for row in idx])
-    np.testing.assert_allclose(batch, single, rtol=1e-12)
+    np.testing.assert_allclose(batch, mps_values(m, idx), rtol=1e-12)
 
 
 def test_evaluate_batch_index_dtypes():
     """Bool and unsigned rows index like ints; other dtypes are refused."""
     m = random_mps(3, (2, 2, 2), (2, 2), seed=7)
     rows = np.array([[1, 0, 1], [0, 1, 1]])
-    want = [m.evaluate(tuple(row)) for row in rows]
+    want = mps_values(m, rows)
     # NumPy indexing reads bool arrays as masks: with d=2, two rows pick wrong
     # entries and one row raises.
     for idx in (rows.astype(bool), rows[:1].astype(bool), rows.astype(np.uint64)):
@@ -112,27 +111,27 @@ def test_evaluate_batch_index_dtypes():
 def test_evaluate_index_types():
     """Ints and bools index a site; a float is refused, not truncated."""
     m = random_mps(3, (2, 2, 2), (2, 2), seed=7)
-    want = m.evaluate((1, 1, 0))
-    assert m.evaluate((True, 1, 0)) == want
-    assert m.evaluate(np.array([1, 1, 0], dtype=np.uint8)) == want
-    for bad in ((0.7, 1, 0), np.array([1.0, 1.0, 0.0])):
+    want = m.evaluate_batch([(1, 1, 0)])
+    assert m.evaluate_batch([(True, 1, 0)]) == want
+    assert m.evaluate_batch(np.array([[1, 1, 0]], dtype=np.uint8)) == want
+    for bad in ([(0.7, 1, 0)], np.array([[1.0, 1.0, 0.0]])):
         with pytest.raises(ValueError, match="integers"):
-            m.evaluate(bad)
+            m.evaluate_batch(bad)
     with pytest.raises(ValueError, match="shape"):
-        m.evaluate((1, 1))
+        m.evaluate_batch([(1, 1)])
 
 
 def test_evaluate_rejects_out_of_range():
     m = random_mps(3, (2, 2, 2), (2, 2))
     with pytest.raises(ValueError):
-        m.evaluate((0, 2, 0))
+        m.evaluate_batch(np.array([[0, 2, 0]]))
     with pytest.raises(ValueError):
         m.evaluate_batch(np.array([[0, 0, -1]]))
 
 
 def test_sum_all_matches_dense_sum():
     m = random_mps(5, (2, 3, 2, 3, 2), (2, 4, 4, 2), seed=3)
-    assert m.sum_all() == pytest.approx(m.to_dense().sum(), rel=1e-12)
+    assert m.sum_all() == pytest.approx(mps_dense(m).sum(), rel=1e-12)
 
 
 def test_apply_site_matrices_matches_dense():
@@ -141,8 +140,8 @@ def test_apply_site_matrices_matches_dense():
     mats = [rng.normal(size=(2, 3)) for _ in range(3)]
     out = m.apply_site_matrices(mats)
     assert out.physical_dims == (2, 2, 2)
-    dense = np.einsum("abc,ia,jb,kc->ijk", m.to_dense(), *mats)
-    np.testing.assert_allclose(out.to_dense(), dense, rtol=1e-12)
+    dense = np.einsum("abc,ia,jb,kc->ijk", mps_dense(m), *mats)
+    np.testing.assert_allclose(mps_dense(out), dense, rtol=1e-12)
 
 
 def test_apply_site_matrices_validates():
@@ -151,12 +150,6 @@ def test_apply_site_matrices_validates():
         m.apply_site_matrices([np.ones((1, 3)), np.ones((1, 2))])
     with pytest.raises(ValueError):
         m.apply_site_matrices([np.ones((1, 2))])
-
-
-def test_to_dense_cap():
-    m = random_mps(30, (2,) * 30, (1,) * 29)
-    with pytest.raises(ValueError, match="cap"):
-        m.to_dense(max_elements=2**20)
 
 
 def test_document_roundtrip():
@@ -173,6 +166,21 @@ def test_from_document_rejects_garbage():
         MPS.from_document({"format": "not-mps", "sites": []})
     with pytest.raises(ValueError):
         MPS.from_document({"format": "mps", "sites": [{"shape": [1, 2, 1], "values": [1.0]}]})
+
+
+@pytest.mark.parametrize("doc", [[], "mps", None], ids=["list", "str", "none"])
+def test_from_document_rejects_a_non_mapping(doc):
+    with pytest.raises(ValueError, match="^document is not an MPS dump$"):
+        MPS.from_document(doc)
+
+
+def test_from_document_names_the_site_whose_values_miss_its_shape():
+    doc = random_mps(2, (2, 3), (2,), seed=1).to_document()
+    doc["sites"][1]["values"].pop()
+    with pytest.raises(
+        ValueError, match=r"^site 1 of the MPS document has 5 values for shape \(2, 3, 1\)$"
+    ):
+        MPS.from_document(doc)
 
 
 @pytest.mark.parametrize("key", ["values", "shape"])

@@ -1,4 +1,4 @@
-"""The README's examples run and print what it shows."""
+"""The README's examples run and print what it shows, from the exported names."""
 
 import contextlib
 import io
@@ -6,6 +6,7 @@ import re
 import shlex
 from pathlib import Path
 
+import mpspricer
 from mpspricer.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -40,3 +41,47 @@ def test_command_examples_print_documented_bytes():
         with contextlib.redirect_stdout(out):
             assert main(argv) == 0
         assert out.getvalue() == shown
+
+
+def test_public_names_are_the_pricers_and_their_pieces():
+    """The export list is pinned, and every name on it imports."""
+    assert mpspricer.__all__ == [
+        "MPS",
+        "DENSE_ELEMENT_CAP",
+        "PriceReport",
+        "GridFunction",
+        "CrossConfig",
+        "CrossResult",
+        "ttcross_approximate",
+        "SchemeParams",
+        "SingleAssetSpec",
+        "crr_params",
+        "rb_params",
+        "make_scheme_params",
+        "path_prices",
+        "path_probability",
+        "tree_price",
+        "AsianSpec",
+        "asian_integrand",
+        "price_asian_bruteforce",
+        "price_asian_montecarlo",
+        "price_asian_ttcross",
+        "BRUTEFORCE_MAX_STEPS",
+        "build_exact_payoff_mps",
+        "greedy_binary_decompose",
+        "price_asian_variational",
+        "BasketSpec",
+        "DecoupledModel",
+        "decouple",
+        "uniform_basket_spec",
+        "basket_payoff",
+        "conditional_prob_matrix",
+        "terminal_label_pmf",
+        "price_european_basket",
+        "price_american_basket",
+        "price_basket_bruteforce",
+        "__version__",
+    ]
+    namespace: dict = {}
+    exec("from mpspricer import *", namespace)
+    assert set(mpspricer.__all__) <= set(namespace)

@@ -11,10 +11,8 @@ from mpspricer import (
     CrossConfig,
     GridFunction,
     asian_integrand,
-    asian_linear_integrand,
     build_exact_payoff_mps,
     decouple,
-    maxvol,
     price_american_basket,
     price_asian_ttcross,
     price_asian_variational,
@@ -23,53 +21,41 @@ from mpspricer import (
     uniform_basket_spec,
 )
 from mpspricer import asian, basket, ttcross
-from mpspricer.ttcross import _CHUNK, _NO_AXES, _cross_indices, grid_blocks
+from mpspricer.ttcross import _CHUNK, _NO_AXES, _cross_indices, _maxvol_iter, grid_blocks
 
-from conftest import all_bitstrings
+from conftest import all_bitstrings, mps_dense, mps_grid_function, path_integrands
 
 
 def test_maxvol_square_is_identity_selection():
     rng = np.random.default_rng(0)
     m = rng.normal(size=(4, 4))
-    np.testing.assert_array_equal(np.sort(maxvol(m)), np.arange(4))
+    rows, coeffs, converged = _maxvol_iter(m)
+    np.testing.assert_array_equal(np.sort(rows), np.arange(4))
+    np.testing.assert_array_equal(coeffs, np.eye(4))
+    assert converged
 
 
 def test_maxvol_dominance_property():
     rng = np.random.default_rng(1)
     for trial in range(5):
         m = rng.normal(size=(60, 7))
-        rows = maxvol(m)
+        rows, coeffs, converged = _maxvol_iter(m)
+        assert converged
         assert len(set(rows.tolist())) == 7
         b = m @ np.linalg.inv(m[rows])
         assert np.max(np.abs(b)) <= 1.01 + 1e-9
-
-
-def test_maxvol_rejects_rank_deficient():
-    col = np.arange(10.0)[:, None]
-    with pytest.raises(ValueError, match="rank-deficient"):
-        maxvol(np.hstack([col, 2.0 * col]))
+        np.testing.assert_allclose(coeffs, b, atol=1e-9)
 
 
 def test_maxvol_iteration_cap_warns(monkeypatch):
-    """With no swaps allowed, maxvol warns and the cross reports each cap."""
+    """With no swaps allowed, the cross reports each capped maxvol."""
     monkeypatch.setattr(ttcross, "_MAXVOL_ITERS", 0)
-    m = np.random.default_rng(2).normal(size=(40, 6))
-    with pytest.warns(RuntimeWarning, match="maxvol did not converge within 0"):
-        rows = maxvol(m)
-    assert len(set(rows.tolist())) == 6
     report = price_asian_ttcross(AsianSpec(steps=14), bond_dim=4)
     # Every non-square pivot basis of the 3 sweeps, then the stop note.
     *capped, stop = report.warnings
     assert len(capped) == 56
     assert all(re.fullmatch(r"maxvol hit iteration cap at bond \d+", w) for w in capped)
     assert stop.startswith("probe change plateaued")
-
-
-def test_maxvol_rejects_wide_and_non_matrix():
-    with pytest.raises(ValueError):
-        maxvol(np.ones((2, 5)))
-    with pytest.raises(ValueError):
-        maxvol(np.ones(3))
 
 
 def test_config_validation():
@@ -110,7 +96,7 @@ def test_single_axis_is_exact():
     res = ttcross_approximate(f, CrossConfig(max_bond=3, seed=0))
     assert res.converged
     assert res.n_sweeps_run == 0
-    np.testing.assert_allclose(res.mps.to_dense(), vals)
+    np.testing.assert_allclose(mps_dense(res.mps), vals)
 
 
 def test_rank_one_product_recovered_at_bond_one():
@@ -126,7 +112,7 @@ def test_rank_one_product_recovered_at_bond_one():
         GridFunction(dims=(4,) * 5, evaluate=f),
         CrossConfig(max_bond=1, n_sweeps=6, tol=1e-12, seed=2),
     )
-    dense = res.mps.to_dense()
+    dense = mps_dense(res.mps)
     grid = np.stack(
         np.meshgrid(*[np.arange(4)] * 5, indexing="ij"), axis=-1
     ).reshape(-1, 5)
@@ -138,11 +124,11 @@ def test_hidden_rank_two_integrand_recovered():
     spec = AsianSpec(
         spot=100.0, strike=100.0, rate=0.1, vol=0.5, expiry=1.0, steps=14
     )
+    exact = build_exact_payoff_mps(spec)
     res = ttcross_approximate(
-        asian_linear_integrand(spec),
+        mps_grid_function(exact),
         CrossConfig(max_bond=2, n_sweeps=8, tol=1e-12, seed=3),
     )
-    exact = build_exact_payoff_mps(spec)
     idx = all_bitstrings(14)
     want = exact.evaluate_batch(idx)
     got = res.mps.evaluate_batch(idx)
@@ -187,7 +173,7 @@ def test_deterministic_given_seed():
     spec = AsianSpec(
         spot=100.0, strike=90.0, rate=0.05, vol=0.4, expiry=1.0, steps=10
     )
-    f = asian_linear_integrand(spec)
+    f = mps_grid_function(build_exact_payoff_mps(spec))
     cfg = CrossConfig(max_bond=4, n_sweeps=4, tol=1e-12, seed=11)
     a = ttcross_approximate(f, cfg)
     b = ttcross_approximate(f, cfg)
@@ -201,8 +187,8 @@ def test_monotone_bond_budget():
     spec = AsianSpec(
         spot=100.0, strike=100.0, rate=0.1, vol=0.5, expiry=1.0, steps=12
     )
-    f = asian_linear_integrand(spec)
     exact = build_exact_payoff_mps(spec)
+    f = mps_grid_function(exact)
     probes = np.random.default_rng(0).integers(0, 2, size=(1000, 12))
     want = exact.evaluate_batch(probes)
     scale = np.max(np.abs(want))
@@ -267,7 +253,7 @@ def test_heldout_residual_is_relative_max_error_off_the_stopping_probes():
     hidden = np.random.default_rng(2).normal(size=(2,) * 6)
     f = GridFunction(dims=(2,) * 6, evaluate=lambda idx: hidden[tuple(idx.T)])
     res = ttcross_approximate(f, CrossConfig(max_bond=2, n_sweeps=3, seed=0))
-    err = np.abs(res.mps.to_dense() - hidden)
+    err = np.abs(mps_dense(res.mps) - hidden)
     assert res.heldout_residual == pytest.approx(
         err.max() / np.abs(hidden).max(), rel=1e-12
     )
@@ -378,7 +364,7 @@ def test_grid_one_superblock_spans_is_tt_svd():
     )
     u, s, vh = np.linalg.svd(hidden)
     np.testing.assert_allclose(
-        res.mps.to_dense(), (u[:, :2] * s[:2]) @ vh[:2], rtol=1e-12, atol=1e-12
+        mps_dense(res.mps), (u[:, :2] * s[:2]) @ vh[:2], rtol=1e-12, atol=1e-12
     )
     # The 36 grid values, then the 1024 held-out probes.
     assert (res.n_evals, res.n_sweeps_run, res.converged) == (36 + 1024, 0, True)
@@ -507,11 +493,20 @@ def _raises(idx):
 
 
 def _asian_functions():
+    """The Asian integrand, and the exact bond-2 MPS of its unfloored payoff.
+
+    Each is checked against the per-path loop, not against its own evaluate.
+    """
     for right in ("call", "put"):
         for scheme in ("crr", "rb"):
             spec = AsianSpec(steps=9, right=right, scheme=scheme)
-            yield f"asian-{right}-{scheme}-floored", asian_integrand(spec)
-            yield f"asian-{right}-{scheme}-linear", asian_linear_integrand(spec)
+            yield f"asian-{right}-{scheme}-floored", asian_integrand(spec), (
+                lambda bits, spec=spec: path_integrands(spec, bits)
+            )
+            linear = mps_grid_function(build_exact_payoff_mps(spec))
+            yield f"asian-{right}-{scheme}-linear", linear, (
+                lambda bits, spec=spec: path_integrands(spec, bits, floor=False)
+            )
 
 
 def _basket_functions():
@@ -522,15 +517,20 @@ def _basket_functions():
     for kind in ("min", "max", "avg"):
         spec = uniform_basket_spec(4, strike=160.0, steps=5, payoff_kind=kind)
         model = decouple(spec)
-        yield f"basket-{kind}", basket._step_function(spec, model, 5)
-        yield f"basket-{kind}-held", basket._step_function(spec, model, 5, MPS(sites), 0.3)
+        for name, f in (
+            (f"basket-{kind}", basket._step_function(spec, model, 5)),
+            (f"basket-{kind}-held", basket._step_function(spec, model, 5, MPS(sites), 0.3)),
+        ):
+            yield name, f, f.evaluate
 
 
 _BLOCK_CASES = list(_asian_functions()) + list(_basket_functions())
 
 
-@pytest.mark.parametrize("f", [f for _, f in _BLOCK_CASES], ids=[i for i, _ in _BLOCK_CASES])
-def test_block_equals_pointwise(f):
+@pytest.mark.parametrize(
+    "f, pointwise", [c[1:] for c in _BLOCK_CASES], ids=[c[0] for c in _BLOCK_CASES]
+)
+def test_block_equals_pointwise(f, pointwise):
     """Every split of the axes, over none of them on either side included."""
     rng = np.random.default_rng(0)
     high = np.array(f.dims)
@@ -540,7 +540,7 @@ def test_block_equals_pointwise(f):
         rows = rng.integers(0, high[:k], size=(5, k))
         cols = rng.integers(0, high[k:], size=(7, n - k))
         got = f.block(rows, cols)
-        want = f.evaluate(_cross_indices(rows, cols)).reshape(5, 7)
+        want = pointwise(_cross_indices(rows, cols)).reshape(5, 7)
         scales.append(np.max(np.abs(want)))
         assert got.shape == (5, 7)
         assert np.max(np.abs(got - want)) <= 1e-13 * scales[-1]
@@ -635,7 +635,7 @@ def test_tt_svd_grid_is_one_walk():
     res = ttcross_approximate(f, CrossConfig(max_bond=10, seed=0))
     assert res.stop_reason == "tt-svd"
     assert calls[0] == hidden.size and res.n_evals == hidden.size + 1024
-    np.testing.assert_allclose(res.mps.to_dense(), hidden, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(mps_dense(res.mps), hidden, rtol=1e-12, atol=1e-12)
 
 
 def test_asian_bruteforce_walks_each_path_once(monkeypatch):

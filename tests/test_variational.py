@@ -15,8 +15,8 @@ from mpspricer import (
     path_probability,
     price_asian_bruteforce,
     price_asian_variational,
-    variational_center_update,
 )
+from mpspricer import variational
 
 from conftest import all_bitstrings
 
@@ -130,13 +130,19 @@ def test_greedy_rejects_a_non_integer_target():
 
 
 def test_center_update_is_sign_of_gradient():
+    """A pass's last site, the free center, is 1 exactly where its gradient is positive."""
     rng = np.random.default_rng(4)
-    left = rng.normal(size=(3, 2))
-    right = rng.normal(size=(4, 2))
-    b = rng.normal(size=(2, 2, 2))
-    out = variational_center_update(left, right, b)
-    grad = np.einsum("la,axb,rb->lxr", left, b, right)
-    np.testing.assert_array_equal(out, (grad > 0).astype(float))
+    bonds = (1, 2, 2, 2, 2, 2, 1)
+    b = [rng.normal(size=(bonds[k], 2, bonds[k + 1])) for k in range(6)]
+    psi = variational._random_filter_sites(6, 3, rng)
+    sites, total = variational._sweep_pass(psi, b, 3)
+    lenv = np.ones((1, 1))
+    for site, b_site in zip(sites[:-1], b[:-1]):
+        lenv = np.einsum("la,lxr,axb->rb", lenv, site, b_site)
+    grad = np.einsum("la,axb,rb->lxr", lenv, b[-1], np.ones((1, 1)))
+    assert 0 < np.count_nonzero(grad > 0) < grad.size
+    np.testing.assert_array_equal(sites[-1], (grad > 0).astype(float))
+    assert total == pytest.approx(np.maximum(grad, 0.0).sum(), rel=1e-12)
 
 
 def test_variational_single_step_is_exact():
