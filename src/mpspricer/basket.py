@@ -18,7 +18,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .binomial import check_int, check_lattice_inputs
 from .mps import MPS
@@ -146,14 +145,17 @@ class DecoupledModel:
 
 
 def decouple(spec: BasketSpec) -> DecoupledModel:
-    """Rotate the correlated model into independent binomial coordinates."""
+    """Rotate the correlated model into independent binomial coordinates.
+
+    The start ``g^-1 log S0`` and the drift ``g^-1 (r - vol^2/2)`` come from
+    ``np.linalg.solve``: g is m x m, so a general solve in place of a
+    triangular one costs nothing, and keeps scipy off the import path.
+    """
     vols = np.array(spec.vols)
     g = np.linalg.cholesky(np.outer(vols, vols) * np.array(spec.corr))
     dt = spec.dt
-    alpha = scipy.linalg.solve_triangular(
-        g, spec.rate - 0.5 * vols**2, lower=True
-    )
-    y0 = scipy.linalg.solve_triangular(g, np.log(spec.spots), lower=True)
+    alpha = np.linalg.solve(g, spec.rate - 0.5 * vols**2)
+    y0 = np.linalg.solve(g, np.log(spec.spots))
     sqdt = math.sqrt(dt)
     return DecoupledModel(
         g=g, y0=y0, up=alpha * dt + sqdt, down=alpha * dt - sqdt

@@ -168,18 +168,35 @@ class MPS:
         """The MPS a :meth:`to_document` dump describes; names the first bad site."""
         if not isinstance(doc, dict) or doc.get("format") != "mps" or "sites" not in doc:
             raise ValueError("document is not an MPS dump")
+        if not isinstance(doc["sites"], list):
+            raise ValueError("the sites of the MPS document are not a list")
         sites = []
         for i, site in enumerate(doc["sites"]):
+            if not isinstance(site, dict):
+                raise ValueError(f"site {i} of the MPS document is not a mapping")
             for key in ("shape", "values"):
                 if key not in site:
                     raise ValueError(f"site {i} of the MPS document has no {key!r}")
-            values = np.array(site["values"], dtype=np.float64)
-            if values.size != math.prod(site["shape"]):
+            shape = site["shape"]
+            if not isinstance(shape, (list, tuple)) or not all(
+                type(d) is int and d >= 0 for d in shape
+            ):
+                raise ValueError(
+                    f"site {i} of the MPS document has shape {shape!r}, "
+                    f"not a list of sizes"
+                )
+            try:
+                values = np.array(site["values"], dtype=np.float64)
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"site {i} of the MPS document has values that are not numbers"
+                ) from None
+            if values.size != math.prod(shape):
                 raise ValueError(
                     f"site {i} of the MPS document has {values.size} values "
-                    f"for shape {tuple(site['shape'])}"
+                    f"for shape {tuple(shape)}"
                 )
-            sites.append(values.reshape(site["shape"]))
+            sites.append(values.reshape(shape))
         return cls(sites)
 
     def __repr__(self) -> str:

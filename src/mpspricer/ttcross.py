@@ -22,6 +22,10 @@ evaluated point by point. No value is remembered between blocks.
 :func:`grid_blocks` is the one walk over a whole grid: the TT-SVD and the
 dense oracles of the Asian and basket pricers all enumerate their grids
 through it, in blocks of at most 2^16 values.
+
+Everything here runs on numpy except maxvol's pivoted-QR start, which
+imports ``scipy.linalg`` on first use, so a TT-SVD grid and every engine
+that sweeps no cross never load scipy.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 import numpy as np
-import scipy.linalg
 
 from .binomial import check_int
 from .mps import MPS
@@ -130,11 +133,14 @@ def _maxvol_iter(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
     if n == r:
         return np.arange(n), np.eye(n), True
     # Pivoted QR of the transpose ranks rows by leverage; only pivots are kept.
+    # numpy has no pivoted QR; imported here so only a sweeping cross loads scipy.
+    import scipy.linalg
+
     _, piv = scipy.linalg.qr(mat.T, mode="r", pivoting=True)
     rows = np.array(piv[:r], dtype=np.intp)
     sub = mat[rows]
-    # numpy has no pivoted QR; the solve and the SVDs stay on numpy, because
-    # scipy ships its own BLAS thread pool and alternating calls between the
+    # The solve and the SVDs stay on numpy: once a cross has loaded scipy, its
+    # BLAS thread pool sits beside numpy's, and alternating calls between the
     # two pools ran ~10x slower than either alone on a 2-core host.
     b = np.linalg.solve(sub.T, mat.T).T  # mat @ inv(sub)
     converged = False

@@ -91,8 +91,30 @@ def test_uniform_builder_names_n_assets():
         uniform_basket_spec(0)
 
 
-def test_decouple_reproduces_covariance():
-    spec = two_asset_spec()
+def _steep_cholesky_spec():
+    """Two assets whose Cholesky factor has g[1, 0] = 0.72 > g[0, 0] = 0.3.
+
+    The sub-diagonal entry outgrows the diagonal above it, so a solve with
+    row pivoting swaps rows where forward substitution would not.
+    """
+    return BasketSpec(
+        spots=(100.0, 90.0),
+        strike=95.0,
+        rate=0.1,
+        vols=(0.3, 0.9),
+        corr=((1.0, 0.8), (0.8, 1.0)),
+        expiry=1.0,
+        steps=6,
+    )
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [two_asset_spec(), _steep_cholesky_spec()]
+    + [uniform_basket_spec(m) for m in range(1, 11)],
+    ids=["two-asset", "steep-cholesky"] + [f"uniform-{m}" for m in range(1, 11)],
+)
+def test_decouple_reproduces_covariance(spec):
     model = decouple(spec)
     vols = np.array(spec.vols)
     cov = np.outer(vols, vols) * np.array(spec.corr)
@@ -492,7 +514,7 @@ def test_cross_prices_pinned_bitwise():
     """
     eu_spec = uniform_basket_spec(4, steps=12, payoff_kind="avg")
     eu = price_european_basket(eu_spec, bond_dim=16, seed=0)
-    assert eu.price.hex() == "0x1.28b831ad3d9bap+3"
+    assert eu.price.hex() == "0x1.28b831ad3d9bcp+3"
     assert eu.n_sweeps == 0
     am_spec = uniform_basket_spec(3, steps=8, style="american")
     am = price_american_basket(am_spec, bond_dim=8, seed=0)

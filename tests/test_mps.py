@@ -183,6 +183,48 @@ def test_from_document_names_the_site_whose_values_miss_its_shape():
         MPS.from_document(doc)
 
 
+@pytest.mark.parametrize("sites", [5, "ab", None, {"0": {}}], ids=repr)
+def test_from_document_rejects_sites_that_are_not_a_list(sites):
+    with pytest.raises(
+        ValueError, match="^the sites of the MPS document are not a list$"
+    ):
+        MPS.from_document({"format": "mps", "sites": sites})
+
+
+@pytest.mark.parametrize("site", [5, "ab", None, [[1, 2, 1], [1.0, 2.0]]], ids=repr)
+def test_from_document_names_the_site_that_is_not_a_mapping(site):
+    doc = random_mps(2, (2, 3), (2,), seed=1).to_document()
+    doc["sites"][1] = site
+    with pytest.raises(ValueError, match="^site 1 of the MPS document is not a mapping$"):
+        MPS.from_document(doc)
+
+
+@pytest.mark.parametrize(
+    "shape",
+    ["ab", 6, None, [2, "3", 1], [2, 3.0, 1], [2, True, 1], [-2, 3, -1]],
+    ids=repr,
+)
+def test_from_document_names_the_site_whose_shape_is_not_sizes(shape):
+    doc = random_mps(2, (2, 3), (2,), seed=1).to_document()
+    doc["sites"][1]["shape"] = shape
+    with pytest.raises(
+        ValueError, match="^site 1 of the MPS document has shape .*, not a list of sizes$"
+    ):
+        MPS.from_document(doc)
+
+
+@pytest.mark.parametrize(
+    "values", ["ab", [["x"]] * 6, [{}] * 6, [[1.0, 2.0], [3.0]]], ids=repr
+)
+def test_from_document_names_the_site_whose_values_are_not_numbers(values):
+    doc = random_mps(2, (2, 3), (2,), seed=1).to_document()
+    doc["sites"][1]["values"] = values
+    with pytest.raises(
+        ValueError, match="^site 1 of the MPS document has values that are not numbers$"
+    ):
+        MPS.from_document(doc)
+
+
 @pytest.mark.parametrize("key", ["values", "shape"])
 def test_from_document_names_the_site_missing_a_key(key):
     doc = random_mps(2, (2, 3), (2,), seed=1).to_document()
