@@ -164,8 +164,9 @@ def price_asian_montecarlo(
 ) -> PriceReport:
     """Plain Monte Carlo over i.i.d. Bernoulli(p_up) step indicators.
 
-    Paths are drawn row by row, ``_MC_BLOCK_VALUES`` uniforms at a time, and
-    summed by the 8-step lookup tables of :func:`_path_sum_kernel`.
+    Paths are drawn row by row, ``_MC_BLOCK_VALUES`` uniforms at a time into
+    one reused buffer, and summed by the 8-step lookup tables of
+    :func:`_path_sum_kernel`.
     """
     n_samples = check_int("n_samples", n_samples, 2)
     check_int("seed", seed, 0)
@@ -174,13 +175,16 @@ def price_asian_montecarlo(
     disc = math.exp(-spec.rate * spec.expiry)
     start_time = time.perf_counter()
     path_sums = _path_sum_kernel(spec.spot, params, spec.steps)
-    rows = max(1, _MC_BLOCK_VALUES // spec.steps)
+    rows = min(max(1, _MC_BLOCK_VALUES // spec.steps), n_samples)
+    uniforms = np.empty((rows, spec.steps))
+    ups = np.empty((rows, spec.steps), dtype=bool)
     total = 0.0
     total_sq = 0.0
     done = 0
     while done < n_samples:
         count = min(rows, n_samples - done)
-        bits = rng.random((count, spec.steps)) < params.p_up
+        u = rng.random(out=uniforms[:count])
+        bits = np.less(u, params.p_up, out=ups[:count])
         excess = _signed_excess(spec, path_sums(bits) / spec.steps)
         vals = disc * np.maximum(excess, 0.0)
         total += float(vals.sum())

@@ -22,11 +22,12 @@ import numpy as np
 from .binomial import check_int, check_lattice_inputs
 from .mps import MPS
 from .reports import PriceReport
-from .ttcross import CrossConfig, GridFunction, grid_blocks, ttcross_approximate
+from .ttcross import _CHUNK, CrossConfig, GridFunction, grid_blocks, ttcross_approximate
 
 PAYOFF_KINDS = ("min", "max", "avg")
 BASKET_STYLES = ("european", "american")
 # Most values the dense oracle's terminal grid may hold (128 MiB of floats).
+# The oracle steps back in that one buffer, so it peaks near one such grid.
 DENSE_ELEMENT_CAP = 2**24
 
 
@@ -243,7 +244,7 @@ def _step_function(
     by suffixes is built from per-side factors: ``log S = g @ y`` is the sum
     of the prefix labels' and the suffix labels' terms, which :func:`_put`
     takes as two price factors, and the continuation is a product of left
-    and right environments. :func:`_payoff_grid` walks this block.
+    and right environments. The dense oracle walks this block.
     """
     yv = outcome_values(model, step)
     m = model.n_assets
@@ -354,27 +355,36 @@ def price_american_basket(
     return _price_tensor(spec, "american", bond_dim, seed, n_sweeps, tol)
 
 
-def _payoff_grid(spec: BasketSpec, model: DecoupledModel, step: int) -> np.ndarray:
-    """Dense payoff over the full step grid, shape (step+1,)^m.
-
-    The grid is filled in place from the cross's :func:`_step_function`
-    block, walked by :func:`~mpspricer.ttcross.grid_blocks`.
-    """
-    f = _step_function(spec, model, step)
-    out = np.empty(math.prod(f.dims))
+def _grid_segments(buf: np.ndarray, f: GridFunction):
+    """(segment of flat ``buf``, block values) pairs walking f's grid in row-major order."""
     done = 0
     for block in grid_blocks(f):
-        out[done : done + block.size] = block.ravel()
+        yield buf[done : done + block.size], block.ravel()
         done += block.size
-    return out.reshape(f.dims)
+
+
+def _runs(n_rows: int, row_len: int):
+    """Row-major runs (r0, r1, c0, c1) of at most ``_CHUNK`` values over (n_rows, row_len):
+    groups of whole rows while a row fits, else parts of one row."""
+    group, width = max(1, _CHUNK // row_len), min(row_len, _CHUNK)
+    for r0 in range(0, n_rows, group):
+        for c0 in range(0, row_len, width):
+            yield r0, min(r0 + group, n_rows), c0, min(c0 + width, row_len)
 
 
 def price_basket_bruteforce(spec: BasketSpec) -> PriceReport:
-    """Exact backward induction on the dense outcome grid.
+    """Exact backward induction on the dense outcome grid, in one buffer.
 
-    Each step's payoff grid is :func:`_payoff_grid`: the cross's own
-    step-function block, walked by :func:`~mpspricer.ttcross.grid_blocks`.
-    Refuses when the terminal grid (steps+1)^m exceeds ``DENSE_ELEMENT_CAP``.
+    Each step's payoff grid is the cross's own :func:`_step_function` block,
+    walked by :func:`~mpspricer.ttcross.grid_blocks`. The step-k grid lives
+    at the front of one buffer of (steps+1)^m floats. A step back writes
+    ``v[j] + v[j+1]`` on each axis in turn, compacted to j < k, in ascending
+    runs of at most ``_CHUNK`` values, so no write lands on a value a later
+    run reads and numpy copies at most a run. Each axis's 1/2 goes into the
+    step's scale ``disc * 2^-m``; as every sum has two terms, prices equal
+    the conditional-matrix products bit for bit. Peak memory is about one
+    terminal grid plus a run. Refuses when the terminal grid exceeds
+    ``DENSE_ELEMENT_CAP``.
     """
     model = decouple(spec)
     n, m = spec.steps, spec.n_assets
@@ -385,18 +395,29 @@ def price_basket_bruteforce(spec: BasketSpec) -> PriceReport:
             f"cap is {DENSE_ELEMENT_CAP}"
         )
     start_time = time.perf_counter()
-    disc = math.exp(-spec.rate * spec.dt)
-    values = _payoff_grid(spec, model, n)
+    scale = math.exp(-spec.rate * spec.dt) * 0.5**m
+    values = np.empty(grid_size)
+    for seg, pay in _grid_segments(values, _step_function(spec, model, n)):
+        seg[:] = pay
     for k in range(n, 0, -1):
-        pk = conditional_prob_matrix(k)
-        for _ in range(m):
-            values = np.tensordot(values, pk, axes=([0], [0]))
+        for a in range(m):
+            # Grid (k,)^a x (k+1,)^(m-a) as k^a rows; axis a is the row's slowest.
+            n_rows, stride = k**a, (k + 1) ** (m - 1 - a)
+            grid = values[: n_rows * (k + 1) * stride].reshape(n_rows, -1)
+            kept = values[: n_rows * k * stride].reshape(n_rows, -1)
+            for r0, r1, c0, c1 in _runs(n_rows, k * stride):
+                np.add(
+                    grid[r0:r1, c0:c1],
+                    grid[r0:r1, c0 + stride : c1 + stride],
+                    out=kept[r0:r1, c0:c1],
+                )
+        live = values[: k**m]
+        live *= scale
         if spec.style == "american":
-            values = np.maximum(disc * values, _payoff_grid(spec, model, k - 1))
-        else:
-            values = disc * values
+            for seg, pay in _grid_segments(live, _step_function(spec, model, k - 1)):
+                np.maximum(seg, pay, out=seg)
     return PriceReport(
-        price=float(values.reshape(-1)[0]),
+        price=float(values[0]),
         method="bruteforce",
         wall_time_s=time.perf_counter() - start_time,
         diagnostics={"grid_size": grid_size},

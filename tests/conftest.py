@@ -5,6 +5,9 @@ closed-form Black-Scholes via the error function, Asian integrands and
 prices by per-path loops, and MPS values by multiplying the picked site
 matrices one row at a time or contracting every bond. They exist so the
 fast library implementations have something honest to be compared against.
+The dense basket reference is the one exception: it walks the package's own
+step-function blocks for its payoff grids, and checks only the backward
+induction, by the textbook product with the one-step probability matrix.
 """
 
 import itertools
@@ -13,7 +16,8 @@ import math
 import numpy as np
 import pytest
 
-from mpspricer import MPS, AsianSpec, GridFunction
+from mpspricer import MPS, AsianSpec, GridFunction, basket, conditional_prob_matrix, decouple
+from mpspricer.ttcross import grid_blocks
 
 
 def black_scholes_price(
@@ -96,6 +100,30 @@ def mps_grid_function(mps: MPS) -> GridFunction:
         return mps.left_environments(rows) @ mps.right_environments(cols).T
 
     return GridFunction(dims=mps.physical_dims, evaluate=mps.evaluate_batch, block=block)
+
+
+def walked_grid(f: GridFunction) -> np.ndarray:
+    """f's whole grid, shape ``f.dims``, joined from the blocks grid_blocks walks."""
+    return np.concatenate([b.ravel() for b in grid_blocks(f)]).reshape(f.dims)
+
+
+def tensordot_basket_price(spec) -> float:
+    """Dense basket price: every axis of every step's grid times the one-step matrix.
+
+    Each step's payoff grid is the step function's walked blocks, so the
+    dense oracle must match this bit for bit.
+    """
+    model = decouple(spec)
+    disc = math.exp(-spec.rate * spec.dt)
+    values = walked_grid(basket._step_function(spec, model, spec.steps))
+    for k in range(spec.steps, 0, -1):
+        pk = conditional_prob_matrix(k)
+        for _ in range(spec.n_assets):
+            values = np.tensordot(values, pk, axes=([0], [0]))
+        values = disc * values
+        if spec.style == "american":
+            values = np.maximum(values, walked_grid(basket._step_function(spec, model, k - 1)))
+    return float(values.reshape(-1)[0])
 
 
 @pytest.fixture

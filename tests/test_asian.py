@@ -259,6 +259,28 @@ def test_montecarlo_blocks_draw_one_stream():
     assert got.std_error == pytest.approx(vals.std(ddof=1) / math.sqrt(n), rel=1e-9)
 
 
+@pytest.mark.parametrize("steps", [7, 64])
+def test_montecarlo_reused_buffers_draw_the_same_stream(steps):
+    """Filling one buffer per block prices bit for bit as fresh draws per block."""
+    spec = AsianSpec(spot=100, strike=100, rate=0.1, vol=0.5, expiry=1.0, steps=steps)
+    params = spec.params()
+    rows = _MC_BLOCK_VALUES // steps
+    n = 3 * rows + 123
+    rng = np.random.default_rng(4)
+    path_sums = _path_sum_kernel(spec.spot, params, steps)
+    disc = math.exp(-spec.rate * spec.expiry)
+    total = total_sq = 0.0
+    for done in range(0, n, rows):
+        bits = rng.random((min(rows, n - done), steps)) < params.p_up
+        vals = disc * np.maximum(path_sums(bits) / steps - spec.strike, 0.0)
+        total += float(vals.sum())
+        total_sq += float(np.dot(vals, vals))
+    mean = total / n
+    std_error = math.sqrt(max(total_sq - n * mean * mean, 0.0) / (n - 1) / n)
+    got = price_asian_montecarlo(spec, n, seed=4)
+    assert (got.price, got.std_error) == (mean, std_error)
+
+
 def test_montecarlo_prices_without_path_price_arrays(monkeypatch):
     """Monte Carlo sums its paths by lookup tables, not by the integrand."""
     spec = AsianSpec(spot=100, strike=100, rate=0.1, vol=0.5, expiry=1.0, steps=64)

@@ -1,6 +1,7 @@
 """Decoupled basket trees, their MPS backward induction, and the grid oracle."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,8 +25,10 @@ from mpspricer import (
 )
 from mpspricer import basket, ttcross
 from mpspricer.basket import (
-    PAYOFF_KINDS, _payoff_grid, _put, _step_function, outcome_values,
+    PAYOFF_KINDS, _put, _step_function, outcome_values,
 )
+
+from conftest import tensordot_basket_price, walked_grid
 
 
 def two_asset_spec(style="european", steps=6, rho=0.25):
@@ -344,7 +347,7 @@ def test_dense_payoff_grid_across_chunks(monkeypatch):
     )
     model = decouple(spec)
     calls = _recorded_blocks(monkeypatch)
-    grid = _payoff_grid(spec, model, 40)
+    grid = walked_grid(basket._step_function(spec, model, 40))
     assert len(calls) > 1
     assert max(len(rows) * len(cols) for rows, cols in calls) <= ttcross._CHUNK
     rows = np.concatenate([rows for rows, _ in calls])
@@ -362,7 +365,7 @@ def test_dense_payoff_grid_with_no_axes_on_one_side(monkeypatch, m, steps, row_a
     spec = two_asset_spec(steps=steps) if m == 2 else uniform_basket_spec(1, steps=steps)
     model = decouple(spec)
     calls = _recorded_blocks(monkeypatch)
-    grid = _payoff_grid(spec, model, steps)
+    grid = walked_grid(basket._step_function(spec, model, steps))
     assert {(rows.shape[1], cols.shape[1]) for rows, cols in calls} == {(row_axes, col_axes)}
     assert grid.shape == (steps + 1,) * m
     want = basket_payoff(spec, model, _all_labels(m, steps), steps)
@@ -381,6 +384,50 @@ def test_bruteforce_american_min_pinned(monkeypatch, m, n, want):
     grids = [(len(rows), len(cols)) for rows, cols in calls]
     assert sum(r * c for r, c in grids) == sum((k + 1) ** m for k in range(n + 1))
     assert len(calls) > n + 1
+
+
+@pytest.mark.parametrize("style", ["european", "american"])
+@pytest.mark.parametrize("kind", PAYOFF_KINDS)
+@pytest.mark.parametrize("n", [1, 2, 5])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_bruteforce_equals_tensordot_induction_bitwise(m, n, kind, style):
+    spec = uniform_basket_spec(m, steps=n, payoff_kind=kind, style=style)
+    assert price_basket_bruteforce(spec).price == tensordot_basket_price(spec)
+
+
+@pytest.mark.parametrize("style", ["european", "american"])
+@pytest.mark.parametrize("m, n, kind", [(1, 300, "min"), (2, 100, "avg")])
+def test_bruteforce_bitwise_across_runs(monkeypatch, m, n, kind, style):
+    """Runs of 64 values split each late step's axes into parts of rows and groups of rows."""
+    runs = []
+    real_runs = basket._runs
+
+    def recording(n_rows, row_len):
+        for run in real_runs(n_rows, row_len):
+            runs.append(run)
+            yield run
+
+    monkeypatch.setattr(basket, "_CHUNK", 64)
+    monkeypatch.setattr(basket, "_runs", recording)
+    spec = uniform_basket_spec(m, steps=n, payoff_kind=kind, style=style)
+    assert price_basket_bruteforce(spec).price == tensordot_basket_price(spec)
+    assert max((r1 - r0) * (c1 - c0) for r0, r1, c0, c1 in runs) <= 64
+    assert any(c0 > 0 for _, _, c0, _ in runs)
+    if m > 1:
+        assert any(r1 - r0 > 1 for r0, r1, _, _ in runs)
+
+
+def test_bruteforce_peaks_near_one_terminal_grid():
+    """m=4/N=31 steps back in its 8 MiB grid; matrix products peaked at 28 MiB."""
+    spec = uniform_basket_spec(4, steps=31, payoff_kind="min", style="american")
+    tracemalloc.start()
+    try:
+        got = price_basket_bruteforce(spec).price
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
+    assert got == tensordot_basket_price(spec)
 
 
 def test_bruteforce_refuses_huge_grids():
