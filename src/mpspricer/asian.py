@@ -18,12 +18,12 @@ from .reports import PriceReport
 from .ttcross import _NO_AXES, CrossConfig, GridFunction, grid_blocks, ttcross_approximate
 
 BRUTEFORCE_MAX_STEPS = 25
-# Monte Carlo uniforms per block (2 MiB), so a block's memory does not grow
-# with the steps. They fill row-major, so the block size only regroups the
-# sums. Any block of 2^16 to 2^20 uniforms priced 10^6 paths in 0.13-0.19 s
-# at N=32 and 0.25-0.28 s at N=64 (best of 5, 2-core host), of which drawing
-# the uniforms took 0.09-0.15 s and 0.17-0.19 s.
-_MC_BLOCK_VALUES = 1 << 18
+# Monte Carlo random words per block (256 KiB), so a block's memory does not
+# grow with the steps. A path takes ceil(steps / 8) consecutive words, so the
+# block size only regroups the sums. Any block of 2^13 to 2^17 words priced
+# 10^6 paths in 0.07-0.11 s at N=32 and 0.14-0.19 s at N=64 (best of 5,
+# 2-core host), of which drawing the words took 0.01 s and 0.03 s.
+_MC_BLOCK_WORDS = 1 << 15
 
 # An Asian option takes exactly the single-asset inputs; the second name
 # keeps call sites reading as the product they price.
@@ -135,25 +135,70 @@ def price_asian_ttcross(
     )
 
 
-def _path_sum_kernel(spot: float, params: SchemeParams, steps: int):
-    """Function giving each bit row's sum of its ``steps`` post-step prices.
+def _alias_table(p_up: float, moves: int) -> tuple[np.ndarray, np.ndarray]:
+    """Vose alias table that draws a code of ``moves`` moves from one 64-bit word.
 
-    ``np.packbits`` turns every 8 moves (nonzero is up) into a byte code c.
+    Bit i of code c is move i, set for up, so c has probability
+    p_up^k (1 - p_up)^(moves - k) for its k up moves. Each code gets that
+    share of the 2^64 words rounded to an integer, with the rounding
+    remainder on the likeliest code. A word's top ``moves`` bits pick one
+    of 2^moves columns of 2^(64 - moves) words each; a word below the
+    column's bound draws the column's own code and any other word its
+    alias, so ``pick[2 * col + (word < bounds[col])]`` is the code, and
+    every code is drawn with exactly its integer share. A full column
+    aliases itself, so the top column's bound is clamped to 2^64 - 1
+    without changing a draw. Returns ``(bounds, pick)``.
+    """
+    cols = 1 << moves
+    width = 1 << (64 - moves)
+    ups = ((np.arange(cols)[:, None] >> np.arange(moves)) & 1).sum(axis=1)
+    probs = p_up**ups * (1.0 - p_up) ** (moves - ups)
+    share = [round(x) for x in np.ldexp(probs, 64).tolist()]
+    share[int(np.argmax(probs))] += (1 << 64) - sum(share)
+    keep, alias = [width] * cols, list(range(cols))
+    small = [c for c in range(cols) if share[c] < width]
+    large = [c for c in range(cols) if share[c] >= width]
+    # Integer shares sum to 2^64, so the columns left over are exactly full.
+    while small and large:
+        lo, hi = small.pop(), large.pop()
+        keep[lo], alias[lo] = share[lo], hi
+        share[hi] -= width - share[lo]
+        (small if share[hi] < width else large).append(hi)
+    bounds = [min(c * width + keep[c], (1 << 64) - 1) for c in range(cols)]
+    pick = np.column_stack([alias, range(cols)]).ravel().astype(np.uint8)
+    return np.array(bounds, dtype=np.uint64), pick
+
+
+def _alias_codes(words: np.ndarray, table: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """The code that each word draws from an :func:`_alias_table`."""
+    bounds, pick = table
+    moves = bounds.size.bit_length() - 1
+    cols = (words >> np.uint64(64 - moves)).view(np.int64)
+    hit = words < bounds.take(cols)
+    cols <<= 1
+    cols += hit
+    return pick.take(cols)
+
+
+def _path_sum_kernel(spot: float, params: SchemeParams, steps: int):
+    """Function giving each code row's sum of its ``steps`` post-step prices.
+
+    A row holds ceil(steps / 8) byte codes, each of 8 moves (bit i of a
+    code is its move i, set for up), and the last of (steps - 1) % 8 + 1.
     256-entry tables hold each code's price sum sum_{l<=8} prod_{i<=l} f_i
-    from 1.0 and its product prod f_i, and the last ``steps`` mod 8 moves'
-    sums; Horner's rule h = sum[c] + prod[c] * h from the last code gives
-    the path sum spot * h.
+    from 1.0 and its product prod f_i, and the last code's sums; Horner's
+    rule h = sum[c] + prod[c] * h from the last code gives the path sum
+    spot * h.
     """
     moves = (np.arange(256)[:, None] >> np.arange(8)) & 1
     prefix = np.cumprod(np.where(moves, params.up, params.down), axis=1)
     sums, prods = prefix.sum(axis=1), prefix[:, -1]
     last_sums = prefix[:, : (steps - 1) % 8 + 1].sum(axis=1)
 
-    def path_sums(bits: np.ndarray) -> np.ndarray:
-        codes = np.packbits(bits, axis=-1, bitorder="little")
-        h = last_sums[codes[:, -1]]
+    def path_sums(codes: np.ndarray) -> np.ndarray:
+        h = last_sums.take(codes[:, -1])
         for c in codes[:, -2::-1].T:
-            h = sums[c] + prods[c] * h
+            h = sums.take(c) + prods.take(c) * h
         return spot * h
 
     return path_sums
@@ -164,9 +209,13 @@ def price_asian_montecarlo(
 ) -> PriceReport:
     """Plain Monte Carlo over i.i.d. Bernoulli(p_up) step indicators.
 
-    Paths are drawn row by row, ``_MC_BLOCK_VALUES`` uniforms at a time into
-    one reused buffer, and summed by the 8-step lookup tables of
-    :func:`_path_sum_kernel`.
+    Each path takes ceil(N / 8) random 64-bit words, and each word draws
+    the byte code of 8 moves (the last word, of the remaining moves) from
+    an exact :func:`_alias_table`. Paths are drawn ``_MC_BLOCK_WORDS`` words
+    at a time and summed by the lookup tables of :func:`_path_sum_kernel`.
+    The standard error combines each block's mean and centred sum of
+    squares (Chan, Golub & LeVeque), so it does not cancel when payoffs
+    barely vary.
     """
     n_samples = check_int("n_samples", n_samples, 2)
     check_int("seed", seed, 0)
@@ -175,28 +224,35 @@ def price_asian_montecarlo(
     disc = math.exp(-spec.rate * spec.expiry)
     start_time = time.perf_counter()
     path_sums = _path_sum_kernel(spec.spot, params, spec.steps)
-    rows = min(max(1, _MC_BLOCK_VALUES // spec.steps), n_samples)
-    uniforms = np.empty((rows, spec.steps))
-    ups = np.empty((rows, spec.steps), dtype=bool)
+    full = _alias_table(params.p_up, 8)
+    last = _alias_table(params.p_up, (spec.steps - 1) % 8 + 1)
+    n_codes = -(-spec.steps // 8)
+    rows = min(max(1, _MC_BLOCK_WORDS // n_codes), n_samples)
     total = 0.0
-    total_sq = 0.0
+    sq_dev = 0.0
     done = 0
     while done < n_samples:
         count = min(rows, n_samples - done)
-        u = rng.random(out=uniforms[:count])
-        bits = np.less(u, params.p_up, out=ups[:count])
-        excess = _signed_excess(spec, path_sums(bits) / spec.steps)
+        words = rng.integers(
+            0, 2**64 - 1, size=(count, n_codes), dtype=np.uint64, endpoint=True
+        )
+        codes = _alias_codes(words, full)
+        codes[:, -1] = _alias_codes(words[:, -1], last)
+        excess = _signed_excess(spec, path_sums(codes) / spec.steps)
         vals = disc * np.maximum(excess, 0.0)
-        total += float(vals.sum())
-        total_sq += float(np.dot(vals, vals))
+        block_sum = float(vals.sum())
+        vals -= block_sum / count
+        sq_dev += float(np.dot(vals, vals))
+        if done:
+            delta = block_sum / count - total / done
+            sq_dev += delta * delta * done * count / (done + count)
+        total += block_sum
         done += count
-    mean = total / n_samples
-    var = max(total_sq - n_samples * mean * mean, 0.0) / (n_samples - 1)
     return PriceReport(
-        price=mean,
+        price=total / n_samples,
         method="montecarlo",
         seed=seed,
         n_samples=n_samples,
         wall_time_s=time.perf_counter() - start_time,
-        std_error=math.sqrt(var / n_samples),
+        std_error=math.sqrt(sq_dev / (n_samples - 1) / n_samples),
     )

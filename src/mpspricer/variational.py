@@ -86,25 +86,32 @@ def greedy_binary_decompose(
         )
         mergevals = pair_pos - rowvals[:, None] - rowvals[None, :]
         np.fill_diagonal(mergevals, -np.inf)
+
+        def remove(row: int) -> None:
+            # A removed row never wins a merge or a drop again, and the
+            # +inf drop value keeps its merge values at -inf when a kept
+            # row's values are recomputed.
+            active[row] = False
+            mergevals[row, :] = mergevals[:, row] = -np.inf
+            rowvals[row] = np.inf
+
         while int(active.sum()) > target_rows:
-            pair_ok = active[:, None] & active[None, :]
-            masked = np.where(pair_ok, mergevals, -np.inf)
-            i, j = np.unravel_index(np.argmax(masked), masked.shape)
-            merge_loss = -masked[i, j]
-            drop_idx = int(np.argmin(np.where(active, rowvals, np.inf)))
+            i, j = np.unravel_index(np.argmax(mergevals), mergevals.shape)
+            merge_loss = -mergevals[i, j]
+            drop_idx = int(np.argmin(rowvals))
             drop_loss = rowvals[drop_idx]
             if merge_loss < drop_loss:
                 keep, gone = (i, j) if i < j else (j, i)
                 profiles[keep] += profiles[gone]
                 membership[:, keep] |= membership[:, gone]
-                active[gone] = False
+                remove(gone)
                 rowvals[keep] = np.maximum(profiles[keep], 0.0).sum()
                 pos = np.maximum(profiles + profiles[keep], 0.0).sum(axis=1)
                 mergevals[keep, :] = pos - rowvals[keep] - rowvals
                 mergevals[:, keep] = mergevals[keep, :]
                 mergevals[keep, keep] = -np.inf
             else:
-                active[drop_idx] = False
+                remove(drop_idx)
         m = profiles[active].copy()
     else:
         m = mat.copy()

@@ -111,6 +111,20 @@ def test_criterion_05_monte_carlo_calibration():
     assert ok
 
 
+def test_monte_carlo_z_scores_are_standard_normal():
+    # Criterion 05 counts runs within 2 SE, which 190.9 +- 2.9 of 200 are
+    # for a calibrated estimator. The z-scores' mean and sd say more: over
+    # 200 seeds their standard errors are about 0.071 and 0.050.
+    spec = mp.AsianSpec(steps=20, **STANDARD)
+    bf = mp.price_asian_bruteforce(spec).price
+    z = []
+    for seed in range(200):
+        r = mp.price_asian_montecarlo(spec, 100_000, seed=seed)
+        z.append((r.price - bf) / r.std_error)
+    assert abs(np.mean(z)) < 0.3
+    assert abs(np.std(z, ddof=1) - 1.0) < 0.2
+
+
 def test_criterion_06_single_asset_basket_reductions():
     rng = np.random.default_rng(7)
     worst = 0.0

@@ -19,7 +19,7 @@ from mpspricer import (
     price_asian_ttcross,
     price_asian_variational,
 )
-from mpspricer.asian import _MC_BLOCK_VALUES, _path_sum_kernel
+from mpspricer.asian import _MC_BLOCK_WORDS, _alias_codes, _alias_table, _path_sum_kernel
 
 from conftest import enumerate_asian_price, loop_path_sum
 
@@ -33,6 +33,30 @@ def path_payoffs(spec: AsianSpec, bits: np.ndarray) -> np.ndarray:
     means = path_prices(spec.spot, spec.params(), bits).mean(axis=-1)
     excess = means - spec.strike if spec.right == "call" else spec.strike - means
     return np.maximum(excess, 0.0)
+
+
+def alias_decode(words: np.ndarray, table) -> np.ndarray:
+    """Each word's code from an alias table's integers, by its definition."""
+    bounds, pick = table
+    moves = bounds.size.bit_length() - 1
+    cols = (words >> np.uint64(64 - moves)).astype(np.intp)
+    return np.where(words < bounds[cols], pick[2 * cols + 1], pick[2 * cols])
+
+
+def drawn_moves(spec: AsianSpec, n: int, seed: int) -> np.ndarray:
+    """The (n, steps) up moves that Monte Carlo draws at ``seed``, decoded here.
+
+    Path i takes words i * ceil(steps / 8) onward of the generator's raw
+    64-bit stream; each word is the code of its 8 moves (bit j is move j),
+    the last word's drawn from the table of the remaining moves.
+    """
+    p_up, n_codes = spec.params().p_up, -(-spec.steps // 8)
+    words = np.random.default_rng(seed).integers(
+        0, 2**64 - 1, size=(n, n_codes), dtype=np.uint64, endpoint=True
+    )
+    codes = alias_decode(words, _alias_table(p_up, 8)).astype(np.uint8)
+    codes[:, -1] = alias_decode(words[:, -1], _alias_table(p_up, (spec.steps - 1) % 8 + 1))
+    return np.unpackbits(codes, axis=1, bitorder="little")[:, : spec.steps]
 
 
 def test_spec_validation():
@@ -251,41 +275,49 @@ def test_montecarlo_sample_counts_above_chunk_size():
 def test_montecarlo_blocks_draw_one_stream():
     """Blocks of draws price like one draw of every sample at once."""
     spec = AsianSpec(spot=100, strike=100, rate=0.1, vol=0.5, expiry=1.0, steps=7)
-    n = 3 * (_MC_BLOCK_VALUES // spec.steps) + 123
+    n = 3 * _MC_BLOCK_WORDS + 123
     got = price_asian_montecarlo(spec, n, seed=5)
-    bits = np.random.default_rng(5).random((n, spec.steps)) < spec.params().p_up
-    vals = math.exp(-spec.rate * spec.expiry) * path_payoffs(spec, bits)
+    vals = math.exp(-spec.rate * spec.expiry) * path_payoffs(spec, drawn_moves(spec, n, 5))
     assert got.price == pytest.approx(vals.mean(), rel=1e-12)
     assert got.std_error == pytest.approx(vals.std(ddof=1) / math.sqrt(n), rel=1e-9)
 
 
 @pytest.mark.parametrize("steps", [7, 64])
 def test_montecarlo_reused_buffers_draw_the_same_stream(steps):
-    """Filling one buffer per block prices bit for bit as fresh draws per block."""
+    """Drawing and decoding each block afresh prices bit for bit as the engine."""
     spec = AsianSpec(spot=100, strike=100, rate=0.1, vol=0.5, expiry=1.0, steps=steps)
     params = spec.params()
-    rows = _MC_BLOCK_VALUES // steps
+    n_codes = -(-steps // 8)
+    rows = _MC_BLOCK_WORDS // n_codes
     n = 3 * rows + 123
     rng = np.random.default_rng(4)
     path_sums = _path_sum_kernel(spec.spot, params, steps)
+    full, last = _alias_table(params.p_up, 8), _alias_table(params.p_up, (steps - 1) % 8 + 1)
     disc = math.exp(-spec.rate * spec.expiry)
-    total = total_sq = 0.0
+    total = sq_dev = 0.0
     for done in range(0, n, rows):
-        bits = rng.random((min(rows, n - done), steps)) < params.p_up
-        vals = disc * np.maximum(path_sums(bits) / steps - spec.strike, 0.0)
-        total += float(vals.sum())
-        total_sq += float(np.dot(vals, vals))
-    mean = total / n
-    std_error = math.sqrt(max(total_sq - n * mean * mean, 0.0) / (n - 1) / n)
+        count = min(rows, n - done)
+        words = rng.integers(0, 2**64 - 1, size=(count, n_codes), dtype=np.uint64, endpoint=True)
+        codes = alias_decode(words, full)
+        codes[:, -1] = alias_decode(words[:, -1], last)
+        vals = disc * np.maximum(path_sums(codes) / steps - spec.strike, 0.0)
+        block_sum = float(vals.sum())
+        vals -= block_sum / count
+        sq_dev += float(np.dot(vals, vals))
+        if done:
+            delta = block_sum / count - total / done
+            sq_dev += delta * delta * done * count / (done + count)
+        total += block_sum
+    std_error = math.sqrt(sq_dev / (n - 1) / n)
     got = price_asian_montecarlo(spec, n, seed=4)
-    assert (got.price, got.std_error) == (mean, std_error)
+    assert (got.price, got.std_error) == (total / n, std_error)
 
 
 def test_montecarlo_prices_without_path_price_arrays(monkeypatch):
     """Monte Carlo sums its paths by lookup tables, not by the integrand."""
     spec = AsianSpec(spot=100, strike=100, rate=0.1, vol=0.5, expiry=1.0, steps=64)
     n = 20_000
-    bits = np.random.default_rng(11).random((n, spec.steps)) < spec.params().p_up
+    bits = drawn_moves(spec, n, 11)
     want = math.exp(-spec.rate * spec.expiry) * path_payoffs(spec, bits).mean()
 
     def refuse(*args):
@@ -296,6 +328,75 @@ def test_montecarlo_prices_without_path_price_arrays(monkeypatch):
     assert price_asian_montecarlo(spec, n, seed=11).price == pytest.approx(want, rel=1e-12)
 
 
+def test_montecarlo_draws_no_uniforms(monkeypatch):
+    spec = AsianSpec(spot=100, strike=100, rate=0.1, vol=0.5, expiry=1.0, steps=20)
+    want = price_asian_montecarlo(spec, 5000, seed=2)
+    make_rng = np.random.default_rng
+
+    class NoUniforms:
+        def __init__(self, seed):
+            self.rng = make_rng(seed)
+
+        def __getattr__(self, name):
+            if name == "random":
+                raise AssertionError("Monte Carlo drew uniforms")
+            return getattr(self.rng, name)
+
+    monkeypatch.setattr(np.random, "default_rng", NoUniforms)
+    got = price_asian_montecarlo(spec, 5000, seed=2)
+    assert (got.price, got.std_error) == (want.price, want.std_error)
+
+
+@pytest.mark.parametrize("vol", [1e-8, 1e-9, 1e-10])
+def test_montecarlo_std_error_survives_nearly_equal_payoffs(vol):
+    # A one-pass sum of squares minus n * mean^2 cancelled here: at vol
+    # 1e-10 it reported 0.0 against a two-pass 1.99e-11.
+    spec = AsianSpec(spot=150, strike=100, rate=0.05, vol=vol, expiry=1.0, steps=16, scheme="rb")
+    n = 200_000
+    vals = math.exp(-spec.rate * spec.expiry) * path_payoffs(spec, drawn_moves(spec, n, 1))
+    got = price_asian_montecarlo(spec, n, seed=1)
+    assert got.std_error == pytest.approx(vals.std(ddof=1) / math.sqrt(n), rel=1e-6)
+
+
+PATTERN_PROBS = [0.0, 1e-4, 0.5, AsianSpec(steps=32).params().p_up, 0.9999, 1.0]
+
+
+@pytest.mark.parametrize("moves", range(1, 9))
+@pytest.mark.parametrize("p_up", PATTERN_PROBS)
+def test_alias_table_draws_each_pattern_with_its_probability(p_up, moves):
+    bounds, pick = _alias_table(p_up, moves)
+    width = 1 << (64 - moves)
+    words = [0] * (1 << moves)
+    for col, bound in enumerate(bounds.tolist()):
+        own = bound - col * width
+        words[int(pick[2 * col + 1])] += own
+        words[int(pick[2 * col])] += width - own
+    assert sum(words) == 1 << 64
+    for code, count in enumerate(words):
+        ups = bin(code).count("1")
+        want = p_up**ups * (1.0 - p_up) ** (moves - ups)
+        assert abs(count / 2**64 - want) <= 1e-14
+        if want == 0.0:
+            assert count == 0
+    # Words at every column's edges and bound decode by the definition.
+    starts = np.arange(1 << moves, dtype=np.uint64) << np.uint64(64 - moves)
+    edges = np.concatenate([starts, starts - np.uint64(1), bounds, bounds - np.uint64(1)])
+    np.testing.assert_array_equal(_alias_codes(edges, (bounds, pick)), alias_decode(edges, (bounds, pick)))
+
+
+@pytest.mark.parametrize("p_up, moves", [(AsianSpec(steps=32).params().p_up, 8), (0.9, 3)])
+def test_alias_codes_pass_a_chi_square_test(p_up, moves):
+    n = 1 << 20
+    words = np.random.default_rng(8).integers(0, 2**64 - 1, size=n, dtype=np.uint64, endpoint=True)
+    counts = np.bincount(_alias_codes(words, _alias_table(p_up, moves)), minlength=1 << moves)
+    ups = np.array([bin(c).count("1") for c in range(1 << moves)])
+    expected = n * p_up**ups * (1.0 - p_up) ** (moves - ups)
+    stat, dof = float(((counts - expected) ** 2 / expected).sum()), (1 << moves) - 1
+    # Wilson-Hilferty: the statistic's cube root is nearly normal.
+    z = ((stat / dof) ** (1 / 3) - (1 - 2 / (9 * dof))) / math.sqrt(2 / (9 * dof))
+    assert z < 5.0
+
+
 def test_montecarlo_block_memory_does_not_grow_with_steps():
     spec = AsianSpec(spot=100, strike=100, rate=0.1, vol=0.5, expiry=1.0, steps=2000)
     tracemalloc.start()
@@ -304,8 +405,8 @@ def test_montecarlo_block_memory_does_not_grow_with_steps():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # A block is 2 MiB of uniforms and a bool per uniform; 140 MiB when a
-    # block was a fixed 4096 paths whatever the steps.
+    # A block is 256 KiB of words and their decode temporaries; 140 MiB
+    # when a block was a fixed 4096 paths whatever the steps.
     assert peak < 8 * 2**20
 
 
@@ -320,16 +421,14 @@ def test_path_sum_kernel_matches_path_prices(steps, scheme, vol):
     rng = np.random.default_rng(steps)
     bits = rng.random((300, steps)) < params.p_up
     bits[0], bits[1] = True, False
-    # Any nonzero step indicator is an up move.
-    counts = bits * rng.integers(1, 4, size=bits.shape)
+    codes = np.packbits(bits, axis=-1, bitorder="little")
     want = path_prices(spec.spot, params, bits).sum(axis=-1)
-    loop = [loop_path_sum(spec.spot, params, row) for row in counts[:30]]
-    for moves in (bits, counts):
-        got = path_sums(moves)
-        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
-        np.testing.assert_allclose(got[:30], loop, rtol=1e-14, atol=0)
-        np.testing.assert_array_equal(path_sums(moves[:1]), got[:1])
-        assert path_sums(moves[:0]).shape == (0,)
+    loop = [loop_path_sum(spec.spot, params, row) for row in bits[:30]]
+    got = path_sums(codes)
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(got[:30], loop, rtol=1e-14, atol=0)
+    np.testing.assert_array_equal(path_sums(codes[:1]), got[:1])
+    assert path_sums(codes[:0]).shape == (0,)
 
 
 def test_montecarlo_rejects_tiny_sample_counts():

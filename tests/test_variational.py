@@ -117,6 +117,53 @@ def test_greedy_merges_identical_rows_losslessly():
     )
 
 
+def masked_greedy(a: np.ndarray, target_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """The greedy as first written: every step masks out removed rows afresh."""
+    profiles = np.array(a, dtype=np.float64)
+    n_rows = profiles.shape[0]
+    membership = np.eye(n_rows, dtype=bool)
+    active = np.ones(n_rows, dtype=bool)
+    if n_rows <= target_rows:
+        return membership.astype(np.float64), profiles
+    rowvals = np.maximum(profiles, 0.0).sum(axis=1)
+    pair_pos = np.maximum(profiles[:, None, :] + profiles[None, :, :], 0.0).sum(axis=2)
+    mergevals = pair_pos - rowvals[:, None] - rowvals[None, :]
+    np.fill_diagonal(mergevals, -np.inf)
+    while int(active.sum()) > target_rows:
+        masked = np.where(active[:, None] & active[None, :], mergevals, -np.inf)
+        i, j = np.unravel_index(np.argmax(masked), masked.shape)
+        drop_idx = int(np.argmin(np.where(active, rowvals, np.inf)))
+        if -masked[i, j] < rowvals[drop_idx]:
+            keep, gone = (i, j) if i < j else (j, i)
+            profiles[keep] += profiles[gone]
+            membership[:, keep] |= membership[:, gone]
+            active[gone] = False
+            rowvals[keep] = np.maximum(profiles[keep], 0.0).sum()
+            pos = np.maximum(profiles + profiles[keep], 0.0).sum(axis=1)
+            mergevals[keep, :] = pos - rowvals[keep] - rowvals
+            mergevals[:, keep] = mergevals[keep, :]
+            mergevals[keep, keep] = -np.inf
+        else:
+            active[drop_idx] = False
+    return membership[:, active].astype(np.float64), profiles[active].copy()
+
+
+def test_greedy_equals_the_masked_loop_bitwise():
+    # Integer-valued rows tie often, so argmax and argmin must break ties
+    # exactly as the masked loop does.
+    rng = np.random.default_rng(5)
+    for trial in range(400):
+        n_rows, n_cols = rng.integers(2, 24), rng.integers(1, 9)
+        if trial % 2:
+            a = rng.integers(-3, 4, size=(n_rows, n_cols)).astype(np.float64)
+        else:
+            a = rng.normal(size=(n_rows, n_cols))
+        target = int(rng.integers(1, n_rows + 1))
+        got, want = greedy_binary_decompose(a, target), masked_greedy(a, target)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+
+
 def test_greedy_validation():
     with pytest.raises(ValueError):
         greedy_binary_decompose(np.ones(3), 2)
