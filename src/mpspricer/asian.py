@@ -13,7 +13,9 @@ import time
 
 import numpy as np
 
-from .binomial import SchemeParams, SingleAssetSpec, check_int, path_prices, path_probability
+from .binomial import (
+    SchemeParams, SingleAssetSpec, check_int, exercise_value, path_prices, path_probability
+)
 from .reports import PriceReport
 from .ttcross import _NO_AXES, CrossConfig, GridFunction, grid_blocks, ttcross_approximate
 
@@ -24,15 +26,12 @@ BRUTEFORCE_MAX_STEPS = 25
 # 10^6 paths in 0.07-0.11 s at N=32 and 0.14-0.19 s at N=64 (best of 5,
 # 2-core host), of which drawing the words took 0.01 s and 0.03 s.
 _MC_BLOCK_WORDS = 1 << 15
+# The moves of each byte code: bit i of code c is move i, set for up.
+_CODE_MOVES = (np.arange(256)[:, None] >> np.arange(8)) & 1
 
 # An Asian option takes exactly the single-asset inputs; the second name
 # keeps call sites reading as the product they price.
 AsianSpec = SingleAssetSpec
-
-
-def _signed_excess(spec: AsianSpec, means: np.ndarray) -> np.ndarray:
-    """Path mean minus strike, sign-flipped for puts: the unfloored payoff."""
-    return means - spec.strike if spec.right == "call" else spec.strike - means
 
 
 def _partial_paths(
@@ -64,10 +63,8 @@ def asian_integrand(spec: AsianSpec) -> GridFunction:
         means = np.multiply.outer(head_last, tail_sum)
         means += head_sum[:, None]
         means /= spec.steps
-        excess = _signed_excess(spec, means)
-        np.maximum(excess, 0.0, out=excess)
         out = np.multiply.outer(p_head, p_tail)
-        out *= excess
+        out *= exercise_value(means, spec.strike, spec.right)
         return out
 
     return GridFunction(
@@ -135,45 +132,40 @@ def price_asian_ttcross(
     )
 
 
-def _alias_table(p_up: float, moves: int) -> tuple[np.ndarray, np.ndarray]:
-    """Vose alias table that draws a code of ``moves`` moves from one 64-bit word.
+def _alias_table(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vose alias table that draws one of 256 byte codes from one 64-bit word.
 
-    Bit i of code c is move i, set for up, so c has probability
-    p_up^k (1 - p_up)^(moves - k) for its k up moves. Each code gets that
-    share of the 2^64 words rounded to an integer, with the rounding
-    remainder on the likeliest code. A word's top ``moves`` bits pick one
-    of 2^moves columns of 2^(64 - moves) words each; a word below the
-    column's bound draws the column's own code and any other word its
-    alias, so ``pick[2 * col + (word < bounds[col])]`` is the code, and
-    every code is drawn with exactly its integer share. A full column
-    aliases itself, so the top column's bound is clamped to 2^64 - 1
-    without changing a draw. Returns ``(bounds, pick)``.
+    ``probs`` holds each code's probability, ``path_probability`` of its
+    row of ``_CODE_MOVES``. Each code gets that share of the 2^64 words
+    rounded to an integer, with the rounding remainder on the likeliest
+    code. A word's top 8 bits pick one of 256 columns of 2^56 words each;
+    a word below the column's bound draws the column's own code and any
+    other word its alias, so ``pick[2 * col + (word < bounds[col])]`` is
+    the code, and every code is drawn with exactly its integer share. A
+    full column aliases itself, so the top column's bound is clamped to
+    2^64 - 1 without changing a draw. Returns ``(bounds, pick)``.
     """
-    cols = 1 << moves
-    width = 1 << (64 - moves)
-    ups = ((np.arange(cols)[:, None] >> np.arange(moves)) & 1).sum(axis=1)
-    probs = p_up**ups * (1.0 - p_up) ** (moves - ups)
+    width = 1 << 56
     share = [round(x) for x in np.ldexp(probs, 64).tolist()]
     share[int(np.argmax(probs))] += (1 << 64) - sum(share)
-    keep, alias = [width] * cols, list(range(cols))
-    small = [c for c in range(cols) if share[c] < width]
-    large = [c for c in range(cols) if share[c] >= width]
+    keep, alias = [width] * 256, list(range(256))
+    small = [c for c in range(256) if share[c] < width]
+    large = [c for c in range(256) if share[c] >= width]
     # Integer shares sum to 2^64, so the columns left over are exactly full.
     while small and large:
         lo, hi = small.pop(), large.pop()
         keep[lo], alias[lo] = share[lo], hi
         share[hi] -= width - share[lo]
         (small if share[hi] < width else large).append(hi)
-    bounds = [min(c * width + keep[c], (1 << 64) - 1) for c in range(cols)]
-    pick = np.column_stack([alias, range(cols)]).ravel().astype(np.uint8)
+    bounds = [min(c * width + keep[c], (1 << 64) - 1) for c in range(256)]
+    pick = np.column_stack([alias, range(256)]).ravel().astype(np.uint8)
     return np.array(bounds, dtype=np.uint64), pick
 
 
 def _alias_codes(words: np.ndarray, table: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """The code that each word draws from an :func:`_alias_table`."""
     bounds, pick = table
-    moves = bounds.size.bit_length() - 1
-    cols = (words >> np.uint64(64 - moves)).view(np.int64)
+    cols = (words >> np.uint64(56)).view(np.int64)
     hit = words < bounds.take(cols)
     cols <<= 1
     cols += hit
@@ -183,15 +175,15 @@ def _alias_codes(words: np.ndarray, table: tuple[np.ndarray, np.ndarray]) -> np.
 def _path_sum_kernel(spot: float, params: SchemeParams, steps: int):
     """Function giving each code row's sum of its ``steps`` post-step prices.
 
-    A row holds ceil(steps / 8) byte codes, each of 8 moves (bit i of a
-    code is its move i, set for up), and the last of (steps - 1) % 8 + 1.
-    256-entry tables hold each code's price sum sum_{l<=8} prod_{i<=l} f_i
-    from 1.0 and its product prod f_i, and the last code's sums; Horner's
+    A row holds ceil(steps / 8) byte codes of 8 moves each, as in
+    ``_CODE_MOVES``; only the first (steps - 1) % 8 + 1 moves of the last
+    code count, and the rest are ignored. 256-entry tables hold each
+    code's price sum sum_{l<=8} prod_{i<=l} f_i from 1.0 and its product
+    prod f_i, and the last code's sums over its counted moves; Horner's
     rule h = sum[c] + prod[c] * h from the last code gives the path sum
     spot * h.
     """
-    moves = (np.arange(256)[:, None] >> np.arange(8)) & 1
-    prefix = np.cumprod(np.where(moves, params.up, params.down), axis=1)
+    prefix = np.cumprod(np.where(_CODE_MOVES, params.up, params.down), axis=1)
     sums, prods = prefix.sum(axis=1), prefix[:, -1]
     last_sums = prefix[:, : (steps - 1) % 8 + 1].sum(axis=1)
 
@@ -210,12 +202,12 @@ def price_asian_montecarlo(
     """Plain Monte Carlo over i.i.d. Bernoulli(p_up) step indicators.
 
     Each path takes ceil(N / 8) random 64-bit words, and each word draws
-    the byte code of 8 moves (the last word, of the remaining moves) from
-    an exact :func:`_alias_table`. Paths are drawn ``_MC_BLOCK_WORDS`` words
-    at a time and summed by the lookup tables of :func:`_path_sum_kernel`.
-    The standard error combines each block's mean and centred sum of
-    squares (Chan, Golub & LeVeque), so it does not cancel when payoffs
-    barely vary.
+    the byte code of 8 moves from one exact :func:`_alias_table`; the last
+    code's moves past N are drawn but ignored. Paths are drawn
+    ``_MC_BLOCK_WORDS`` words at a time and summed by the lookup tables of
+    :func:`_path_sum_kernel`. The standard error combines each block's mean
+    and centred sum of squares (Chan, Golub & LeVeque), so it does not
+    cancel when payoffs barely vary.
     """
     n_samples = check_int("n_samples", n_samples, 2)
     check_int("seed", seed, 0)
@@ -224,8 +216,7 @@ def price_asian_montecarlo(
     disc = math.exp(-spec.rate * spec.expiry)
     start_time = time.perf_counter()
     path_sums = _path_sum_kernel(spec.spot, params, spec.steps)
-    full = _alias_table(params.p_up, 8)
-    last = _alias_table(params.p_up, (spec.steps - 1) % 8 + 1)
+    table = _alias_table(path_probability(params, _CODE_MOVES))
     n_codes = -(-spec.steps // 8)
     rows = min(max(1, _MC_BLOCK_WORDS // n_codes), n_samples)
     total = 0.0
@@ -236,10 +227,8 @@ def price_asian_montecarlo(
         words = rng.integers(
             0, 2**64 - 1, size=(count, n_codes), dtype=np.uint64, endpoint=True
         )
-        codes = _alias_codes(words, full)
-        codes[:, -1] = _alias_codes(words[:, -1], last)
-        excess = _signed_excess(spec, path_sums(codes) / spec.steps)
-        vals = disc * np.maximum(excess, 0.0)
+        means = path_sums(_alias_codes(words, table)) / spec.steps
+        vals = disc * exercise_value(means, spec.strike, spec.right)
         block_sum = float(vals.sum())
         vals -= block_sum / count
         sq_dev += float(np.dot(vals, vals))

@@ -14,18 +14,20 @@ max per step. The dense oracle builds its grids from the cross's blocks.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .binomial import check_int, check_lattice_inputs
+from .binomial import STYLES, check_int, check_lattice_inputs
 from .mps import MPS
 from .reports import PriceReport
-from .ttcross import _CHUNK, CrossConfig, GridFunction, grid_blocks, ttcross_approximate
+from .ttcross import (
+    _CHUNK, _NO_AXES, CrossConfig, GridFunction, grid_blocks, ttcross_approximate
+)
 
 PAYOFF_KINDS = ("min", "max", "avg")
-BASKET_STYLES = ("european", "american")
 # Most values the dense oracle's terminal grid may hold (128 MiB of floats).
 # The oracle steps back in that one buffer, so it peaks near one such grid.
 DENSE_ELEMENT_CAP = 2**24
@@ -46,9 +48,8 @@ class BasketSpec:
     style: str = "european"
 
     def __post_init__(self):
-        spots = tuple(float(s) for s in self.spots)
-        vols = tuple(float(v) for v in self.vols)
-        corr = tuple(tuple(float(c) for c in row) for row in self.corr)
+        spots, vols = _reals("spots", self.spots), _reals("vols", self.vols)
+        corr = tuple(_reals("corr", row) for row in self.corr)
         object.__setattr__(self, "spots", spots)
         object.__setattr__(self, "vols", vols)
         object.__setattr__(self, "corr", corr)
@@ -73,18 +74,17 @@ class BasketSpec:
         try:
             np.linalg.cholesky(cov)
         except np.linalg.LinAlgError:
+            bad = next((k for k in range(1, m + 1) if np.linalg.det(cov[:k, :k]) <= 0), m)
             raise ValueError(
                 f"covariance is not positive definite: leading minor of order "
-                f"{_first_bad_minor(cov)} is non-positive"
+                f"{bad} is non-positive"
             ) from None
         if self.payoff_kind not in PAYOFF_KINDS:
             raise ValueError(
                 f"payoff_kind must be one of {PAYOFF_KINDS}, got {self.payoff_kind!r}"
             )
-        if self.style not in BASKET_STYLES:
-            raise ValueError(
-                f"style must be one of {BASKET_STYLES}, got {self.style!r}"
-            )
+        if self.style not in STYLES:
+            raise ValueError(f"style must be one of {STYLES}, got {self.style!r}")
 
     @property
     def n_assets(self) -> int:
@@ -93,6 +93,16 @@ class BasketSpec:
     @property
     def dt(self) -> float:
         return self.expiry / self.steps
+
+
+def _reals(name: str, values) -> tuple[float, ...]:
+    """``values`` as floats; a ValueError names ``name`` unless each is a real number."""
+    try:
+        if all(isinstance(v, numbers.Real) for v in values):
+            return tuple(float(v) for v in values)
+    except TypeError:
+        pass
+    raise ValueError(f"{name} must hold only real numbers, got {values!r}")
 
 
 def uniform_basket_spec(
@@ -109,10 +119,8 @@ def uniform_basket_spec(
 ) -> BasketSpec:
     """Equal-parameter basket with constant off-diagonal correlation."""
     n_assets = check_int("n_assets", n_assets, 1)
-    corr = tuple(
-        tuple(1.0 if i == j else rho for j in range(n_assets))
-        for i in range(n_assets)
-    )
+    corr = np.full((n_assets, n_assets), rho)
+    np.fill_diagonal(corr, 1.0)
     return BasketSpec(
         spots=(spot,) * n_assets,
         strike=strike,
@@ -140,10 +148,6 @@ class DecoupledModel:
     up: np.ndarray
     down: np.ndarray
 
-    @property
-    def n_assets(self) -> int:
-        return self.g.shape[0]
-
 
 def decouple(spec: BasketSpec) -> DecoupledModel:
     """Rotate the correlated model into independent binomial coordinates.
@@ -161,13 +165,6 @@ def decouple(spec: BasketSpec) -> DecoupledModel:
     return DecoupledModel(
         g=g, y0=y0, up=alpha * dt + sqdt, down=alpha * dt - sqdt
     )
-
-
-def _first_bad_minor(cov: np.ndarray) -> int:
-    for k in range(1, cov.shape[0] + 1):
-        if np.linalg.det(cov[:k, :k]) <= 0:
-            return k
-    return cov.shape[0]
 
 
 def outcome_values(model: DecoupledModel, step: int) -> np.ndarray:
@@ -200,12 +197,9 @@ def basket_payoff(
 ) -> np.ndarray:
     """Put payoff on the aggregated basket at grid label rows, shape (B,).
 
-    The pointwise form of :func:`_step_function`'s block: asset i is priced
-    exp(sum_k g[i, k] y_k) at each coordinate's step value y_k.
+    It is :func:`_step_function`'s payoff block at zero suffix axes.
     """
-    m = model.n_assets
-    prices = np.exp(outcome_values(model, step)[np.arange(m), labels] @ model.g.T)
-    return _put(spec, prices, np.ones((1, m)))[:, 0]
+    return _step_function(spec, model, step).block(labels, _NO_AXES)[:, 0]
 
 
 def conditional_prob_matrix(step: int) -> np.ndarray:
@@ -247,7 +241,7 @@ def _step_function(
     and right environments. The dense oracle walks this block.
     """
     yv = outcome_values(model, step)
-    m = model.n_assets
+    m = spec.n_assets
 
     def evaluate(lab: np.ndarray) -> np.ndarray:
         if continuation is None:

@@ -148,11 +148,9 @@ class SingleAssetSpec:
 
 
 def exercise_value(prices: np.ndarray, strike: float, right: str) -> np.ndarray:
-    if right == "call":
-        return np.maximum(prices - strike, 0.0)
-    if right == "put":
-        return np.maximum(strike - prices, 0.0)
-    raise ValueError(f"right must be one of {RIGHTS}, got {right!r}")
+    """Every pricer's call or put payoff floor, in a fresh array; the spec checks ``right``."""
+    value = prices - strike if right == "call" else strike - prices
+    return np.maximum(value, 0.0, out=value)
 
 
 def path_prices(spot: float, params: SchemeParams, bits: np.ndarray) -> np.ndarray:

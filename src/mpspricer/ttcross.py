@@ -87,8 +87,8 @@ class CrossConfig:
     def __post_init__(self):
         check_int("max_bond", self.max_bond, 1)
         check_int("n_sweeps", self.n_sweeps, 1)
-        if not self.tol > 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        if not 0 < self.tol < math.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
         check_int("seed", self.seed, 0)
 
 

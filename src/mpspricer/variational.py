@@ -36,11 +36,6 @@ def build_exact_payoff_mps(spec: AsianSpec) -> MPS:
     n = spec.steps
     s0, strike = spec.spot, spec.strike
     sign = 1.0 if spec.right == "call" else -1.0
-    if n == 1:
-        core = sign * np.array(
-            [[[q * (s0 * d - strike)], [p * (s0 * u - strike)]]]
-        )
-        return MPS([core])
     first = sign * np.array(
         [
             [
@@ -49,6 +44,9 @@ def build_exact_payoff_mps(spec: AsianSpec) -> MPS:
             ]
         ]
     )
+    if n == 1:
+        # One move: the probability channel, p(x) * (S_1 - K), is the payoff.
+        return MPS([first[:, :, 1:]])
     mid = np.zeros((2, 2, 2))
     mid[:, 0, :] = [[fd, fd], [0.0, q]]
     mid[:, 1, :] = [[fu, fu], [0.0, p]]

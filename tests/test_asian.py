@@ -9,6 +9,7 @@ import pytest
 
 from mpspricer import (
     AsianSpec,
+    SchemeParams,
     asian,
     asian_integrand,
     crr_params,
@@ -19,7 +20,9 @@ from mpspricer import (
     price_asian_ttcross,
     price_asian_variational,
 )
-from mpspricer.asian import _MC_BLOCK_WORDS, _alias_codes, _alias_table, _path_sum_kernel
+from mpspricer.asian import (
+    _CODE_MOVES, _MC_BLOCK_WORDS, _alias_codes, _alias_table, _path_sum_kernel
+)
 
 from conftest import enumerate_asian_price, loop_path_sum
 
@@ -35,11 +38,15 @@ def path_payoffs(spec: AsianSpec, bits: np.ndarray) -> np.ndarray:
     return np.maximum(excess, 0.0)
 
 
+def code_table(params: SchemeParams):
+    """Monte Carlo's alias table of the 256 codes of 8 moves under ``params``."""
+    return _alias_table(path_probability(params, _CODE_MOVES))
+
+
 def alias_decode(words: np.ndarray, table) -> np.ndarray:
     """Each word's code from an alias table's integers, by its definition."""
     bounds, pick = table
-    moves = bounds.size.bit_length() - 1
-    cols = (words >> np.uint64(64 - moves)).astype(np.intp)
+    cols = (words >> np.uint64(56)).astype(np.intp)
     return np.where(words < bounds[cols], pick[2 * cols + 1], pick[2 * cols])
 
 
@@ -47,15 +54,14 @@ def drawn_moves(spec: AsianSpec, n: int, seed: int) -> np.ndarray:
     """The (n, steps) up moves that Monte Carlo draws at ``seed``, decoded here.
 
     Path i takes words i * ceil(steps / 8) onward of the generator's raw
-    64-bit stream; each word is the code of its 8 moves (bit j is move j),
-    the last word's drawn from the table of the remaining moves.
+    64-bit stream; each word is the code of 8 moves (bit j is move j) from
+    one table, and the last code's moves past ``steps`` are dropped.
     """
-    p_up, n_codes = spec.params().p_up, -(-spec.steps // 8)
+    n_codes = -(-spec.steps // 8)
     words = np.random.default_rng(seed).integers(
         0, 2**64 - 1, size=(n, n_codes), dtype=np.uint64, endpoint=True
     )
-    codes = alias_decode(words, _alias_table(p_up, 8)).astype(np.uint8)
-    codes[:, -1] = alias_decode(words[:, -1], _alias_table(p_up, (spec.steps - 1) % 8 + 1))
+    codes = alias_decode(words, code_table(spec.params())).astype(np.uint8)
     return np.unpackbits(codes, axis=1, bitorder="little")[:, : spec.steps]
 
 
@@ -292,15 +298,13 @@ def test_montecarlo_reused_buffers_draw_the_same_stream(steps):
     n = 3 * rows + 123
     rng = np.random.default_rng(4)
     path_sums = _path_sum_kernel(spec.spot, params, steps)
-    full, last = _alias_table(params.p_up, 8), _alias_table(params.p_up, (steps - 1) % 8 + 1)
+    table = code_table(params)
     disc = math.exp(-spec.rate * spec.expiry)
     total = sq_dev = 0.0
     for done in range(0, n, rows):
         count = min(rows, n - done)
         words = rng.integers(0, 2**64 - 1, size=(count, n_codes), dtype=np.uint64, endpoint=True)
-        codes = alias_decode(words, full)
-        codes[:, -1] = alias_decode(words[:, -1], last)
-        vals = disc * np.maximum(path_sums(codes) / steps - spec.strike, 0.0)
+        vals = disc * np.maximum(path_sums(alias_decode(words, table)) / steps - spec.strike, 0.0)
         block_sum = float(vals.sum())
         vals -= block_sum / count
         sq_dev += float(np.dot(vals, vals))
@@ -364,31 +368,37 @@ PATTERN_PROBS = [0.0, 1e-4, 0.5, AsianSpec(steps=32).params().p_up, 0.9999, 1.0]
 @pytest.mark.parametrize("moves", range(1, 9))
 @pytest.mark.parametrize("p_up", PATTERN_PROBS)
 def test_alias_table_draws_each_pattern_with_its_probability(p_up, moves):
-    bounds, pick = _alias_table(p_up, moves)
-    width = 1 << (64 - moves)
-    words = [0] * (1 << moves)
+    """The first ``moves`` moves of a code, all a last code may count, draw exactly."""
+    bounds, pick = code_table(dataclasses.replace(AsianSpec().params(), p_up=p_up))
+    width = 1 << 56
+    words = [0] * 256
     for col, bound in enumerate(bounds.tolist()):
         own = bound - col * width
         words[int(pick[2 * col + 1])] += own
         words[int(pick[2 * col])] += width - own
     assert sum(words) == 1 << 64
-    for code, count in enumerate(words):
-        ups = bin(code).count("1")
+    for pattern in range(1 << moves):
+        # The codes whose first ``moves`` moves are ``pattern``.
+        count = sum(words[pattern :: 1 << moves])
+        ups = bin(pattern).count("1")
         want = p_up**ups * (1.0 - p_up) ** (moves - ups)
         assert abs(count / 2**64 - want) <= 1e-14
         if want == 0.0:
             assert count == 0
     # Words at every column's edges and bound decode by the definition.
-    starts = np.arange(1 << moves, dtype=np.uint64) << np.uint64(64 - moves)
+    starts = np.arange(256, dtype=np.uint64) << np.uint64(56)
     edges = np.concatenate([starts, starts - np.uint64(1), bounds, bounds - np.uint64(1)])
     np.testing.assert_array_equal(_alias_codes(edges, (bounds, pick)), alias_decode(edges, (bounds, pick)))
 
 
-@pytest.mark.parametrize("p_up, moves", [(AsianSpec(steps=32).params().p_up, 8), (0.9, 3)])
+@pytest.mark.parametrize("p_up, moves", [(AsianSpec(steps=32).params().p_up, 8), (0.9, 8)])
 def test_alias_codes_pass_a_chi_square_test(p_up, moves):
+    """The first ``moves`` moves of the drawn codes follow their binomial law."""
     n = 1 << 20
     words = np.random.default_rng(8).integers(0, 2**64 - 1, size=n, dtype=np.uint64, endpoint=True)
-    counts = np.bincount(_alias_codes(words, _alias_table(p_up, moves)), minlength=1 << moves)
+    table = code_table(dataclasses.replace(AsianSpec().params(), p_up=p_up))
+    patterns = _alias_codes(words, table) & ((1 << moves) - 1)
+    counts = np.bincount(patterns, minlength=1 << moves)
     ups = np.array([bin(c).count("1") for c in range(1 << moves)])
     expected = n * p_up**ups * (1.0 - p_up) ** (moves - ups)
     stat, dof = float(((counts - expected) ** 2 / expected).sum()), (1 << moves) - 1
@@ -427,6 +437,11 @@ def test_path_sum_kernel_matches_path_prices(steps, scheme, vol):
     got = path_sums(codes)
     np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
     np.testing.assert_allclose(got[:30], loop, rtol=1e-14, atol=0)
+    # The last code's moves past ``steps`` are ignored, whatever they are.
+    surplus = np.uint8(0xFF << ((steps - 1) % 8 + 1) & 0xFF)
+    noisy = codes.copy()
+    noisy[:, -1] |= surplus & rng.integers(0, 256, len(codes), dtype=np.uint8)
+    np.testing.assert_array_equal(path_sums(noisy), got)
     np.testing.assert_array_equal(path_sums(codes[:1]), got[:1])
     assert path_sums(codes[:0]).shape == (0,)
 

@@ -79,12 +79,32 @@ def test_spec_validation():
         BasketSpec(**offdiag)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("spots", (100.0, None)),
+        ("spots", ([100.0], [100.0])),
+        ("vols", (0.5, "0.5")),
+        ("corr", ((1.0, None), (None, 1.0))),
+        ("corr", (1.0, 0.3)),
+    ],
+)
+def test_spec_names_a_list_that_is_not_of_numbers(field, value):
+    good = dict(
+        spots=(100.0, 100.0), strike=100.0, rate=0.1, vols=(0.5, 0.5),
+        corr=((1.0, 0.3), (0.3, 1.0)), expiry=1.0, steps=4,
+    )
+    with pytest.raises(ValueError, match=f"{field} must hold only real numbers"):
+        BasketSpec(**(good | {field: value}))
+
+
 def test_uniform_builder():
     spec = uniform_basket_spec(4, rho=0.2, steps=8)
     assert spec.n_assets == 4
     assert spec.corr[0][1] == 0.2
     assert spec.corr[2][2] == 1.0
     assert spec.spots == (100.0,) * 4
+    assert {type(c) for row in spec.corr for c in row} == {float}
 
 
 def test_uniform_builder_names_n_assets():

@@ -385,3 +385,44 @@ def test_non_finite_config_value_is_error(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "samples must be finite" in err
+
+
+@pytest.mark.parametrize("data", [[{"steps": 4}], "steps=4"], ids=["array", "string"])
+def test_config_file_must_hold_an_object(data, tmp_path, capsys):
+    cfg_file = tmp_path / "c.json"
+    cfg_file.write_text(json.dumps(data))
+    code, raw = run_cli(["price-asian", "--config", str(cfg_file)], tmp_path, "c.out")
+    assert code == 1
+    assert raw == b""
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "must hold a JSON object" in err
+
+
+def test_non_finite_tol_flag_is_error(tmp_path, capsys):
+    # An infinite tol once stopped the first probe comparison as converged.
+    args = ["price-asian", "--steps", "30", "--bond-dim", "4", "--tol", "inf"]
+    code, raw = run_cli(args, tmp_path)
+    assert code == 1
+    assert raw == b""
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "tol must be positive and finite" in err
+
+
+@pytest.mark.parametrize(
+    "values, field",
+    [
+        pytest.param({"corr": [[1, None], [None, 1]]}, "corr", id="null-corr"),
+        pytest.param({"spots": [[100], [100]]}, "spots", id="nested-spots"),
+        pytest.param({"vols": [0.3, "0.4"]}, "vols", id="string-vol"),
+    ],
+)
+def test_config_file_basket_lists_must_hold_numbers(values, field, tmp_path, capsys):
+    # Each of these once ended in a TypeError traceback.
+    cfg_file = tmp_path / "c.json"
+    cfg_file.write_text(json.dumps({"steps": 4} | values))
+    args = ["price-basket", "--method", "bruteforce", "--config", str(cfg_file)]
+    code, raw = run_cli(args, tmp_path, "c.out")
+    assert code == 1
+    assert raw == b""
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{field} must hold only real numbers" in err

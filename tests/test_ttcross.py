@@ -1,5 +1,6 @@
 """Cross approximation: maxvol row selection and full sweeps."""
 
+import math
 import re
 
 import numpy as np
@@ -65,6 +66,12 @@ def test_config_validation():
         CrossConfig(max_bond=2, n_sweeps=0)
     with pytest.raises(ValueError):
         CrossConfig(max_bond=2, tol=0.0)
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan, -math.inf])
+def test_config_refuses_a_non_finite_tol(tol):
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        CrossConfig(max_bond=4, tol=tol)
 
 
 @pytest.mark.parametrize(
