@@ -6,12 +6,12 @@ Subcommands:
 
 Both take ``--method bruteforce`` for the exact oracle; the benchmark is
 ``perfbench/run.py``. The CLI holds no defaults: each set flag becomes
-the keyword of the spec or pricer that names it, and everything left
-unset is the library's default. A JSON config file (--config) is read
-as ``--key=value`` flags ahead of the command line, so its values are
-parsed by the same flags and explicit flags override them. Relative
---output-path values resolve against $MPSPRICER_OUTPUT_DIR when it is
-set.
+the keyword of the spec or pricer that names it, a set flag that
+neither names is an error, and everything left unset is the library's
+default. A JSON config file (--config) is read as ``--key=value`` flags
+ahead of the command line, so its values are parsed by the same flags
+and explicit flags override them. Relative --output-path values resolve
+against $MPSPRICER_OUTPUT_DIR when it is set.
 """
 
 from __future__ import annotations
@@ -60,6 +60,9 @@ _KEYWORDS = {
     "samples": "n_samples",
     "assets": "n_assets",
 }
+# Flags the CLI itself reads; every other set flag must be taken by the
+# spec or the pricer.
+_CLI_FLAGS = {"command", "method", "config", "output_path", "dump_mps", "omit_timing"}
 # Config-file keys of price-basket that may hold per-asset lists, each
 # with the shared flag that replaces it.
 _BASKET_LISTS = {"spots": "s0", "vols": "vol", "corr": "corr"}
@@ -199,14 +202,27 @@ def _call(fn, options: dict, *args):
 
 
 def _price(args: argparse.Namespace, lists: dict) -> PriceReport:
-    """Price with the set flags as keywords; the library fills in the rest."""
-    options = {_KEYWORDS.get(k, k): v for k, v in vars(args).items() if v is not None}
+    """Price with the set flags as keywords; the library fills in the rest.
+
+    A set flag that neither the spec nor the chosen pricer takes is an
+    error, not a value silently dropped.
+    """
+    flags = {k: v for k, v in vars(args).items() if v is not None and k not in _CLI_FLAGS}
+    options = {_KEYWORDS.get(k, k): v for k, v in flags.items()}
     if args.command == "price-asian":
-        spec = _call(AsianSpec, options)
+        build = AsianSpec
+        spec = _call(build, options)
         pricer = ASIAN_PRICERS[args.method]
     else:
-        spec = dataclasses.replace(_call(uniform_basket_spec, options), **lists)
+        build = uniform_basket_spec
+        spec = dataclasses.replace(_call(build, options), **lists)
         pricer = BASKET_PRICERS[args.method][spec.style]
+    taken = {*inspect.signature(build).parameters, *inspect.signature(pricer).parameters}
+    unused = ["--" + k.replace("_", "-") for k in flags if _KEYWORDS.get(k, k) not in taken]
+    if unused:
+        raise ValueError(
+            f"{args.command} --method {args.method} does not take {', '.join(unused)}"
+        )
     return _call(pricer, options, spec)
 
 

@@ -426,3 +426,61 @@ def test_config_file_basket_lists_must_hold_numbers(values, field, tmp_path, cap
     assert raw == b""
     err = capsys.readouterr().err
     assert err.startswith("error:") and f"{field} must hold only real numbers" in err
+
+
+@pytest.mark.parametrize(
+    "args, unused",
+    [
+        pytest.param(
+            ["price-asian", "--method", "ttcross", "--samples", "100"],
+            "--samples", id="asian-ttcross",
+        ),
+        pytest.param(
+            ["price-asian", "--method", "variational", "--sweeps", "3"],
+            "--sweeps", id="asian-variational",
+        ),
+        pytest.param(
+            ["price-asian", "--method", "montecarlo", "--steps", "8", "--samples",
+             "1000", "--tol", "inf", "--bond-dim", "0"],
+            "--bond-dim, --tol", id="asian-montecarlo",
+        ),
+        pytest.param(
+            ["price-asian", "--method", "bruteforce", "--seed", "3"],
+            "--seed", id="asian-bruteforce",
+        ),
+        pytest.param(
+            ["price-basket", "--method", "bruteforce", "--bond-dim", "8"],
+            "--bond-dim", id="basket-bruteforce",
+        ),
+    ],
+)
+def test_flag_the_method_does_not_take_is_error(args, unused, tmp_path, capsys):
+    # Each of these once priced without a word about the ignored flag.
+    code, raw = run_cli(args, tmp_path)
+    assert code == 1
+    assert raw == b""
+    command, method = args[0], args[2]
+    assert capsys.readouterr().err == (
+        f"error: {command} --method {method} does not take {unused}\n"
+    )
+
+
+def test_config_file_flag_the_method_does_not_take_is_error(tmp_path, capsys):
+    cfg_file = tmp_path / "c.json"
+    cfg_file.write_text(json.dumps({"method": "montecarlo", "sweeps": 2}))
+    code, raw = run_cli(["price-asian", "--config", str(cfg_file)], tmp_path)
+    assert code == 1
+    assert raw == b""
+    assert "does not take --sweeps" in capsys.readouterr().err
+
+
+def test_every_basket_ttcross_flag_is_taken(tmp_path):
+    # The basket cross takes each flag price-basket offers, in both styles.
+    for style in ("european", "american"):
+        args = [
+            "price-basket", "--style", style, "--assets", "2", "--s0", "90",
+            "--strike", "95", "--rate", "0.05", "--vol", "0.3", "--corr", "0.2",
+            "--expiry", "0.5", "--steps", "4", "--payoff", "max",
+            "--bond-dim", "4", "--sweeps", "2", "--tol", "1e-3", "--seed", "1",
+        ]
+        assert run_cli(args, tmp_path)[0] == 0

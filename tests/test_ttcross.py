@@ -81,10 +81,10 @@ def test_config_refuses_a_non_finite_tol(tol):
         (price_asian_ttcross, {"n_sweeps": 2.5}, "n_sweeps must be an integer, got float 2.5"),
         (price_asian_ttcross, {"seed": 1.5}, "seed must be an integer, got float 1.5"),
         (price_asian_variational, {"bond_dim": 4.5}, "bond_dim must be an integer"),
-        (price_asian_variational, {"n_sweeps": 1.5}, "n_sweeps must be an integer"),
+        (price_asian_variational, {"seed": 1.5}, "seed must be an integer"),
         (price_european_basket, {"bond_dim": 4.5}, "max_bond must be an integer"),
     ],
-    ids=["ttcross-bond", "ttcross-sweeps", "ttcross-seed", "var-bond", "var-sweeps", "basket-bond"],
+    ids=["ttcross-bond", "ttcross-sweeps", "ttcross-seed", "var-bond", "var-seed", "basket-bond"],
 )
 def test_integer_knobs_reject_non_integers(price, kwargs, match):
     # Each of these once failed deep in the run with a numpy or range error.

@@ -176,20 +176,25 @@ def test_greedy_rejects_a_non_integer_target():
         greedy_binary_decompose(np.ones((3, 2)), 1.5)
 
 
+def filter_environment(filter_sites, b_sites):
+    """sum_x psi(x) b(x) over the leading sites, as a (filter, payoff) bond matrix."""
+    env = np.ones((1, 1))
+    for site, b_site in zip(filter_sites, b_sites):
+        env = np.einsum("la,lxr,axb->rb", env, site, b_site)
+    return env
+
+
 def test_center_update_is_sign_of_gradient():
-    """A pass's last site, the free center, is 1 exactly where its gradient is positive."""
-    rng = np.random.default_rng(4)
-    bonds = (1, 2, 2, 2, 2, 2, 1)
-    b = [rng.normal(size=(bonds[k], 2, bonds[k + 1])) for k in range(6)]
-    psi = variational._random_filter_sites(6, 3, rng)
-    sites, total = variational._sweep_pass(psi, b, 3)
-    lenv = np.ones((1, 1))
-    for site, b_site in zip(sites[:-1], b[:-1]):
-        lenv = np.einsum("la,lxr,axb->rb", lenv, site, b_site)
-    grad = np.einsum("la,axb,rb->lxr", lenv, b[-1], np.ones((1, 1)))
+    """The free last site is 1 exactly where its gradient is positive."""
+    spec = AsianSpec(spot=100, strike=100, rate=0.1, vol=0.5, expiry=1.0, steps=10)
+    r = price_asian_variational(spec, bond_dim=4)
+    sites, b = r.mps.tensors, build_exact_payoff_mps(spec).tensors
+    lenv = filter_environment(sites[:-1], b[:-1])
+    grad = variational.center_gradient(lenv, np.ones((1, 1)), b[-1])
     assert 0 < np.count_nonzero(grad > 0) < grad.size
     np.testing.assert_array_equal(sites[-1], (grad > 0).astype(float))
-    assert total == pytest.approx(np.maximum(grad, 0.0).sum(), rel=1e-12)
+    disc = math.exp(-spec.rate * spec.expiry)
+    assert r.price == pytest.approx(disc * np.maximum(grad, 0.0).sum(), rel=1e-12)
 
 
 def test_variational_single_step_is_exact():
@@ -199,12 +204,14 @@ def test_variational_single_step_is_exact():
 
 
 def test_variational_is_lower_bound_everywhere():
-    spec = AsianSpec(spot=100, strike=100, rate=0.1, vol=0.5, expiry=1.0, steps=12)
-    bf = price_asian_bruteforce(spec).price
-    for bond_dim in (1, 2, 4, 16):
-        for seed in range(5):
-            r = price_asian_variational(spec, bond_dim=bond_dim, seed=seed)
-            assert r.price <= bf + 1e-9
+    for steps in range(1, 23):
+        for scheme in ("crr", "rb"):
+            for right in ("call", "put"):
+                spec = AsianSpec(steps=steps, scheme=scheme, right=right)
+                bf = price_asian_bruteforce(spec).price
+                for bond_dim in range(1, 65):
+                    price = price_asian_variational(spec, bond_dim=bond_dim).price
+                    assert price <= bf * (1.0 + 1e-12), (steps, scheme, right, bond_dim)
 
 
 def test_variational_put_lower_bound():
@@ -232,20 +239,43 @@ def test_variational_filter_is_binary_valued():
     assert r.price == pytest.approx(direct, rel=1e-11)
 
 
-def test_variational_reports_pass_prices():
+@pytest.mark.parametrize("right", ["call", "put"])
+@pytest.mark.parametrize("steps, bond_dim", [(1, 1), (12, 5), (32, 32), (64, 32)])
+def test_variational_filter_sites_keep_psi_binary(steps, bond_dim, right):
+    # Every site but the last is one-hot in each (bit, left-bond) row, and
+    # the last is free binary, so psi(x) is 0 or 1 at every path.
+    spec = AsianSpec(steps=steps, right=right)
+    sites = price_asian_variational(spec, bond_dim=bond_dim).mps.tensors
+    for site in sites:
+        assert set(np.unique(site)) <= {0.0, 1.0}
+        assert site.shape[0] <= bond_dim and site.shape[2] <= bond_dim
+    for site in sites[:-1]:
+        np.testing.assert_array_equal(site.sum(axis=2), 1.0)
+
+
+@pytest.mark.parametrize("right", ["call", "put"])
+@pytest.mark.parametrize("steps", [2, 20, 32, 64])
+def test_variational_filter_contracts_to_its_price(steps, right):
+    # The reported MPS certifies the reported price.
+    spec = AsianSpec(steps=steps, right=right)
+    r = price_asian_variational(spec, bond_dim=32)
+    env = filter_environment(r.mps.tensors, build_exact_payoff_mps(spec).tensors)
+    disc = math.exp(-spec.rate * spec.expiry)
+    assert disc * env[0, 0] == pytest.approx(r.price, rel=1e-12)
+
+
+def test_variational_report_records_seed_without_sweeps():
     spec = AsianSpec(spot=100, strike=100, rate=0.1, vol=0.5, expiry=1.0, steps=8)
-    r = price_asian_variational(spec, bond_dim=4, seed=7, n_sweeps=3)
-    prices = r.diagnostics["pass_prices"]
-    assert len(prices) == 3
-    assert r.price == max(prices)
-    assert r.n_sweeps == 3
+    r = price_asian_variational(spec, bond_dim=4, seed=7)
+    assert (r.seed, r.bond_dim, r.n_sweeps, r.diagnostics) == (7, 4, None, {})
+    assert "n_sweeps" not in r.to_dict()
 
 
 def test_variational_deterministic():
-    spec = AsianSpec(spot=100, strike=100, rate=0.1, vol=0.5, expiry=1.0, steps=10)
-    a = price_asian_variational(spec, bond_dim=8, seed=5)
-    b = price_asian_variational(spec, bond_dim=8, seed=5)
-    assert a.price == b.price
+    # Nothing is drawn: the seed is recorded and moves no bit of the price.
+    spec = AsianSpec(steps=32)
+    prices = {price_asian_variational(spec, bond_dim=8, seed=s).price for s in range(5)}
+    assert len(prices) == 1
 
 
 def test_variational_improves_with_bond_dimension():
@@ -261,9 +291,22 @@ def test_variational_improves_with_bond_dimension():
     assert (bf - best_big) / bf < 0.01
 
 
+@pytest.mark.parametrize(
+    "steps, floor, ceiling",
+    [
+        # References from ROADMAP's Baseline: the exact N=32 price (sorted
+        # tail sums, item 12) and the N=128 two-sided bracket (item 3).
+        (32, 0.99 * 13.5862360, 13.5862360),
+        (128, 0.96 * 13.30094, 13.30132),
+    ],
+    ids=["N32", "N128"],
+)
+def test_variational_bond_32_is_near_the_price(steps, floor, ceiling):
+    price = price_asian_variational(AsianSpec(steps=steps), bond_dim=32).price
+    assert floor <= price <= ceiling
+
+
 def test_variational_validation():
     spec = AsianSpec(spot=100, strike=100, rate=0.1, vol=0.5, expiry=1.0, steps=5)
     with pytest.raises(ValueError):
         price_asian_variational(spec, bond_dim=0)
-    with pytest.raises(ValueError):
-        price_asian_variational(spec, bond_dim=2, n_sweeps=0)
