@@ -2,8 +2,8 @@
 
 A path is a bit string x in {0,1}^N; the option pays on the arithmetic
 mean of the N post-step prices. The discounted expectation runs over all
-2^N paths, which brute force enumerates directly and the tensor methods
-compress.
+2^N paths, which brute force sums exactly by joining sorted halves and the
+tensor methods compress.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from .binomial import (
     SchemeParams, SingleAssetSpec, check_int, exercise_value, path_prices, path_probability
 )
 from .reports import PriceReport
-from .ttcross import _NO_AXES, CrossConfig, GridFunction, grid_blocks, ttcross_approximate
+from .ttcross import _NO_AXES, CrossConfig, GridFunction, _labels, ttcross_approximate
 
 BRUTEFORCE_MAX_STEPS = 25
 # Monte Carlo random words per block (256 KiB), so a block's memory does not
@@ -49,11 +49,13 @@ def _partial_paths(
 def asian_integrand(spec: AsianSpec) -> GridFunction:
     """Probability-weighted payoff p(x) * v(x) as a grid function on {0,1}^N.
 
-    The block is its one definition: it prices the row prefixes from the
-    spot and the column suffixes from 1.0. A suffix's prices scale by its
-    prefix's last price, so the mean of a joined path of N moves is
-    (head_sum + head_last * tail_sum) / N, and its probability
-    p_head * p_tail. A path alone is a row joined with the empty suffix.
+    This is what the cross compresses. The block is its one definition: it
+    prices the row prefixes from the spot and the column suffixes from 1.0.
+    A suffix's prices scale by its prefix's last price, so the mean of a
+    joined path of N moves is (head_sum + head_last * tail_sum) / N, and its
+    probability p_head * p_tail. A path alone is a row joined with the empty
+    suffix. :func:`price_asian_bruteforce` joins the same halves, from the
+    same :func:`_partial_paths`, but sums over sorted tails, not blocks.
     """
     params = spec.params()
 
@@ -75,13 +77,19 @@ def asian_integrand(spec: AsianSpec) -> GridFunction:
 
 
 def price_asian_bruteforce(spec: AsianSpec) -> PriceReport:
-    """Exact price by summing all 2^N paths; refuses N > BRUTEFORCE_MAX_STEPS.
+    """Exact price over all 2^N paths, in O(2^(N/2) N); refuses N > BRUTEFORCE_MAX_STEPS.
 
-    The sum is ``math.fsum`` over the blocks of :func:`asian_integrand`
-    that :func:`~mpspricer.ttcross.grid_blocks` walks. Each block joins a
-    run of heads (the first N - min(N, 8) moves, priced from the spot)
-    with every tail (the rest, priced from 1.0), so path prices are
-    computed per head and per tail, not per path.
+    Each path joins a head of the first N - floor(N/2) moves, priced from
+    the spot, with a tail of the last floor(N/2), priced from 1.0, as in
+    :func:`asian_integrand`. A head with running sum a and last price L pays
+    (L/N) * max(s - thr, 0) on a tail of sum s for a call, with threshold
+    thr = (N*K - a)/L; a put is the call on -s and -thr. So the tails are
+    sorted by sum once, and each head finds its first paying tail i with one
+    ``np.searchsorted`` (Horowitz & Sahni's meet in the middle). Over the
+    sorted tails the head's payoff sum is D_i + (s_i - thr) * P_i, where
+    P_i is the probability of tails i and up and the gap sum
+    D_i = sum_{j>i} (s_j - s_{j-1}) * P_j adds only non-negative terms, so
+    no large sums cancel. The heads' terms are summed with ``math.fsum``.
     """
     n = spec.steps
     if n > BRUTEFORCE_MAX_STEPS:
@@ -90,7 +98,23 @@ def price_asian_bruteforce(spec: AsianSpec) -> PriceReport:
             f"2^{BRUTEFORCE_MAX_STEPS} cap; use a tensor method or Monte Carlo"
         )
     start_time = time.perf_counter()
-    total = math.fsum(block.sum() for block in grid_blocks(asian_integrand(spec)))
+    params = spec.params()
+    n_tail = n // 2
+    heads = _labels((2,) * (n - n_tail), 0, 1 << (n - n_tail))
+    head_sum, head_last, p_head = _partial_paths(spec.spot, params, heads)
+    tail_sum, _, p_tail = _partial_paths(1.0, params, _labels((2,) * n_tail, 0, 1 << n_tail))
+    sign = 1.0 if spec.right == "call" else -1.0
+    order = np.argsort(sign * tail_sum)
+    sums = sign * tail_sum[order]
+    # P_i and D_i: suffix sums over the sorted tails.
+    mass = np.cumsum(p_tail[order][::-1])[::-1]
+    gap_sums = np.append(np.cumsum((np.diff(sums) * mass[1:])[::-1])[::-1], 0.0)
+    thr = sign * (n * spec.strike - head_sum) / head_last
+    first = np.searchsorted(sums, thr, side="right")
+    # A sentinel past the last tail pays nothing: no mass and no gap.
+    sums, mass, gap_sums = (np.append(x, 0.0) for x in (sums, mass, gap_sums))
+    paid = gap_sums[first] + (sums[first] - thr) * mass[first]
+    total = math.fsum(p_head * (head_last / n) * paid)
     price = math.exp(-spec.rate * spec.expiry) * total
     return PriceReport(
         price=price,

@@ -13,6 +13,7 @@ max per step. The dense oracle builds its grids from the cross's blocks.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import time
@@ -28,6 +29,8 @@ from .ttcross import (
 )
 
 PAYOFF_KINDS = ("min", "max", "avg")
+# Each payoff kind's fold over the assets' prices, and that fold's identity.
+_FOLDS = {"min": (np.minimum, np.inf), "max": (np.maximum, -np.inf), "avg": (np.add, 0.0)}
 # Most values the dense oracle's terminal grid may hold (128 MiB of floats).
 # The oracle steps back in that one buffer, so it peaks near one such grid.
 DENSE_ELEMENT_CAP = 2**24
@@ -181,15 +184,28 @@ def outcome_values(model: DecoupledModel, step: int) -> np.ndarray:
 
 
 def _put(spec: BasketSpec, head: np.ndarray, tail: np.ndarray) -> np.ndarray:
-    """Put payoff, shape (H, T), on prices head[h, i] * tail[t, i] folded over assets i."""
-    fold = {"min": np.minimum, "max": np.maximum, "avg": np.add}[spec.payoff_kind]
-    agg = np.multiply.outer(head[:, 0], tail[:, 0])
-    price = np.empty_like(agg)
-    for i in range(1, head.shape[1]):
-        fold(agg, np.multiply.outer(head[:, i], tail[:, i], out=price), out=agg)
+    """Put payoff, shape (H, T), on prices head[h, i] * tail[t, i - j], folded in asset order.
+
+    ``head`` holds all m assets' factors and ``tail`` only the last m - j
+    assets'; the first j assets' prices are their head factors alone. Those
+    are folded once per row, from the fold's identity, and only the other
+    assets pay an (H, T) product each. As a tail factor of exactly 1.0
+    would leave each product as its head factor, and the identity leaves
+    the first fold as its operand, every price is bitwise the fold of all
+    m per-point products.
+    """
+    fold, identity = _FOLDS[spec.payoff_kind]
+    m, n_head = head.shape[1], head.shape[1] - tail.shape[1]
+    agg = np.reshape(functools.reduce(fold, head.T[:n_head], identity), (-1, 1))
+    shape = (head.shape[0], tail.shape[0])
+    out, price = np.empty(shape), np.empty(shape)
+    for i in range(n_head, m):
+        np.multiply.outer(head[:, i], tail[:, i - n_head], out=price)
+        agg = fold(agg, price, out=out)
     if spec.payoff_kind == "avg":
-        agg /= head.shape[1]
-    return np.maximum(np.subtract(spec.strike, agg, out=agg), 0.0, out=agg)
+        agg = np.divide(agg, m, out=out)
+    np.subtract(spec.strike, agg, out=out)
+    return np.maximum(out, 0.0, out=out)
 
 
 def basket_payoff(
@@ -238,10 +254,20 @@ def _step_function(
     by suffixes is built from per-side factors: ``log S = g @ y`` is the sum
     of the prefix labels' and the suffix labels' terms, which :func:`_put`
     takes as two price factors, and the continuation is a product of left
-    and right environments. The dense oracle walks this block.
+    and right environments. The dense oracle walks this block, and so does
+    every cross superblock.
+
+    An asset whose row of g is zero on the suffix axes has a suffix term of
+    exactly 0 and a tail factor of exactly 1.0, so :func:`_put` takes no
+    tail for the leading run of such assets and folds them once per row.
+    The run is read from g's zeros at each cut k, not assumed: with the
+    lower Cholesky factor it is the first k assets, and with a dense
+    factor it is empty.
     """
     yv = outcome_values(model, step)
     m = spec.n_assets
+    g_rows = model.g.tolist()
+    n_head = [next((i for i, row in enumerate(g_rows) if any(row[k:])), m) for k in range(m + 1)]
 
     def evaluate(lab: np.ndarray) -> np.ndarray:
         if continuation is None:
@@ -252,7 +278,9 @@ def _step_function(
     def block(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         k = rows.shape[1]
         head = np.exp(yv[np.arange(k), rows] @ model.g[:, :k].T)
-        tail = np.exp(yv[np.arange(k, m), cols] @ model.g[:, k:].T)
+        # The product keeps all m columns, so each kept one is computed as
+        # it always was; numpy may take a different BLAS kernel for fewer.
+        tail = np.exp((yv[np.arange(k, m), cols] @ model.g[:, k:].T)[:, n_head[k] :])
         pay = _put(spec, head, tail)
         if continuation is None:
             return pay

@@ -20,8 +20,8 @@ and one per column, and is then asked for nothing else; any other is
 evaluated point by point. No value is remembered between blocks.
 
 :func:`grid_blocks` is the one walk over a whole grid: the TT-SVD and the
-dense oracles of the Asian and basket pricers all enumerate their grids
-through it, in blocks of at most 2^16 values.
+dense basket oracle enumerate their grids through it, in blocks of at most
+2^16 values.
 
 Everything here runs on numpy except maxvol's pivoted-QR start, which
 imports ``scipy.linalg`` on first use, so a TT-SVD grid and every engine

@@ -171,6 +171,11 @@ def price_asian_variational(
     feasible point of the binary-filter problem at ``bond_dim``; so the
     price never exceeds the exact one. ``seed`` is recorded only: nothing
     is drawn.
+
+    The bound is not monotone in ``bond_dim``: the equal-mass cells at one
+    bond do not refine those at the bond below, so at N=20 (spot = strike
+    = 100, r = 0.1, vol = 0.5, T = 1, CRR call) bond 17 reads 0.050 below
+    bond 16. Nested cells, bonds 2^j only, are the open fix.
     """
     check_int("bond_dim", bond_dim, 1)
     check_int("seed", seed, 0)

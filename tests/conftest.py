@@ -5,9 +5,11 @@ closed-form Black-Scholes via the error function, Asian integrands and
 prices by per-path loops, and MPS values by multiplying the picked site
 matrices one row at a time or contracting every bond. They exist so the
 fast library implementations have something honest to be compared against.
-The dense basket reference is the one exception: it walks the package's own
-step-function blocks for its payoff grids, and checks only the backward
-induction, by the textbook product with the one-step probability matrix.
+Two references are exceptions. The dense basket reference walks the
+package's own step-function blocks for its payoff grids, and checks only the
+backward induction, by the textbook product with the one-step probability
+matrix. The walked Asian price sums the package's own integrand blocks: it
+is the brute force that the sorted-tail join replaced.
 """
 
 import itertools
@@ -17,6 +19,7 @@ import numpy as np
 import pytest
 
 from mpspricer import MPS, AsianSpec, GridFunction, basket, conditional_prob_matrix, decouple
+from mpspricer.asian import asian_integrand
 from mpspricer.ttcross import grid_blocks
 
 
@@ -138,3 +141,40 @@ def all_bitstrings(n: int) -> np.ndarray:
     """All 2^n binary index tuples, shape (2^n, n), lowest bit first."""
     ids = np.arange(2**n, dtype=np.uint64)[:, None]
     return ((ids >> np.arange(n, dtype=np.uint64)[None, :]) & 1).astype(np.int64)
+
+
+def walked_asian_price(spec: AsianSpec) -> float:
+    """Asian price as the ``math.fsum`` of the integrand blocks grid_blocks walks.
+
+    This was the brute-force oracle before the sorted-tail join: every
+    path's payoff, one block of heads by tails at a time.
+    """
+    total = math.fsum(block.sum() for block in grid_blocks(asian_integrand(spec)))
+    return math.exp(-spec.rate * spec.expiry) * total
+
+
+def mp_asian_price(spec: AsianSpec) -> float:
+    """Asian price over every path in 50-digit mpmath arithmetic.
+
+    The lattice's float up, down and p_up are taken exactly, so what is
+    left is the rounding of the float pricer's own sums.
+    """
+    import mpmath
+
+    p = spec.params()
+    with mpmath.workdps(50):
+        up, down, p_up = mpmath.mpf(p.up), mpmath.mpf(p.down), mpmath.mpf(p.p_up)
+        # (running sum, last price, probability) of every path so far.
+        paths = [(mpmath.mpf(0), mpmath.mpf(spec.spot), mpmath.mpf(1))]
+        for _ in range(spec.steps):
+            paths = [
+                (run + last * f, last * f, prob * q)
+                for run, last, prob in paths
+                for f, q in ((up, p_up), (down, 1 - p_up))
+            ]
+        strike = mpmath.mpf(spec.strike)
+        sign = 1 if spec.right == "call" else -1
+        total = mpmath.fsum(
+            prob * max(sign * (run / spec.steps - strike), 0) for run, _, prob in paths
+        )
+        return float(mpmath.exp(-mpmath.mpf(spec.rate) * spec.expiry) * total)

@@ -24,7 +24,7 @@ from mpspricer.asian import (
     _CODE_MOVES, _MC_BLOCK_WORDS, _alias_codes, _alias_table, _path_sum_kernel
 )
 
-from conftest import enumerate_asian_price, loop_path_sum
+from conftest import enumerate_asian_price, loop_path_sum, mp_asian_price, walked_asian_price
 
 # mpmath: e^{-r} * (p_u * (S0*u - K) + (1-p_u) * 0) at S0=K=100, r=0.1,
 # vol=0.5, T=1, N=1 (down path average 60.65 is out of the money).
@@ -153,6 +153,40 @@ def test_bruteforce_chunking_crosses_boundary():
         r = price_asian_bruteforce(spec)
         assert r.diagnostics["n_paths"] == 2**18
         assert r.price == pytest.approx(per_path_price(spec), rel=1e-13)
+
+
+@pytest.mark.parametrize("right", ["call", "put"])
+@pytest.mark.parametrize("scheme", ["crr", "rb"])
+def test_bruteforce_matches_the_block_walk(scheme, right):
+    """The sorted-tail join against the fsum of the cross integrand's blocks."""
+    for steps in [*range(1, 23), 25]:
+        spec = AsianSpec(
+            spot=100, strike=100, rate=0.1, vol=0.5, expiry=1.0, steps=steps,
+            scheme=scheme, right=right,
+        )
+        got = price_asian_bruteforce(spec).price
+        assert got == pytest.approx(walked_asian_price(spec), rel=1e-13), steps
+
+
+@pytest.mark.parametrize("right", ["call", "put"])
+@pytest.mark.parametrize("vol", [0.5, 1e-3, 1e-9])
+def test_bruteforce_low_vol_error_stays_near_the_block_walk(vol, right):
+    """Both against a 50-digit enumeration: at most 1e-13 or 10x the walk's error.
+
+    At low volatility each payoff is a small difference of prices near the
+    strike, so both oracles lose digits to the rounding of the head and
+    tail sums they share; the gap form must add no cancellation of its own.
+    """
+    for steps in range(1, 13):
+        for scheme in ("crr", "rb"):
+            spec = AsianSpec(
+                spot=100, strike=100, rate=0.0, vol=vol, expiry=1.0, steps=steps,
+                scheme=scheme, right=right,
+            )
+            exact = mp_asian_price(spec)
+            err = abs(price_asian_bruteforce(spec).price - exact) / exact
+            walk_err = abs(walked_asian_price(spec) - exact) / exact
+            assert err <= max(1e-13, 10 * walk_err), (steps, scheme, err, walk_err)
 
 
 def test_bruteforce_refuses_beyond_cap():

@@ -1,5 +1,6 @@
 """Decoupled basket trees, their MPS backward induction, and the grid oracle."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -19,11 +20,13 @@ from mpspricer import (
     terminal_label_pmf,
     tree_price,
     uniform_basket_spec,
+    MPS,
     CrossConfig,
     GridFunction,
     ttcross_approximate,
 )
 from mpspricer import basket, ttcross
+from mpspricer.ttcross import _NO_AXES
 from mpspricer.basket import (
     PAYOFF_KINDS, _put, _step_function, outcome_values,
 )
@@ -332,6 +335,98 @@ def test_put_folds_the_assets_as_the_price_cube_does(kind, m):
         assert np.max(np.abs(got - want) / agg) <= 1e-15
     else:
         np.testing.assert_array_equal(got, want)
+
+
+def _outer_put(spec, head, tail):
+    """The put fold before head-only assets: every asset by an (H, T) outer product."""
+    fold = {"min": np.minimum, "max": np.maximum, "avg": np.add}[spec.payoff_kind]
+    agg = np.multiply.outer(head[:, 0], tail[:, 0])
+    price = np.empty_like(agg)
+    for i in range(1, head.shape[1]):
+        fold(agg, np.multiply.outer(head[:, i], tail[:, i], out=price), out=agg)
+    if spec.payoff_kind == "avg":
+        agg /= head.shape[1]
+    return np.maximum(np.subtract(spec.strike, agg, out=agg), 0.0, out=agg)
+
+
+def _outer_block(spec, model, step, rows, cols, continuation, disc):
+    """The step-function block with every asset's tail factor, 1.0 or not."""
+    yv = outcome_values(model, step)
+    m, k = spec.n_assets, rows.shape[1]
+    head = np.exp(yv[np.arange(k), rows] @ model.g[:, :k].T)
+    tail = np.exp(yv[np.arange(k, m), cols] @ model.g[:, k:].T)
+    pay = _outer_put(spec, head, tail)
+    if continuation is None:
+        return pay
+    held = continuation.left_environments(rows) @ continuation.right_environments(cols).T
+    return np.maximum(disc * held, pay)
+
+
+def _continuation(m, step, seed):
+    """A positive bond-2 MPS on the step grid."""
+    rng = np.random.default_rng(seed)
+    bonds = (1,) + (2,) * (m - 1) + (1,)
+    return MPS([rng.uniform(0.2, 0.8, size=(bonds[i], step + 1, bonds[i + 1])) for i in range(m)])
+
+
+def _cut_blocks(m, step, seed):
+    """Random (rows, cols) at every cut k = 0..m; a side over no axes has one row."""
+    rng = np.random.default_rng(seed)
+    for k in range(m + 1):
+        rows = rng.integers(0, step + 1, size=(17 if k else 1, k))
+        cols = rng.integers(0, step + 1, size=(13 if k < m else 1, m - k))
+        yield rows, cols
+
+
+@pytest.mark.parametrize("held", [False, True], ids=["payoff", "held"])
+@pytest.mark.parametrize("kind", PAYOFF_KINDS)
+@pytest.mark.parametrize("m", range(1, 9))
+def test_step_block_is_bitwise_the_every_asset_fold(m, kind, held):
+    """Head-only assets folded once on the head columns change no bit."""
+    step = 4
+    spec = uniform_basket_spec(m, strike=110.0, steps=step, payoff_kind=kind)
+    model = decouple(spec)
+    cont = _continuation(m, step, m) if held else None
+    # Scale the continuation to the payoff, so the max takes either side.
+    disc = 15.0 / float(np.median(cont.evaluate_batch(_all_labels(m, 1)))) if held else 1.0
+    f = _step_function(spec, model, step, cont, disc)
+    nonzero = 0
+    for rows, cols in _cut_blocks(m, step, m):
+        got = f.block(rows, cols)
+        np.testing.assert_array_equal(
+            got, _outer_block(spec, model, step, rows, cols, cont, disc)
+        )
+        nonzero += np.count_nonzero(got)
+    assert nonzero > 0
+
+
+def test_step_block_takes_no_factor_to_be_triangular(monkeypatch):
+    """A dense factor with the same g g^T: blocks still join to their points."""
+    spec = BasketSpec(
+        spots=(95.0, 100.0, 110.0, 105.0), strike=105.0, rate=0.1,
+        vols=(0.5, 0.4, 0.3, 0.45),
+        corr=(
+            (1.0, 0.25, 0.1, 0.3), (0.25, 1.0, 0.2, 0.1),
+            (0.1, 0.2, 1.0, 0.15), (0.3, 0.1, 0.15, 1.0),
+        ),
+        expiry=1.0, steps=5, payoff_kind="avg", style="european",
+    )
+    cholesky = decouple(spec)
+    rotation, _ = np.linalg.qr(np.random.default_rng(5).normal(size=(4, 4)))
+    monkeypatch.setattr(
+        basket, "decouple", lambda s: dataclasses.replace(cholesky, g=cholesky.g @ rotation)
+    )
+    model = basket.decouple(spec)
+    assert np.all(model.g != 0)
+    np.testing.assert_allclose(model.g @ model.g.T, cholesky.g @ cholesky.g.T, rtol=1e-14)
+    for cont in (None, _continuation(4, 5, 0)):
+        f = _step_function(spec, model, 5, cont, 30.0)
+        for rows, cols in _cut_blocks(4, 5, 1):
+            got = f.block(rows, cols)
+            joined = ttcross._cross_indices(rows, cols)
+            want = f.block(joined, _NO_AXES).reshape(got.shape)
+            assert np.count_nonzero(want) > 0
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(want)
 
 
 def _recorded_blocks(monkeypatch):

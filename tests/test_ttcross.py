@@ -643,29 +643,3 @@ def test_tt_svd_grid_is_one_walk():
     assert res.stop_reason == "tt-svd"
     assert calls[0] == hidden.size and res.n_evals == hidden.size + 1024
     np.testing.assert_allclose(mps_dense(res.mps), hidden, rtol=1e-12, atol=1e-12)
-
-
-def test_asian_bruteforce_walks_each_path_once(monkeypatch):
-    """N=18: every block call at most one chunk, all 2^18 paths exactly once."""
-    calls = []
-    integrand = asian.asian_integrand
-
-    def recording(spec):
-        f = integrand(spec)
-
-        def block(rows, cols):
-            calls.append((rows, cols))
-            return f.block(rows, cols)
-
-        return GridFunction(f.dims, _raises, block)
-
-    monkeypatch.setattr(asian, "asian_integrand", recording)
-    spec = AsianSpec(spot=100.0, strike=100.0, rate=0.1, vol=0.5, expiry=1.0, steps=18)
-    price = asian.price_asian_bruteforce(spec).price
-    assert max(len(rows) * len(cols) for rows, cols in calls) <= _CHUNK
-    seen = np.concatenate(
-        [np.ravel_multi_index(tuple(_cross_indices(r, c).T), (2,) * 18) for r, c in calls]
-    )
-    np.testing.assert_array_equal(np.sort(seen), np.arange(1 << 18))
-    want = sum(float(integrand(spec).block(r, c).sum()) for r, c in calls)
-    assert price == np.exp(-spec.rate * spec.expiry) * want
