@@ -17,7 +17,7 @@ import functools
 import math
 import numbers
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -291,14 +291,7 @@ def _step_function(
     return GridFunction(dims=(step + 1,) * m, evaluate=evaluate, block=block)
 
 
-def _price_tensor(
-    spec: BasketSpec,
-    style: str,
-    bond_dim: int,
-    seed: int,
-    n_sweeps: int,
-    tol: float,
-) -> PriceReport:
+def _price_tensor(spec: BasketSpec, style: str, bond_dim: int, seed: int) -> PriceReport:
     """Price from the expiry payoff MPS, crossed with seed ``seed + steps``.
 
     European style contracts that MPS once with the label distribution.
@@ -311,19 +304,17 @@ def _price_tensor(
     model = decouple(spec)
     n, m = spec.steps, spec.n_assets
     start_time = time.perf_counter()
-    # Every step's config is built, and so checked, before any cross runs.
-    cfgs = [
-        CrossConfig(max_bond=bond_dim, n_sweeps=n_sweeps, tol=tol, seed=seed + step)
-        for step in range(n + 1)
-    ]
-    crosses = {n: ttcross_approximate(_step_function(spec, model, n), cfgs[n])}
+    # Checked before any cross runs; step k's cross is seeded seed + k.
+    cfg = CrossConfig(max_bond=bond_dim, seed=seed)
+    f = _step_function(spec, model, n)
+    crosses = {n: ttcross_approximate(f, replace(cfg, seed=seed + n))}
     value = crosses[n].mps
     if style == "american":
         disc = math.exp(-spec.rate * spec.dt)
         for k in range(n, 0, -1):
             held = value.apply_site_matrices([conditional_prob_matrix(k).T] * m)
             f = _step_function(spec, model, k - 1, held, disc)
-            crosses[k - 1] = ttcross_approximate(f, cfgs[k - 1])
+            crosses[k - 1] = ttcross_approximate(f, replace(cfg, seed=seed + k - 1))
             value = crosses[k - 1].mps
         price = value.sum_all()
     else:
@@ -346,35 +337,25 @@ def _price_tensor(
     )
 
 
-def price_european_basket(
-    spec: BasketSpec,
-    bond_dim: int = 16,
-    seed: int = 0,
-    n_sweeps: int = 8,
-    tol: float = 1e-10,
-) -> PriceReport:
+def price_european_basket(spec: BasketSpec, bond_dim: int = 16, seed: int = 0) -> PriceReport:
     """European basket put: one contraction of the expiry payoff MPS.
 
     The expiry payoff is crossed into an MPS with seed ``seed + steps``, every
     site is contracted with the Binomial(steps, 1/2) label distribution and
     the sum is discounted over the expiry. The payoff MPS is reported.
+    ``bond_dim`` is the one accuracy knob; the cross stops by its own rule.
     """
-    return _price_tensor(spec, "european", bond_dim, seed, n_sweeps, tol)
+    return _price_tensor(spec, "european", bond_dim, seed)
 
 
-def price_american_basket(
-    spec: BasketSpec,
-    bond_dim: int = 16,
-    seed: int = 0,
-    n_sweeps: int = 8,
-    tol: float = 1e-10,
-) -> PriceReport:
+def price_american_basket(spec: BasketSpec, bond_dim: int = 16, seed: int = 0) -> PriceReport:
     """American basket put by backward induction over value-function MPSs.
 
     Each step's max(discounted continuation, payoff) is rebuilt by cross
     approximation seeded with ``seed + step``; the root MPS is reported.
+    ``bond_dim`` is the one accuracy knob; each cross stops by its own rule.
     """
-    return _price_tensor(spec, "american", bond_dim, seed, n_sweeps, tol)
+    return _price_tensor(spec, "american", bond_dim, seed)
 
 
 def _grid_segments(buf: np.ndarray, f: GridFunction):

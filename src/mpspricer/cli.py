@@ -56,7 +56,6 @@ _KEYWORDS = {
     "s0": "spot",
     "corr": "rho",
     "payoff": "payoff_kind",
-    "sweeps": "n_sweeps",
     "samples": "n_samples",
     "assets": "n_assets",
 }
@@ -112,8 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pa.add_argument("--bond-dim", type=int, help="MPS bond dimension")
     pa.add_argument("--samples", type=_int_like, help="Monte Carlo sample count")
-    pa.add_argument("--sweeps", type=int, help="sweep count")
-    pa.add_argument("--tol", type=float, help="cross convergence tolerance")
     _add_output_flags(pa)
 
     pb = add("price-basket", help="price one basket put")
@@ -131,8 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--method", choices=list(BASKET_PRICERS), default="ttcross", help="pricing method"
     )
     pb.add_argument("--bond-dim", type=int, help="MPS bond dimension")
-    pb.add_argument("--sweeps", type=int, help="cross sweep count")
-    pb.add_argument("--tol", type=float, help="cross convergence tolerance")
     _add_output_flags(pb)
 
     return parser
@@ -141,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_config_file(path: str, allowed: set[str]) -> dict:
     """The file's JSON object, keys spelled as flag destinations.
 
-    A key outside ``allowed`` or a non-finite number is an error.
+    A key outside ``allowed``, a null or a non-finite number is an error.
     """
     with open(path, "r", encoding="utf-8") as f:
         data = json.load(f)
@@ -152,6 +147,9 @@ def _load_config_file(path: str, allowed: set[str]) -> dict:
     if unknown:
         raise ValueError(f"config file {path}: unknown keys {unknown}")
     for key, value in data.items():
+        # A null would reach its flag as the text "None".
+        if value is None:
+            raise ValueError(f"config file {path}: {key} must not be null")
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"config file {path}: {key} must be finite, got {value}")
     return data

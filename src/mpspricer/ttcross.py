@@ -46,8 +46,12 @@ _HELDOUT_WARN = 0.1
 # Most grid values asked of a grid function in one call: the points of one
 # pointwise call, and the values of one block of a whole-grid walk.
 _CHUNK = 1 << 16
-# A sweep must at least halve the probe change, or the run stops.
+# A sweeping run stops converged once its probe change is at most _TOL, and
+# unconverged once a sweep fails to cut the change by _PLATEAU or after
+# _MAX_SWEEPS sweeps. _TOL is a stop rule, not an accuracy target.
+_TOL = 1e-10
 _PLATEAU = 0.5
+_MAX_SWEEPS = 8
 # maxvol stops once no entry of mat @ inv(mat[rows]) exceeds 1 + _DOMINANCE
 # in magnitude, or after _MAXVOL_ITERS swaps.
 _DOMINANCE = 0.01
@@ -77,18 +81,17 @@ class GridFunction:
 
 @dataclass(frozen=True)
 class CrossConfig:
-    """Budget and stopping knobs for :func:`ttcross_approximate`."""
+    """Bond budget and seed of :func:`ttcross_approximate`.
+
+    The seed draws the probes and the first right pivots. The stop rule is
+    fixed, not configured: see :func:`ttcross_approximate`.
+    """
 
     max_bond: int
-    n_sweeps: int = 8
-    tol: float = 1e-10
     seed: int = 0
 
     def __post_init__(self):
         check_int("max_bond", self.max_bond, 1)
-        check_int("n_sweeps", self.n_sweeps, 1)
-        if not 0 < self.tol < math.inf:
-            raise ValueError(f"tol must be positive and finite, got {self.tol}")
         check_int("seed", self.seed, 0)
 
 
@@ -102,8 +105,8 @@ class CrossResult:
     never sees part of f can settle far from it. ``probe_changes`` holds,
     per sweep after the first, the MPS's largest change on the stopping
     probes relative to their largest value. ``stop_reason`` is "tol" (a
-    change at most ``tol``, the one ``converged`` stop of a sweeping run),
-    "plateau" (a change above half the one before), "cap" (``n_sweeps`` ran
+    change at most 1e-10, the one ``converged`` stop of a sweeping run),
+    "plateau" (a change above half the one before), "cap" (8 sweeps ran
     out) or "tt-svd" (one superblock would hold the grid, so it was
     compressed by TT-SVD with no pivots and 0 sweeps). ``heldout_residual``
     is max|f - mps| / max|f| on 1024 probes drawn apart from the stopping
@@ -367,7 +370,7 @@ class _CrossRun:
         changes: list[float] = []
         stop = "cap"
         prev = None
-        for sweeps in range(1, self.cfg.n_sweeps + 1):
+        for sweeps in range(1, _MAX_SWEEPS + 1):
             if sweeps > 1:
                 self._sweep_r2l()
             mps = self._sweep_l2r()
@@ -376,7 +379,7 @@ class _CrossRun:
                 scale = float(max(np.max(np.abs(vals)), np.max(np.abs(prev))))
                 diff = float(np.max(np.abs(vals - prev)))
                 changes.append(diff / scale if scale > 0.0 else 0.0)
-                if changes[-1] <= self.cfg.tol:
+                if changes[-1] <= _TOL:
                     stop = "tol"
                     break
                 if len(changes) > 1 and changes[-1] > _PLATEAU * changes[-2]:
@@ -395,11 +398,12 @@ def ttcross_approximate(f: GridFunction, cfg: CrossConfig) -> CrossResult:
     Each sweep refines the right pivots right to left (from the second
     sweep on), then the left pivots left to right, which builds the MPS.
     Its values at a fixed seeded set of 1024 probe indices decide the stop:
-    converged once they change by at most cfg.tol relative; unconverged,
+    converged once they change by at most 1e-10 relative; unconverged,
     with a warning, once a change fails to halve the one before or after
-    cfg.n_sweeps sweeps. A superblock whose pivot sets are unchanged since
-    it was last factored is neither evaluated nor factored again, so a
-    sweep that only confirms the pivots costs no SVD. A grid that one
+    8 sweeps. The bond budget is the one accuracy knob; the probe change
+    is a stop rule, not an accuracy target. A superblock whose pivot sets
+    are unchanged since it was last factored is neither evaluated nor
+    factored again, so a sweep that only confirms the pivots costs no SVD. A grid that one
     superblock would span is compressed by TT-SVD without sweeping.
     """
     return _CrossRun(f, cfg).run()

@@ -22,6 +22,12 @@ from mpspricer import MPS, AsianSpec, GridFunction, basket, conditional_prob_mat
 from mpspricer.asian import asian_integrand
 from mpspricer.ttcross import grid_blocks
 
+# The standard CRR call (spot = strike = 100, r = 0.1, vol = 0.5, T = 1) at
+# N = 32: the sorted-tail brute force with its step cap raised, which
+# test_variational pins. It lies inside the two-sided automaton bracket
+# [13.5862351, 13.5862685].
+ASIAN_N32_CALL = 13.586235976205941
+
 
 def black_scholes_price(
     spot: float, strike: float, rate: float, vol: float, expiry: float, right: str

@@ -398,14 +398,18 @@ def test_config_file_must_hold_an_object(data, tmp_path, capsys):
     assert err.startswith("error:") and "must hold a JSON object" in err
 
 
-def test_non_finite_tol_flag_is_error(tmp_path, capsys):
-    # An infinite tol once stopped the first probe comparison as converged.
-    args = ["price-asian", "--steps", "30", "--bond-dim", "4", "--tol", "inf"]
-    code, raw = run_cli(args, tmp_path)
-    assert code == 1
-    assert raw == b""
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "tol must be positive and finite" in err
+@pytest.mark.parametrize("key", ["output_path", "dump_mps", "steps"])
+def test_config_file_null_is_error(key, tmp_path, monkeypatch, capsys):
+    # A null once reached its flag as "None": a report written to a file
+    # named None, or a usage error about the text "None".
+    monkeypatch.chdir(tmp_path)
+    cfg_file = tmp_path / "c.json"
+    cfg_file.write_text(json.dumps({"steps": 8, key: None}))
+    assert main(["price-asian", "--config", str(cfg_file)]) == 1
+    assert not (tmp_path / "None").exists()
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: config file {cfg_file}: {key} must not be null\n"
 
 
 @pytest.mark.parametrize(
@@ -436,17 +440,21 @@ def test_config_file_basket_lists_must_hold_numbers(values, field, tmp_path, cap
             "--samples", id="asian-ttcross",
         ),
         pytest.param(
-            ["price-asian", "--method", "variational", "--sweeps", "3"],
-            "--sweeps", id="asian-variational",
+            ["price-asian", "--method", "variational", "--samples", "3"],
+            "--samples", id="asian-variational",
         ),
         pytest.param(
             ["price-asian", "--method", "montecarlo", "--steps", "8", "--samples",
-             "1000", "--tol", "inf", "--bond-dim", "0"],
-            "--bond-dim, --tol", id="asian-montecarlo",
+             "1000", "--bond-dim", "0"],
+            "--bond-dim", id="asian-montecarlo",
         ),
         pytest.param(
             ["price-asian", "--method", "bruteforce", "--seed", "3"],
             "--seed", id="asian-bruteforce",
+        ),
+        pytest.param(
+            ["price-asian", "--method", "bruteforce", "--bond-dim", "0", "--seed", "3"],
+            "--bond-dim, --seed", id="asian-bruteforce-two-flags",
         ),
         pytest.param(
             ["price-basket", "--method", "bruteforce", "--bond-dim", "8"],
@@ -467,11 +475,11 @@ def test_flag_the_method_does_not_take_is_error(args, unused, tmp_path, capsys):
 
 def test_config_file_flag_the_method_does_not_take_is_error(tmp_path, capsys):
     cfg_file = tmp_path / "c.json"
-    cfg_file.write_text(json.dumps({"method": "montecarlo", "sweeps": 2}))
+    cfg_file.write_text(json.dumps({"method": "montecarlo", "bond_dim": 2}))
     code, raw = run_cli(["price-asian", "--config", str(cfg_file)], tmp_path)
     assert code == 1
     assert raw == b""
-    assert "does not take --sweeps" in capsys.readouterr().err
+    assert "does not take --bond-dim" in capsys.readouterr().err
 
 
 def test_every_basket_ttcross_flag_is_taken(tmp_path):
@@ -481,6 +489,6 @@ def test_every_basket_ttcross_flag_is_taken(tmp_path):
             "price-basket", "--style", style, "--assets", "2", "--s0", "90",
             "--strike", "95", "--rate", "0.05", "--vol", "0.3", "--corr", "0.2",
             "--expiry", "0.5", "--steps", "4", "--payoff", "max",
-            "--bond-dim", "4", "--sweeps", "2", "--tol", "1e-3", "--seed", "1",
+            "--bond-dim", "4", "--seed", "1",
         ]
         assert run_cli(args, tmp_path)[0] == 0

@@ -1,6 +1,5 @@
 """Cross approximation: maxvol row selection and full sweeps."""
 
-import math
 import re
 
 import numpy as np
@@ -62,29 +61,18 @@ def test_maxvol_iteration_cap_warns(monkeypatch):
 def test_config_validation():
     with pytest.raises(ValueError):
         CrossConfig(max_bond=0)
-    with pytest.raises(ValueError):
-        CrossConfig(max_bond=2, n_sweeps=0)
-    with pytest.raises(ValueError):
-        CrossConfig(max_bond=2, tol=0.0)
-
-
-@pytest.mark.parametrize("tol", [math.inf, math.nan, -math.inf])
-def test_config_refuses_a_non_finite_tol(tol):
-    with pytest.raises(ValueError, match="tol must be positive and finite"):
-        CrossConfig(max_bond=4, tol=tol)
 
 
 @pytest.mark.parametrize(
     "price, kwargs, match",
     [
         (price_asian_ttcross, {"bond_dim": 8.5}, "max_bond must be an integer, got float 8.5"),
-        (price_asian_ttcross, {"n_sweeps": 2.5}, "n_sweeps must be an integer, got float 2.5"),
         (price_asian_ttcross, {"seed": 1.5}, "seed must be an integer, got float 1.5"),
         (price_asian_variational, {"bond_dim": 4.5}, "bond_dim must be an integer"),
         (price_asian_variational, {"seed": 1.5}, "seed must be an integer"),
         (price_european_basket, {"bond_dim": 4.5}, "max_bond must be an integer"),
     ],
-    ids=["ttcross-bond", "ttcross-sweeps", "ttcross-seed", "var-bond", "var-seed", "basket-bond"],
+    ids=["ttcross-bond", "ttcross-seed", "var-bond", "var-seed", "basket-bond"],
 )
 def test_integer_knobs_reject_non_integers(price, kwargs, match):
     # Each of these once failed deep in the run with a numpy or range error.
@@ -117,7 +105,7 @@ def test_rank_one_product_recovered_at_bond_one():
 
     res = ttcross_approximate(
         GridFunction(dims=(4,) * 5, evaluate=f),
-        CrossConfig(max_bond=1, n_sweeps=6, tol=1e-12, seed=2),
+        CrossConfig(max_bond=1, seed=2),
     )
     dense = mps_dense(res.mps)
     grid = np.stack(
@@ -134,7 +122,7 @@ def test_hidden_rank_two_integrand_recovered():
     exact = build_exact_payoff_mps(spec)
     res = ttcross_approximate(
         mps_grid_function(exact),
-        CrossConfig(max_bond=2, n_sweeps=8, tol=1e-12, seed=3),
+        CrossConfig(max_bond=2, seed=3),
     )
     idx = all_bitstrings(14)
     want = exact.evaluate_batch(idx)
@@ -157,7 +145,7 @@ def test_interpolation_at_retained_pivots():
     cases = [
         (
             GridFunction(dims=hidden.shape, evaluate=lambda idx: hidden[tuple(idx.T)]),
-            CrossConfig(max_bond=3, n_sweeps=4, tol=1e-10, seed=5),
+            CrossConfig(max_bond=3, seed=5),
         ),
         (asian_integrand(spec), CrossConfig(max_bond=16, seed=1)),
     ]
@@ -181,7 +169,7 @@ def test_deterministic_given_seed():
         spot=100.0, strike=90.0, rate=0.05, vol=0.4, expiry=1.0, steps=10
     )
     f = mps_grid_function(build_exact_payoff_mps(spec))
-    cfg = CrossConfig(max_bond=4, n_sweeps=4, tol=1e-12, seed=11)
+    cfg = CrossConfig(max_bond=4, seed=11)
     a = ttcross_approximate(f, cfg)
     b = ttcross_approximate(f, cfg)
     assert a.n_evals == b.n_evals
@@ -203,7 +191,7 @@ def test_monotone_bond_budget():
     def median_err(bond):
         errs = []
         for seed in range(20):
-            cfg = CrossConfig(max_bond=bond, n_sweeps=4, tol=1e-12, seed=seed)
+            cfg = CrossConfig(max_bond=bond, seed=seed)
             mps = ttcross_approximate(f, cfg).mps
             errs.append(np.max(np.abs(mps.evaluate_batch(probes) - want)) / scale)
         return float(np.median(errs))
@@ -211,7 +199,8 @@ def test_monotone_bond_budget():
     assert median_err(2) <= median_err(1) + 1e-12
 
 
-def test_sweep_cap_flagged():
+def test_sweep_cap_flagged(monkeypatch):
+    monkeypatch.setattr(ttcross, "_MAX_SWEEPS", 1)
     rng = np.random.default_rng(13)
     hidden = rng.normal(size=(2,) * 8)
 
@@ -220,7 +209,7 @@ def test_sweep_cap_flagged():
 
     res = ttcross_approximate(
         GridFunction(dims=(2,) * 8, evaluate=f),
-        CrossConfig(max_bond=2, n_sweeps=1, seed=0),
+        CrossConfig(max_bond=2, seed=0),
     )
     assert not res.converged
     assert any("sweep cap" in w for w in res.warnings)
@@ -228,13 +217,14 @@ def test_sweep_cap_flagged():
     assert (res.stop_reason, res.probe_changes) == ("cap", [])
 
 
-def test_stops_when_probe_changes_stop_halving():
+def test_stops_when_probe_changes_stop_halving(monkeypatch):
     """A truncated Asian integrand settles above tol; the run stops, flagged."""
+    monkeypatch.setattr(ttcross, "_MAX_SWEEPS", 20)
     spec = AsianSpec(
         spot=100.0, strike=100.0, rate=0.1, vol=0.5, expiry=1.0, steps=12
     )
     res = ttcross_approximate(
-        asian_integrand(spec), CrossConfig(max_bond=4, n_sweeps=20, seed=0)
+        asian_integrand(spec), CrossConfig(max_bond=4, seed=0)
     )
     changes = res.probe_changes
     assert (res.stop_reason, res.converged) == ("plateau", False)
@@ -259,7 +249,7 @@ def test_heldout_residual_is_relative_max_error_off_the_stopping_probes():
     """1024 held-out draws over 64 points hit the worst one: a global residual."""
     hidden = np.random.default_rng(2).normal(size=(2,) * 6)
     f = GridFunction(dims=(2,) * 6, evaluate=lambda idx: hidden[tuple(idx.T)])
-    res = ttcross_approximate(f, CrossConfig(max_bond=2, n_sweeps=3, seed=0))
+    res = ttcross_approximate(f, CrossConfig(max_bond=2, seed=0))
     err = np.abs(mps_dense(res.mps) - hidden)
     assert res.heldout_residual == pytest.approx(
         err.max() / np.abs(hidden).max(), rel=1e-12
@@ -275,7 +265,7 @@ def test_mixed_axis_sizes():
 
     res = ttcross_approximate(
         GridFunction(dims=(4, 6, 5), evaluate=f),
-        CrossConfig(max_bond=4, n_sweeps=6, tol=1e-12, seed=1),
+        CrossConfig(max_bond=4, seed=1),
     )
     grid = np.stack(
         np.meshgrid(np.arange(4), np.arange(6), np.arange(5), indexing="ij"),
@@ -294,7 +284,8 @@ def test_eval_counting_and_batch_cap(monkeypatch):
         return np.ones(idx.shape[0])
 
     monkeypatch.setattr(ttcross, "_CHUNK", 16)
-    cfg = CrossConfig(max_bond=2, n_sweeps=1, seed=0)
+    monkeypatch.setattr(ttcross, "_MAX_SWEEPS", 1)
+    cfg = CrossConfig(max_bond=2, seed=0)
     res = ttcross_approximate(GridFunction(dims=(2,) * 6, evaluate=f), cfg)
     assert max(calls) <= 16
     assert res.n_evals == sum(calls)
@@ -318,7 +309,7 @@ def test_n_evals_counts_every_value_computed():
         return np.cos(idx @ np.arange(1.0, 7.0))
 
     dims = (3, 4, 2, 5, 3, 2)
-    cfg = CrossConfig(max_bond=4, n_sweeps=3, seed=0)
+    cfg = CrossConfig(max_bond=4, seed=0)
     res = ttcross_approximate(GridFunction(dims=dims, evaluate=f), cfg)
     assert res.n_evals == len(seen) == 1536
     assert len(set(seen)) < len(seen)
@@ -341,7 +332,7 @@ def test_grid_beyond_uint64_positions():
 
     res = ttcross_approximate(
         GridFunction(dims=(2,) * 70, evaluate=f),
-        CrossConfig(max_bond=2, n_sweeps=3, seed=0),
+        CrossConfig(max_bond=2, seed=0),
     )
     rows = np.random.default_rng(5).integers(0, 2, size=(200, 70))
     np.testing.assert_allclose(res.mps.evaluate_batch(rows), f(rows), rtol=1e-10)
@@ -356,7 +347,7 @@ def test_grid_of_exactly_2_64_points():
 
     res = ttcross_approximate(
         GridFunction(dims=(2,) * 64, evaluate=f),
-        CrossConfig(max_bond=2, n_sweeps=3, seed=0),
+        CrossConfig(max_bond=2, seed=0),
     )
     rows = np.random.default_rng(7).integers(0, 2, size=(200, 64))
     np.testing.assert_allclose(res.mps.evaluate_batch(rows), f(rows), rtol=1e-10)
@@ -413,10 +404,11 @@ def test_confirming_sweep_factors_nothing(monkeypatch):
     a confirmation; every superblock in it was factored before.
     """
     calls, svds = _count_factorizations(monkeypatch)
+    monkeypatch.setattr(ttcross, "_TOL", 1e-300)
     weights = np.random.default_rng(3).normal(size=10)
     res = ttcross_approximate(
         GridFunction(dims=(2,) * 10, evaluate=lambda idx: 1.0 + idx @ weights),
-        CrossConfig(max_bond=2, tol=1e-300, seed=0),
+        CrossConfig(max_bond=2, seed=0),
     )
     assert (res.stop_reason, res.n_sweeps_run, res.probe_changes[-1]) == ("tol", 3, 0.0)
     sweeps = _sweeps(calls, 10)
@@ -432,12 +424,12 @@ def _hidden_grid(shape, seed):
 @pytest.mark.parametrize(
     "f, cfg",
     [
-        (_hidden_grid((3, 4, 3, 4), 7), CrossConfig(max_bond=3, n_sweeps=4, seed=5)),
+        (_hidden_grid((3, 4, 3, 4), 7), CrossConfig(max_bond=3, seed=5)),
         (
             asian_integrand(
                 AsianSpec(spot=100.0, strike=100.0, rate=0.1, vol=0.5, expiry=1.0, steps=12)
             ),
-            CrossConfig(max_bond=4, n_sweeps=20, seed=0),
+            CrossConfig(max_bond=4, seed=0),
         ),
     ],
     ids=["hidden-3x4x3x4", "asian-N12"],
@@ -464,7 +456,7 @@ def test_moved_pivots_refactor_their_superblocks(monkeypatch):
     of the reversed rows, or core k would not match core k-1's pivots.
     """
     f = _hidden_grid((3, 4, 3, 4, 3), 9)
-    run = ttcross._CrossRun(f, CrossConfig(max_bond=3, n_sweeps=4, seed=1))
+    run = ttcross._CrossRun(f, CrossConfig(max_bond=3, seed=1))
     run.run()
     calls, svds = _count_factorizations(monkeypatch)
     k = 2

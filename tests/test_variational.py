@@ -16,9 +16,9 @@ from mpspricer import (
     price_asian_bruteforce,
     price_asian_variational,
 )
-from mpspricer import variational
+from mpspricer import asian, variational
 
-from conftest import all_bitstrings
+from conftest import ASIAN_N32_CALL, all_bitstrings
 
 ASIAN_N1_CALL = 28.084640724297127
 
@@ -212,6 +212,27 @@ def test_variational_is_lower_bound_everywhere():
                 for bond_dim in range(1, 65):
                     price = price_asian_variational(spec, bond_dim=bond_dim).price
                     assert price <= bf * (1.0 + 1e-12), (steps, scheme, right, bond_dim)
+
+
+@pytest.mark.parametrize("steps", [26, 29, 32, 36])
+def test_variational_is_lower_bound_past_the_bruteforce_cap(monkeypatch, steps):
+    # The sorted-tail brute force runs to N=36 in under 0.5 s; the cap is
+    # raised for this test only.
+    monkeypatch.setattr(asian, "BRUTEFORCE_MAX_STEPS", steps)
+    for scheme in ("crr", "rb"):
+        for right in ("call", "put"):
+            spec = AsianSpec(steps=steps, scheme=scheme, right=right)
+            bf = price_asian_bruteforce(spec).price
+            for bond_dim in (1, 8, 32, 64):
+                price = price_asian_variational(spec, bond_dim=bond_dim).price
+                assert price <= bf * (1.0 + 1e-12), (steps, scheme, right, bond_dim)
+
+
+def test_bruteforce_past_its_cap_pins_the_n32_call(monkeypatch):
+    monkeypatch.setattr(asian, "BRUTEFORCE_MAX_STEPS", 32)
+    price = price_asian_bruteforce(AsianSpec(steps=32)).price
+    assert price == pytest.approx(ASIAN_N32_CALL, rel=1e-12)
+    assert 13.5862351 <= price <= 13.5862685
 
 
 def test_variational_put_lower_bound():
