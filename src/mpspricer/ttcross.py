@@ -3,21 +3,26 @@
 The approximation never sees the full tensor. It keeps, per internal bond,
 left pivot prefixes I_k and right pivot suffixes J_k, and sweeps DMRG-style
 (Savostyanov & Oseledets 2011) over superblocks ``f(I_p x, x J_{p+2})``:
-maxvol on each one's leading singular vectors picks the next pivots. The
-left-to-right sweep also builds the MPS: core p is ``U @ inv(U[sel])`` for
-the leading left singular vectors U and their maxvol rows sel, so its
-entries stay within 1.01 when maxvol converges, and the last core is the
-last superblock's rows sel. The MPS equals f at the last bond's left
-pivots times the last axis. A superblock whose pivot sets are unchanged
-since it was last factored is neither evaluated nor factored again, so the
-sweep turnarounds reuse their end superblocks and a confirming sweep,
-whose pivots no longer move, costs no SVD. A grid that one superblock at
-the bond budget would hold is instead evaluated once and compressed by
-TT-SVD (Oseledets 2011). Every superblock is asked of the grid function as
-one block of row prefixes by column suffixes. A function that separates
-across the cut gives a ``block`` that builds it from one factor per row
-and one per column, and is then asked for nothing else; any other is
-evaluated point by point. No value is remembered between blocks.
+maxvol on a basis of each one's leading singular subspaces picks the next
+pivots. The left-to-right sweep also builds the MPS: core p is
+``U @ inv(U[sel])`` for a basis U of the leading left singular subspace
+and its maxvol rows sel, so its entries stay within 1.01 when maxvol
+converges, and the last core is the last superblock's rows sel. The MPS
+equals f at the last bond's left pivots times the last axis. Cores and
+pivots depend on the subspaces, not on the basis, so a superblock is
+factored by one eigendecomposition of its smaller Gram matrix where the
+singular values it keeps, and the next one, are clear of round-off, and
+by SVD elsewhere. A superblock whose pivot sets are unchanged since it
+was last factored is neither evaluated nor factored again, so the sweep
+turnarounds reuse their end superblocks and a confirming sweep, whose
+pivots no longer move, costs no factorization. A grid that one
+superblock at the bond budget would hold is instead evaluated once and
+compressed by TT-SVD (Oseledets 2011). Every superblock is asked of the
+grid function as one block of row prefixes by column suffixes. A
+function that separates across the cut gives a ``block`` that builds it
+from one factor per row and one per column, and is then asked for
+nothing else; any other is evaluated point by point. No value is
+remembered between blocks.
 
 :func:`grid_blocks` is the one walk over a whole grid: the TT-SVD and the
 dense basket oracle enumerate their grids through it, in blocks of at most
@@ -41,6 +46,9 @@ from .mps import MPS
 
 N_PROBE = 1024
 _RANK_RTOL = 1e-14
+# Least share of the largest Gram eigenvalue that the one after the r kept
+# (the r-th, if none follows) must exceed for _factor to skip the SVD.
+_GRAM_RTOL = 1e-12
 # A run whose held-out residual exceeds this warns: f was not learned.
 _HELDOUT_WARN = 0.1
 # Most grid values asked of a grid function in one call: the points of one
@@ -130,7 +138,10 @@ def _maxvol_iter(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
     """Quasi-maximal-volume rows of an (n, r) matrix of full column rank.
 
     Returns the rows, ``mat @ inv(mat[rows])`` and whether its entries came
-    within 1 + _DOMINANCE in magnitude before _MAXVOL_ITERS swaps.
+    within 1 + _DOMINANCE in magnitude before _MAXVOL_ITERS swaps. Both
+    depend on mat's column span alone, given the same start; the start
+    ranks rows by their norms, which are leverage scores when mat is
+    orthonormal, so round-off in the basis can break exact ties.
     """
     n, r = mat.shape
     if n == r:
@@ -240,7 +251,7 @@ class _CrossRun:
         for k in range(self.n - 1, 0, -1):
             self.jset[k] = self._sample_suffixes(k)
         # Per superblock p: the key (iset[p], jset[p+2]) it was last factored
-        # at, and its U[:, :r] and Vh[:r].
+        # at, and its bases U and Vh from _factor.
         self._slots: list = [(None, None)] * (self.n - 1)
 
     def _sample_suffixes(self, k: int) -> np.ndarray:
@@ -255,25 +266,51 @@ class _CrossRun:
         return _block_values(self.f, rows, cols)
 
     def _superblock(self, p: int) -> tuple[np.ndarray, ...]:
-        """Rows, columns and rank-truncated SVD factors U, Vh of superblock p.
+        """Rows, columns and leading singular bases U, Vh of superblock p.
 
-        The superblock depends only on iset[p] and jset[p+2]. While both
-        hold the bytes they had when it was last factored, the stored
-        factors are returned and neither f nor the SVD is called. Each set
-        has a fixed column count per bond, so equal bytes are equal arrays.
+        The bases come from :meth:`_factor`. The superblock depends only on
+        iset[p] and jset[p+2]. While both hold the bytes they had when it
+        was last factored, the stored bases are returned and neither f nor
+        the factorization is called. Each set has a fixed column count per
+        bond, so equal bytes are equal arrays.
         """
         rows = _cross_indices(self.iset[p], np.arange(self.dims[p])[:, None])
         cols = _cross_indices(np.arange(self.dims[p + 1])[:, None], self.jset[p + 2])
         key = (self.iset[p].tobytes(), self.jset[p + 2].tobytes())
         if self._slots[p][0] != key:
-            u, s, vh = np.linalg.svd(self._eval(rows, cols), full_matrices=False)
-            r = self._rank(s)
-            # Copies, so a slot does not hold the untruncated factors.
-            self._slots[p] = key, (u[:, :r].copy(), vh[:r].copy())
+            self._slots[p] = key, self._factor(self._eval(rows, cols))
         return rows, cols, *self._slots[p][1]
 
+    def _factor(self, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Bases U (R, r) and Vh (r, C) of a block's leading singular subspaces.
+
+        r = min(max_bond, R, C). With B the block, or its transpose if the
+        block is tall, the top r eigenvectors V of B @ B.T are one side and
+        ``B.T @ V / sqrt(lambda)`` the other; only their spans matter, and
+        V's is off by about eps lambda_1 / (lambda_r - lambda_r+1). This is
+        taken when sigma_r+1 (sigma_r if r = min(R, C)) > 1e-6 sigma_1, so
+        :meth:`_rank` keeps r too and the block is not of exact rank r,
+        whose SVD bases are exact to round-off. Any other block, such as an
+        all-zero one, is factored by SVD (which raises on a NaN) at
+        :meth:`_rank`'s rank.
+        """
+        r = min(self.cfg.max_bond, *block.shape)
+        wide = block.shape[0] <= block.shape[1]
+        b = block if wide else block.T
+        lam, vecs = np.linalg.eigh(b @ b.T)
+        # Ascending eigenvalues: this is lambda_r+1, or lambda_r if r = b's rows.
+        if lam[-min(r + 1, lam.size)] > _GRAM_RTOL * lam[-1]:
+            # Leading first, copied so a slot does not hold every eigenvector.
+            gram_side = vecs[:, ::-1][:, :r].copy()
+            other = b.T @ gram_side / np.sqrt(lam[::-1][:r])
+            return (gram_side, other.T) if wide else (other, gram_side.T)
+        u, s, vh = np.linalg.svd(block, full_matrices=False)
+        r = self._rank(s)
+        # Copies, so a slot does not hold the untruncated factors.
+        return u[:, :r].copy(), vh[:r].copy()
+
     def _pivots(self, basis: np.ndarray, bond: int) -> tuple[np.ndarray, np.ndarray]:
-        """Maxvol rows of an orthonormal basis and ``basis @ inv(basis[rows])``."""
+        """Maxvol rows of a :meth:`_factor` basis and ``basis @ inv(basis[rows])``."""
         sel, coeffs, ok = _maxvol_iter(basis)
         if not ok:
             self.warnings.append(f"maxvol hit iteration cap at bond {bond}")
@@ -296,7 +333,7 @@ class _CrossRun:
         return MPS(cores)
 
     def _sweep_r2l(self) -> None:
-        """Refine the right pivots from the leading right singular vectors."""
+        """Refine the right pivots from the leading right singular subspaces."""
         for p in range(self.n - 2, -1, -1):
             _, cols, _, vh = self._superblock(p)
             sel, _ = self._pivots(vh.T, p + 1)
@@ -403,7 +440,8 @@ def ttcross_approximate(f: GridFunction, cfg: CrossConfig) -> CrossResult:
     8 sweeps. The bond budget is the one accuracy knob; the probe change
     is a stop rule, not an accuracy target. A superblock whose pivot sets
     are unchanged since it was last factored is neither evaluated nor
-    factored again, so a sweep that only confirms the pivots costs no SVD. A grid that one
-    superblock would span is compressed by TT-SVD without sweeping.
+    factored again, so a sweep that only confirms the pivots costs no
+    factorization. A grid that one superblock would span is compressed by
+    TT-SVD without sweeping.
     """
     return _CrossRun(f, cfg).run()

@@ -223,7 +223,7 @@ def test_ttcross_price_and_warnings_pinned_bitwise():
     """Exact bits of a truncated cross price, which stops on a plateau."""
     spec = AsianSpec(spot=100, strike=100, rate=0.1, vol=0.5, expiry=1.0, steps=16)
     report = price_asian_ttcross(spec, bond_dim=16, seed=1)
-    assert report.price.hex() == "0x1.bf7c7c66785f7p+3"
+    assert report.price.hex() == "0x1.bf7c7c6678868p+3"
     assert report.warnings == ["probe change plateaued at 2.526e-03"]
     assert report.price == pytest.approx(price_asian_bruteforce(spec).price, rel=2e-3)
 

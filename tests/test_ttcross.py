@@ -371,24 +371,30 @@ def test_grid_one_superblock_spans_is_tt_svd():
 
 
 def _count_factorizations(monkeypatch):
-    """Record every superblock request: its key and the SVDs it cost."""
-    svds = []
-    real_svd = np.linalg.svd
+    """Record every superblock request: its key and the factorizations it cost.
+
+    A factorization is one call of the superblock factor, whether it takes
+    the Gram eigendecomposition or the SVD.
+    """
+    factored = []
+    real_factor = ttcross._CrossRun._factor
     monkeypatch.setattr(
-        np.linalg, "svd", lambda *a, **kw: svds.append(1) or real_svd(*a, **kw)
+        ttcross._CrossRun,
+        "_factor",
+        lambda run, block: factored.append(1) or real_factor(run, block),
     )
     calls = []
     real_superblock = ttcross._CrossRun._superblock
 
     def superblock(run, p):
         key = (p, run.iset[p].tobytes(), run.jset[p + 2].tobytes())
-        before = len(svds)
+        before = len(factored)
         out = real_superblock(run, p)
-        calls.append((key, len(svds) - before))
+        calls.append((key, len(factored) - before))
         return out
 
     monkeypatch.setattr(ttcross._CrossRun, "_superblock", superblock)
-    return calls, svds
+    return calls, factored
 
 
 def _sweeps(calls, n_axes):
@@ -398,12 +404,12 @@ def _sweeps(calls, n_axes):
 
 
 def test_confirming_sweep_factors_nothing(monkeypatch):
-    """An exact-rank run stops on tol once the MPS repeats, at no SVD cost.
+    """An exact-rank run stops on tol once the MPS repeats, at no factoring cost.
 
     The tol is one only a repeated MPS meets, so the last sweep is purely
     a confirmation; every superblock in it was factored before.
     """
-    calls, svds = _count_factorizations(monkeypatch)
+    calls, factored = _count_factorizations(monkeypatch)
     monkeypatch.setattr(ttcross, "_TOL", 1e-300)
     weights = np.random.default_rng(3).normal(size=10)
     res = ttcross_approximate(
@@ -413,7 +419,7 @@ def test_confirming_sweep_factors_nothing(monkeypatch):
     assert (res.stop_reason, res.n_sweeps_run, res.probe_changes[-1]) == ("tol", 3, 0.0)
     sweeps = _sweeps(calls, 10)
     assert [sum(cost for _, cost in s) for s in sweeps] == [9, 8, 0]
-    assert len(svds) == len({key for key, _ in calls}) == 17
+    assert len(factored) == len({key for key, _ in calls}) == 17
 
 
 def _hidden_grid(shape, seed):
@@ -435,11 +441,11 @@ def _hidden_grid(shape, seed):
     ids=["hidden-3x4x3x4", "asian-N12"],
 )
 def test_each_distinct_superblock_factored_once(monkeypatch, f, cfg):
-    """SVDs equal distinct (p, I_p, J_p+2) superblocks; turnarounds reuse."""
-    calls, svds = _count_factorizations(monkeypatch)
+    """Factorizations equal distinct (p, I_p, J_p+2) superblocks; turnarounds reuse."""
+    calls, factored = _count_factorizations(monkeypatch)
     res = ttcross_approximate(f, cfg)
     assert res.n_sweeps_run > 1
-    assert len(svds) == len({key for key, _ in calls}) < len(calls)
+    assert len(factored) == len({key for key, _ in calls}) < len(calls)
     n = len(f.dims)
     for r2l_l2r in _sweeps(calls, n)[1:]:
         # The r2l sweep starts at the l2r sweep's last superblock, and the
@@ -458,14 +464,14 @@ def test_moved_pivots_refactor_their_superblocks(monkeypatch):
     f = _hidden_grid((3, 4, 3, 4, 3), 9)
     run = ttcross._CrossRun(f, CrossConfig(max_bond=3, seed=1))
     run.run()
-    calls, svds = _count_factorizations(monkeypatch)
+    calls, factored = _count_factorizations(monkeypatch)
     k = 2
     run._superblock(k)
-    assert svds == []
+    assert factored == []
     for sets, p in ((run.iset, k), (run.jset, k - 2)):
         sets[k] = sets[k][::-1].copy()
         rows, cols, u, vh = run._superblock(p)
-        assert len(svds) == 1
+        assert len(factored) == 1
         np.testing.assert_array_equal(
             rows, _cross_indices(run.iset[p], np.arange(f.dims[p])[:, None])
         )
@@ -478,7 +484,7 @@ def test_moved_pivots_refactor_their_superblocks(monkeypatch):
         # Sign-free: the projectors onto the leading singular subspaces.
         np.testing.assert_allclose(u @ u.T, want_u[:, :r] @ want_u[:, :r].T, atol=1e-12)
         np.testing.assert_allclose(vh.T @ vh, want_vh[:r].T @ want_vh[:r], atol=1e-12)
-        svds.clear()
+        factored.clear()
     # Superblock k-1 puts I_k back in order; the reversed rows' factors are stale.
     calls.clear()
     mps = run._sweep_l2r()
@@ -489,6 +495,132 @@ def test_moved_pivots_refactor_their_superblocks(monkeypatch):
 
 def _raises(idx):
     raise AssertionError("evaluate called on a grid function with a block")
+
+
+def _run(max_bond):
+    """A cross run at ``max_bond`` over a grid it never evaluates."""
+    return ttcross._CrossRun(GridFunction(dims=(2, 2), evaluate=_raises), CrossConfig(max_bond))
+
+
+def _block_with_spectrum(shape, sv, seed):
+    """A block of ``shape`` whose nonzero singular values are ``sv``."""
+    rng = np.random.default_rng(seed)
+    left, _ = np.linalg.qr(rng.normal(size=(shape[0], len(sv))))
+    right, _ = np.linalg.qr(rng.normal(size=(shape[1], len(sv))))
+    return (left * sv) @ right.T
+
+
+def _no_svd(*args, **kwargs):
+    raise AssertionError("SVD called on a block the Gram path should factor")
+
+
+@pytest.mark.parametrize("shape", [(40, 24), (24, 40), (24, 24)], ids=["tall", "wide", "square"])
+@pytest.mark.parametrize(
+    "max_bond, ratio", [(24, 1e-1), (24, 1e-3), (24, 1e-5), (8, 1e-1), (8, 1e-2), (8, 1e-3)]
+)
+def test_gram_factor_gives_the_svd_pivots_and_cores(monkeypatch, shape, max_bond, ratio):
+    """sigma_r / sigma_1 = ratio; maxvol rows equal and cores within 1e-8.
+
+    At max_bond 24 the block keeps every direction, so both spans are exact
+    to round-off. At 8 it drops a tail from sigma_r / 2 down, and the Gram
+    side's span is off by about eps lambda_1 / (lambda_r - lambda_r+1):
+    3e-10 at ratio 1e-3, but 3e-6 at 1e-5, which is why truncating blocks
+    stop at 1e-3 here.
+    """
+    r = min(max_bond, *shape)
+    tail = ratio / 2 * np.geomspace(1.0, 0.1, min(shape) - r)
+    block = _block_with_spectrum(shape, np.concatenate([np.geomspace(1.0, ratio, r), tail]), 4)
+    u, _, vh = np.linalg.svd(block, full_matrices=False)
+    monkeypatch.setattr(np.linalg, "svd", _no_svd)
+    got_u, got_vh = _run(max_bond)._factor(block)
+    assert got_u.shape == (shape[0], r) and got_vh.shape == (r, shape[1])
+    for want, got in ((u[:, :r], got_u), (vh[:r].T, got_vh.T)):
+        rows, core, _ = _maxvol_iter(want)
+        got_rows, got_core, _ = _maxvol_iter(got)
+        np.testing.assert_array_equal(got_rows, rows)
+        np.testing.assert_allclose(got_core, core, rtol=0.0, atol=1e-8)
+
+
+@pytest.mark.parametrize(
+    "shape, sv, max_bond, rank",
+    [
+        ((6, 10), [], 4, 1),
+        ((12, 7), [1.0, 0.5, 0.1], 5, 3),
+        # An Asian end block: 44 prefixes by 14 suffixes of rank 13.
+        ((44, 14), np.geomspace(1.0, 1e-3, 13), 16, 13),
+        # Exact rank r below the smaller side: no tail for the Gram path to drop.
+        ((12, 12), [1.0, 0.3, 0.1, 0.05], 4, 4),
+        ((10, 16), np.geomspace(1.0, 0.9e-6, 10), 12, 10),
+        ((16, 16), np.concatenate([np.geomspace(1.0, 1e-3, 6), [0.9e-6, 0.5e-6]]), 6, 6),
+    ],
+    ids=[
+        "all-zero", "rank-deficient", "asian-end", "exact-rank-r", "sigma-r-under", "sigma-r+1-under"
+    ],
+)
+def test_unclear_blocks_keep_the_svd_and_its_rank(shape, sv, max_bond, rank):
+    """A block without clear singular values up to the one after the r kept is the SVD's."""
+    sv = np.asarray(sv, dtype=float)
+    block = _block_with_spectrum(shape, sv, 5) if sv.size else np.zeros(shape)
+    u, s, vh = np.linalg.svd(block, full_matrices=False)
+    run = _run(max_bond)
+    got_u, got_vh = run._factor(block)
+    assert got_u.shape[1] == rank == run._rank(s)
+    np.testing.assert_array_equal(got_u, u[:, :rank])
+    np.testing.assert_array_equal(got_vh, vh[:rank])
+
+
+@pytest.mark.parametrize("shape", [(6, 10), (10, 6)], ids=["wide", "tall"])
+def test_factor_raises_on_a_nan(shape):
+    block = np.random.default_rng(6).normal(size=shape)
+    block[2, 3] = np.nan
+    with pytest.raises(np.linalg.LinAlgError):
+        _run(4)._factor(block)
+
+
+def _svd_factor(run, block):
+    """The superblock factor with no Gram path: SVD bases at _rank's rank."""
+    u, s, vh = np.linalg.svd(block, full_matrices=False)
+    r = run._rank(s)
+    return u[:, :r].copy(), vh[:r].copy()
+
+
+_BOOK_BASKETS = [
+    (m, n, payoff, style)
+    for m, n in ((4, 12), (5, 10))
+    for payoff in ("min", "avg")
+    for style in ("european", "american")
+]
+
+
+@pytest.mark.parametrize(
+    "price, spec, bond, rel",
+    [
+        (price_asian_ttcross, AsianSpec(steps=n, right=right), bond, 1e-9)
+        for n in (16, 20)
+        for bond in (16, 32)
+        for right in ("call", "put")
+    ]
+    + [
+        (
+            price_european_basket if style == "european" else price_american_basket,
+            uniform_basket_spec(m, steps=n, payoff_kind=payoff, style=style),
+            16,
+            1e-9,
+        )
+        for m, n, payoff, style in _BOOK_BASKETS
+    ]
+    # Moved 4.5e-6 at seed 0, where both factors are 3.6e-3 from brute force.
+    + [(price_european_basket, uniform_basket_spec(6, steps=8, payoff_kind="max"), 8, 1e-5)],
+    ids=[f"asian-N{n}-D{b}-{r}" for n in (16, 20) for b in (16, 32) for r in ("call", "put")]
+    + [f"basket-m{m}-N{n}-{p}-{s}" for m, n, p, s in _BOOK_BASKETS]
+    + ["basket-m6-N8-max-european-D8"],
+)
+def test_gram_factor_prices_as_the_svd_factor_does(monkeypatch, price, spec, bond, rel):
+    """Seeds 0-2 price within ``rel`` of the same cross factored by SVD alone."""
+    gram = [price(spec, bond_dim=bond, seed=seed).price for seed in range(3)]
+    monkeypatch.setattr(ttcross._CrossRun, "_factor", _svd_factor)
+    svd = [price(spec, bond_dim=bond, seed=seed).price for seed in range(3)]
+    assert gram == pytest.approx(svd, rel=rel)
 
 
 def _asian_functions():
