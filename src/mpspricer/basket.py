@@ -32,7 +32,7 @@ PAYOFF_KINDS = ("min", "max", "avg")
 # Each payoff kind's fold over the assets' prices, and that fold's identity.
 _FOLDS = {"min": (np.minimum, np.inf), "max": (np.maximum, -np.inf), "avg": (np.add, 0.0)}
 # Most values the dense oracle's terminal grid may hold (128 MiB of floats).
-# The oracle steps back in that one buffer, so it peaks near one such grid.
+# The oracle streams that grid and steps back in a buffer of steps^m floats.
 DENSE_ELEMENT_CAP = 2**24
 
 
@@ -375,18 +375,70 @@ def _runs(n_rows: int, row_len: int):
             yield r0, min(r0 + group, n_rows), c0, min(c0 + width, row_len)
 
 
+def _add_neighbours(values: np.ndarray, n_rows: int, k: int, stride: int) -> None:
+    """Step one axis back in place: (n_rows, k + 1, stride) to (n_rows, k, stride).
+
+    Both grids sit at the front of flat ``values``; label j becomes
+    ``v[j] + v[j+1]``. Runs of at most ``_CHUNK`` values go in ascending
+    order, so no write lands on a value a later run reads, and numpy
+    copies at most a run.
+    """
+    grid = values[: n_rows * (k + 1) * stride].reshape(n_rows, -1)
+    kept = values[: n_rows * k * stride].reshape(n_rows, -1)
+    for r0, r1, c0, c1 in _runs(n_rows, k * stride):
+        np.add(
+            grid[r0:r1, c0:c1],
+            grid[r0:r1, c0 + stride : c1 + stride],
+            out=kept[r0:r1, c0:c1],
+        )
+
+
+def _first_step_back(f: GridFunction, out: np.ndarray, scale: float) -> None:
+    """Write the terminal grid of f stepped back once, times ``scale``, into flat ``out``.
+
+    The grid arrives from :func:`~mpspricer.ttcross.grid_blocks` into a
+    window of w + 1 axis-0 slabs of (N+1)^(m-1) values each, with
+    w = max(1, _CHUNK // slab). A full window adds its neighbouring slabs,
+    steps the w sums back along axes 1..m-1 and writes them, scaled, as
+    the next w rows of ``out``; its last slab starts the next window. The
+    additions and the scaling are those of the in-place steps, in the same
+    order.
+    """
+    m, n = len(f.dims), f.dims[0] - 1
+    slab, row = (n + 1) ** (m - 1), n ** (m - 1)
+    window = np.empty((min(max(1, _CHUNK // slab), n) + 1) * slab)
+    filled = seen = done = 0  # values in the window, values read, rows written
+    for block in grid_blocks(f):
+        pay = block.ravel()
+        while pay.size:
+            take = min(pay.size, window.size - filled)
+            window[filled : filled + take] = pay[:take]
+            filled, seen, pay = filled + take, seen + take, pay[take:]
+            if filled < window.size and seen < (n + 1) * slab:
+                continue
+            sums = filled // slab - 1
+            _add_neighbours(window, 1, sums, slab)
+            for a in range(1, m):
+                _add_neighbours(window, sums * n ** (a - 1), n, (n + 1) ** (m - 1 - a))
+            np.multiply(window[: sums * row], scale, out=out[done * row : (done + sums) * row])
+            window[:slab] = window[sums * slab : filled]
+            filled, done = slab, done + sums
+
+
 def price_basket_bruteforce(spec: BasketSpec) -> PriceReport:
     """Exact backward induction on the dense outcome grid, in one buffer.
 
     Each step's payoff grid is the cross's own :func:`_step_function` block,
-    walked by :func:`~mpspricer.ttcross.grid_blocks`. The step-k grid lives
-    at the front of one buffer of (steps+1)^m floats. A step back writes
-    ``v[j] + v[j+1]`` on each axis in turn, compacted to j < k, in ascending
-    runs of at most ``_CHUNK`` values, so no write lands on a value a later
-    run reads and numpy copies at most a run. Each axis's 1/2 goes into the
-    step's scale ``disc * 2^-m``; as every sum has two terms, prices equal
-    the conditional-matrix products bit for bit. Peak memory is about one
-    terminal grid plus a run. Refuses when the terminal grid exceeds
+    walked by :func:`~mpspricer.ttcross.grid_blocks`. The terminal grid is
+    never held: :func:`_first_step_back` steps it back as it arrives, into
+    one buffer of steps^m floats. Each later step k writes ``v[j] + v[j+1]``
+    on each axis in turn, compacted to j < k at the buffer's front, by
+    :func:`_add_neighbours`. Each axis's 1/2 goes into the step's scale
+    ``disc * 2^-m``; as every sum has two terms, added axis 0 first, prices
+    equal the conditional-matrix products bit for bit. Peak memory is
+    steps^m + (w + 1) * (steps+1)^(m-1) floats plus a run, with w =
+    max(1, _CHUNK // (steps+1)^(m-1)): 25.4 MiB at m=8/N=6, where the
+    terminal grid alone is 44.0. Refuses when the terminal grid exceeds
     ``DENSE_ELEMENT_CAP``.
     """
     model = decouple(spec)
@@ -399,23 +451,16 @@ def price_basket_bruteforce(spec: BasketSpec) -> PriceReport:
         )
     start_time = time.perf_counter()
     scale = math.exp(-spec.rate * spec.dt) * 0.5**m
-    values = np.empty(grid_size)
-    for seg, pay in _grid_segments(values, _step_function(spec, model, n)):
-        seg[:] = pay
+    values = np.empty(n**m)
     for k in range(n, 0, -1):
-        for a in range(m):
-            # Grid (k,)^a x (k+1,)^(m-a) as k^a rows; axis a is the row's slowest.
-            n_rows, stride = k**a, (k + 1) ** (m - 1 - a)
-            grid = values[: n_rows * (k + 1) * stride].reshape(n_rows, -1)
-            kept = values[: n_rows * k * stride].reshape(n_rows, -1)
-            for r0, r1, c0, c1 in _runs(n_rows, k * stride):
-                np.add(
-                    grid[r0:r1, c0:c1],
-                    grid[r0:r1, c0 + stride : c1 + stride],
-                    out=kept[r0:r1, c0:c1],
-                )
         live = values[: k**m]
-        live *= scale
+        if k == n:
+            _first_step_back(_step_function(spec, model, n), values, scale)
+        else:
+            for a in range(m):
+                # Grid (k,)^a x (k+1,)^(m-a) as k^a rows; axis a is the row's slowest.
+                _add_neighbours(values, k**a, k, (k + 1) ** (m - 1 - a))
+            live *= scale
         if spec.style == "american":
             for seg, pay in _grid_segments(live, _step_function(spec, model, k - 1)):
                 np.maximum(seg, pay, out=seg)

@@ -9,7 +9,9 @@ Two references are exceptions. The dense basket reference walks the
 package's own step-function blocks for its payoff grids, and checks only the
 backward induction, by the textbook product with the one-step probability
 matrix. The walked Asian price sums the package's own integrand blocks: it
-is the brute force that the sorted-tail join replaced.
+is the brute force that the sorted-tail join replaced. The geometric-average
+twin of the Asian integrand has an exact price at any N, so it checks the
+cross where no enumeration reaches.
 """
 
 import itertools
@@ -147,6 +149,75 @@ def all_bitstrings(n: int) -> np.ndarray:
     """All 2^n binary index tuples, shape (2^n, n), lowest bit first."""
     ids = np.arange(2**n, dtype=np.uint64)[:, None]
     return ((ids >> np.arange(n, dtype=np.uint64)[None, :]) & 1).astype(np.int64)
+
+
+def _log_paths(log_start: float, params, bits) -> tuple[np.ndarray, np.ndarray]:
+    """Log-price sum and last log-price of each row of moves from ``log_start``.
+
+    A path of no moves sums to 0 and ends at ``log_start``.
+    """
+    steps = np.where(np.asarray(bits) != 0, math.log(params.up), math.log(params.down))
+    logs = log_start + np.cumsum(steps, axis=-1)
+    last = logs[:, -1] if logs.shape[1] else np.full(logs.shape[0], log_start)
+    return logs.sum(axis=-1), last
+
+
+def _geometric_payoff(spec: AsianSpec, means: np.ndarray) -> np.ndarray:
+    excess = means - spec.strike if spec.right == "call" else spec.strike - means
+    return np.maximum(excess, 0.0)
+
+
+def _path_probabilities(params, bits) -> np.ndarray:
+    ups = (np.asarray(bits) != 0).sum(axis=-1)
+    return params.p_up**ups * (1.0 - params.p_up) ** (np.shape(bits)[-1] - ups)
+
+
+def geometric_integrand(spec: AsianSpec) -> GridFunction:
+    """p(x) times the payoff on the geometric mean of the N post-step prices.
+
+    The geometric-average twin of :func:`~mpspricer.asian.asian_integrand`,
+    with the same block shape: rows are heads of k moves priced from the
+    spot, columns tails of N - k moves priced from 1.0. A joined path's
+    log-price sum is head_logsum + (N - k) * head_last_log + tail_logsum.
+    """
+    params = spec.params()
+
+    def block(rows, cols):
+        head_sum, head_last = _log_paths(math.log(spec.spot), params, rows)
+        tail_sum, _ = _log_paths(0.0, params, cols)
+        logs = np.add.outer(head_sum + (spec.steps - rows.shape[1]) * head_last, tail_sum)
+        out = np.multiply.outer(_path_probabilities(params, rows), _path_probabilities(params, cols))
+        out *= _geometric_payoff(spec, np.exp(logs / spec.steps))
+        return out
+
+    return GridFunction(
+        dims=(2,) * spec.steps,
+        evaluate=lambda bits: block(bits, np.zeros((1, 0), np.int64))[:, 0],
+        block=block,
+    )
+
+
+def geometric_asian_price(spec: AsianSpec) -> float:
+    """Exact geometric-average Asian price at any N, as one dot product.
+
+    Move k (of N) sets the log of the next N - k + 1 prices, so the log of
+    the geometric mean is log S0 + (N(N+1)/2 * log d + W * log(u/d)) / N
+    with W = sum_k (N - k + 1) * x_k. W's distribution is the coefficient
+    list of prod_k (q + p * z^(N-k+1)).
+    """
+    params = spec.params()
+    n = spec.steps
+    p, q = params.p_up, 1.0 - params.p_up
+    dist = np.zeros(n * (n + 1) // 2 + 1)
+    dist[0] = 1.0
+    for weight in range(1, n + 1):
+        moved = q * dist
+        moved[weight:] += p * dist[:-weight]
+        dist = moved
+    log_d, log_ud = math.log(params.down), math.log(params.up / params.down)
+    w = np.arange(dist.size)
+    means = np.exp(math.log(spec.spot) + (n * (n + 1) / 2 * log_d + w * log_ud) / n)
+    return math.exp(-spec.rate * spec.expiry) * float(np.dot(dist, _geometric_payoff(spec, means)))
 
 
 def walked_asian_price(spec: AsianSpec) -> float:

@@ -1,6 +1,7 @@
 """Asian pricers: brute force, cross approximation, Monte Carlo."""
 
 import dataclasses
+import itertools
 import math
 import tracemalloc
 
@@ -9,6 +10,7 @@ import pytest
 
 from mpspricer import (
     AsianSpec,
+    CrossConfig,
     SchemeParams,
     asian,
     asian_integrand,
@@ -19,13 +21,16 @@ from mpspricer import (
     price_asian_montecarlo,
     price_asian_ttcross,
     price_asian_variational,
+    ttcross_approximate,
 )
+from mpspricer.ttcross import grid_blocks
 from mpspricer.asian import (
     _CODE_MOVES, _MC_BLOCK_WORDS, _alias_codes, _alias_table, _path_sum_kernel
 )
 
 from conftest import (
-    ASIAN_N32_CALL, enumerate_asian_price, loop_path_sum, mp_asian_price, walked_asian_price
+    ASIAN_N32_CALL, enumerate_asian_price, geometric_asian_price, geometric_integrand,
+    loop_path_sum, mp_asian_price, walked_asian_price
 )
 
 # mpmath: e^{-r} * (p_u * (S0*u - K) + (1-p_u) * 0) at S0=K=100, r=0.1,
@@ -191,6 +196,19 @@ def test_bruteforce_low_vol_error_stays_near_the_block_walk(vol, right):
             assert err <= max(1e-13, 10 * walk_err), (steps, scheme, err, walk_err)
 
 
+def test_bruteforce_n36_is_priced_in_chunks(monkeypatch):
+    """Whole (2^18, 18) label and price arrays peaked at 188.5 MiB here."""
+    monkeypatch.setattr(asian, "BRUTEFORCE_MAX_STEPS", 36)
+    tracemalloc.start()
+    try:
+        got = price_asian_bruteforce(AsianSpec(steps=36)).price
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == float.fromhex("0x1.b167a6bfbc86dp+3")
+    assert peak < 64 * 2**20
+
+
 def test_bruteforce_refuses_beyond_cap():
     spec = AsianSpec(spot=100, strike=100, rate=0.1, vol=0.5, expiry=1.0, steps=26)
     with pytest.raises(ValueError, match="cap"):
@@ -266,6 +284,53 @@ def test_ttcross_n32_bond_32_matches_the_exact_price(seed):
     """The known failing cross case: 1.37e-3 to 1.41e-3 high at seeds 0-2."""
     price = price_asian_ttcross(AsianSpec(steps=32), bond_dim=32, seed=seed).price
     assert price == pytest.approx(ASIAN_N32_CALL, rel=1e-5)
+
+
+def loop_geometric_price(spec: AsianSpec) -> float:
+    """Geometric-average Asian price by plain per-path loops; only sane for small N."""
+    p = spec.params()
+    total = 0.0
+    for moves in itertools.product((0, 1), repeat=spec.steps):
+        price, log_sum, prob = spec.spot, 0.0, 1.0
+        for b in moves:
+            price *= p.up if b else p.down
+            log_sum += math.log(price)
+            prob *= p.p_up if b else 1.0 - p.p_up
+        mean = math.exp(log_sum / spec.steps)
+        total += prob * max(mean - spec.strike if spec.right == "call" else spec.strike - mean, 0.0)
+    return math.exp(-spec.rate * spec.expiry) * total
+
+
+@pytest.mark.parametrize("right", ["call", "put"])
+@pytest.mark.parametrize("scheme", ["crr", "rb"])
+def test_geometric_twin_is_its_enumeration(scheme, right):
+    """The exact twin against every path: its own blocks to N=20, plain loops to N=10."""
+    for steps in [*range(1, 11), 13, 16, 20]:
+        spec = AsianSpec(
+            spot=100, strike=95, rate=0.07, vol=0.4, expiry=1.0, steps=steps,
+            scheme=scheme, right=right,
+        )
+        exact = geometric_asian_price(spec)
+        blocks = grid_blocks(geometric_integrand(spec))
+        walked = math.exp(-spec.rate * spec.expiry) * math.fsum(b.sum() for b in blocks)
+        assert exact == pytest.approx(walked, rel=1e-12), steps
+        if steps <= 10:
+            assert exact == pytest.approx(loop_geometric_price(spec), rel=1e-12), steps
+
+
+def test_geometric_twin_prices_past_any_enumeration():
+    assert geometric_asian_price(AsianSpec(steps=64)) == pytest.approx(12.1203637850, abs=1e-10)
+    assert geometric_asian_price(AsianSpec(steps=128)) == pytest.approx(12.0253059129, abs=1e-10)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 14")
+@pytest.mark.parametrize("steps", [64, 128])
+def test_ttcross_bond_32_matches_the_geometric_twin(steps):
+    """The cross on the exact twin at seed 0: 3.9e-3 high at N=64 and 8.5e-3 at N=128."""
+    spec = AsianSpec(steps=steps)
+    result = ttcross_approximate(geometric_integrand(spec), CrossConfig(max_bond=32, seed=0))
+    price = math.exp(-spec.rate * spec.expiry) * result.mps.sum_all()
+    assert price == pytest.approx(geometric_asian_price(spec), rel=1e-5)
 
 
 def test_ttcross_n64_beyond_bruteforce_cap():

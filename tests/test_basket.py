@@ -545,6 +545,61 @@ def test_bruteforce_peaks_near_one_terminal_grid():
     assert got == tensordot_basket_price(spec)
 
 
+@pytest.mark.parametrize(
+    "m, n, want", [(8, 6, "0x1.36683065f0d40p+5"), (6, 8, "0x1.1fa540d97e3fcp+5")]
+)
+def test_bruteforce_never_holds_the_terminal_grid(m, n, want):
+    """At m=8/N=6 the 44.0 MiB terminal grid peaked at 45.8 MiB; the buffers now take 25.4."""
+    spec = uniform_basket_spec(m, steps=n, payoff_kind="min", style="american")
+    tracemalloc.start()
+    try:
+        got = price_basket_bruteforce(spec).price
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == float.fromhex(want)
+    if m == 8:
+        assert peak <= 28 * 2**20
+
+
+def _recorded_steps(monkeypatch):
+    """Every (n_rows, k, stride) that the dense oracle steps back, in order."""
+    steps = []
+    real = basket._add_neighbours
+
+    def recording(values, n_rows, k, stride):
+        steps.append((n_rows, k, stride))
+        real(values, n_rows, k, stride)
+
+    monkeypatch.setattr(basket, "_add_neighbours", recording)
+    return steps
+
+
+@pytest.mark.parametrize("style", ["european", "american"])
+@pytest.mark.parametrize("kind", PAYOFF_KINDS)
+def test_bruteforce_windows_straddle_grid_blocks(monkeypatch, kind, style):
+    """Blocks of 297 values and windows of 3 slabs of 121: neither aligns with the other."""
+    monkeypatch.setattr(basket, "_CHUNK", 300)
+    monkeypatch.setattr(ttcross, "_CHUNK", 300)
+    calls, steps = _recorded_blocks(monkeypatch), _recorded_steps(monkeypatch)
+    spec = uniform_basket_spec(3, steps=10, payoff_kind=kind, style=style)
+    assert price_basket_bruteforce(spec).price == tensordot_basket_price(spec)
+    ends = np.cumsum([len(rows) * len(cols) for rows, cols in calls])
+    assert any(ends[ends < 11**3] % 121)
+    # Window sums are the axis-0 steps over whole slabs: 2 per full window.
+    assert [k for n_rows, k, stride in steps if stride == 121] == [2] * 5
+
+
+@pytest.mark.parametrize("chunk, windows", [(64, [64] * 4 + [44]), (ttcross._CHUNK, [300])])
+def test_bruteforce_steps_one_asset_back_in_windows(monkeypatch, chunk, windows):
+    """One value per slab: a window of w slabs is one pass, not w of them."""
+    monkeypatch.setattr(basket, "_CHUNK", chunk)
+    steps = _recorded_steps(monkeypatch)
+    spec = uniform_basket_spec(1, steps=300, style="european")
+    assert price_basket_bruteforce(spec).price == tensordot_basket_price(spec)
+    assert steps == [(1, k, 1) for k in windows] + [(1, k, 1) for k in range(299, 0, -1)]
+
+
 def test_bruteforce_refuses_huge_grids():
     spec = uniform_basket_spec(9, steps=10, style="european")
     with pytest.raises(ValueError, match="cap"):
