@@ -5,8 +5,8 @@ An MPS here is a chain of order-3 real tensors with shapes
 Evaluating the chain at a multi-index picks one matrix per site and
 multiplies them; summing over all indices contracts every physical leg
 with a vector of ones. Both cost O(N d D^2), never O(d^N). A batch of
-multi-indices is contracted as d GEMMs per site, one for the rows that
-take each physical value there.
+multi-indices is contracted by one GEMM per site over chunks of rows, each
+GEMM holding at most 2^18 values, so 1024 rows at d D = 208 take one.
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ import math
 from typing import Iterable, Sequence
 
 import numpy as np
+
+_CHAIN_CHUNK = 1 << 18  # Most values one site's GEMM holds in a batch contraction.
 
 
 class MPS:
@@ -86,9 +88,8 @@ class MPS:
     def evaluate_batch(self, indices: np.ndarray) -> np.ndarray:
         """Evaluate many multi-indices at once.
 
-        At each site the rows are grouped by their physical value ``x``, and
-        each group's running row vectors are multiplied by ``t[:, x, :]`` in
-        one GEMM: d GEMMs per site, no per-row copy of the site tensor.
+        Each site is one GEMM of the running row vectors with the whole site
+        tensor, over row chunks whose GEMM holds at most 2^18 values.
 
         Parameters
         ----------
@@ -106,8 +107,7 @@ class MPS:
         """Row vectors of the first k sites at each prefix, shape ``(B, D_k)``.
 
         ``prefixes`` has shape ``(B, k)`` for any k from 0 to ``n_sites``;
-        at k = 0 every row is ``[1.0]``. Contracted by the grouped GEMMs of
-        :meth:`evaluate_batch`.
+        at k = 0 every row is ``[1.0]``.
         """
         idx = _check_indices(prefixes, self.physical_dims, "leading")
         return _chain(self._tensors[: idx.shape[1]], idx)
@@ -213,7 +213,7 @@ def _check_indices(indices, dims: tuple[int, ...], cover: str) -> np.ndarray:
     idx = np.asarray(indices)
     if idx.dtype.kind not in "biu":  # bool, signed or unsigned int
         raise ValueError(f"indices must be integers, got dtype {idx.dtype}")
-    # NumPy 1.x bincount refuses uint64; intp suits every accepted dtype.
+    # A bool column would index as a mask; intp suits every accepted dtype.
     idx = idx.astype(np.intp, copy=False)
     n = len(dims)
     k = idx.shape[1] if idx.ndim == 2 else -1
@@ -232,19 +232,19 @@ def _check_indices(indices, dims: tuple[int, ...], cover: str) -> np.ndarray:
 def _chain(tensors: Sequence[np.ndarray], idx: np.ndarray) -> np.ndarray:
     """Row vectors of the site matrices picked by each index row, multiplied.
 
-    Shape (B, D), with D the right bond of the last tensor (1 if none).
+    Shape (B, D), with D the right bond of the last tensor (1 if none). Past
+    the first site, picked per row, each site is one GEMM with its tensor's
+    ``(D_l, d D_r)`` unfolding, and each row keeps its own physical value's
+    D_r columns. Rows go in chunks whose GEMM holds at most _CHAIN_CHUNK values.
     """
-    # cur[i] is the running row vector of original row perm[i]; rows are
-    # re-sorted by physical value at each site so every group is a slice.
-    perm = np.arange(idx.shape[0])
-    cur = np.ones((idx.shape[0], 1))
-    for k, t in enumerate(tensors):
-        col = idx[perm, k]
-        order = np.argsort(col, kind="stable")
-        perm = perm[order]
-        bounds = np.cumsum(np.bincount(col, minlength=t.shape[1]))[:-1]
-        groups = np.split(cur[order], bounds)
-        cur = np.concatenate([g @ t[:, x, :] for x, g in enumerate(groups)])
-    out = np.empty_like(cur)
-    out[perm] = cur
-    return out
+    if not tensors:
+        return np.ones((idx.shape[0], 1))
+    step = max(1, _CHAIN_CHUNK // max(t.shape[1] * t.shape[2] for t in tensors))
+    chunks = []
+    for rows in np.split(idx, range(step, idx.shape[0], step)):
+        at = np.arange(rows.shape[0])
+        cur = tensors[0][0, rows[:, 0]]
+        for t, col in zip(tensors[1:], rows[:, 1:].T):
+            cur = (cur @ t.reshape(t.shape[0], -1)).reshape(at.size, *t.shape[1:])[at, col]
+        chunks.append(cur)
+    return np.concatenate(chunks)

@@ -13,16 +13,17 @@ pivots depend on the subspaces, not on the basis, so a superblock is
 factored by one eigendecomposition of its smaller Gram matrix where the
 singular values it keeps, and the next one, are clear of round-off, and
 by SVD elsewhere. A superblock whose pivot sets are unchanged since it
-was last factored is neither evaluated nor factored again, so the sweep
-turnarounds reuse their end superblocks and a confirming sweep, whose
-pivots no longer move, costs no factorization. A grid that one
-superblock at the bond budget would hold is instead evaluated once and
-compressed by TT-SVD (Oseledets 2011). Every superblock is asked of the
-grid function as one block of row prefixes by column suffixes. A
-function that separates across the cut gives a ``block`` that builds it
-from one factor per row and one per column, and is then asked for
-nothing else; any other is evaluated point by point. No value is
-remembered between blocks.
+was last factored is neither evaluated nor factored again, nor runs
+maxvol again on a side it has pivoted, so the sweep turnarounds reuse
+their end superblocks and a confirming sweep, whose pivots no longer
+move, costs no factorization. A grid that one superblock at the bond
+budget would hold is instead evaluated once and compressed by TT-SVD
+(Oseledets 2011), each unfolding factored as a superblock is. Every
+superblock is asked of the grid function as one block of row prefixes by
+column suffixes. A function that separates across the cut gives a
+``block`` that builds it from one factor per row and one per column, and
+is then asked for nothing else; any other is evaluated point by point.
+No value is remembered between blocks.
 
 :func:`grid_blocks` is the one walk over a whole grid: the TT-SVD and the
 dense basket oracle enumerate their grids through it, in blocks of at most
@@ -251,8 +252,8 @@ class _CrossRun:
         for k in range(self.n - 1, 0, -1):
             self.jset[k] = self._sample_suffixes(k)
         # Per superblock p: the key (iset[p], jset[p+2]) it was last factored
-        # at, and its bases U and Vh from _factor.
-        self._slots: list = [(None, None)] * (self.n - 1)
+        # at, its bases U and Vh from _factor, and _maxvol_iter of each side.
+        self._slots: list = [(None,)] * (self.n - 1)
 
     def _sample_suffixes(self, k: int) -> np.ndarray:
         """Random nested right pivots for bond k, built on top of jset[k+1]."""
@@ -266,19 +267,18 @@ class _CrossRun:
         return _block_values(self.f, rows, cols)
 
     def _superblock(self, p: int) -> tuple[np.ndarray, ...]:
-        """Rows, columns and leading singular bases U, Vh of superblock p.
+        """Rows, columns and :meth:`_factor` bases U, Vh of superblock p.
 
-        The bases come from :meth:`_factor`. The superblock depends only on
-        iset[p] and jset[p+2]. While both hold the bytes they had when it
-        was last factored, the stored bases are returned and neither f nor
-        the factorization is called. Each set has a fixed column count per
-        bond, so equal bytes are equal arrays.
+        The superblock depends only on iset[p] and jset[p+2]. While both hold
+        the bytes they had when it was last factored (each set has a fixed
+        column count per bond, so equal bytes are equal arrays), the stored
+        bases are returned and neither f nor the factorization is called.
         """
         rows = _cross_indices(self.iset[p], np.arange(self.dims[p])[:, None])
         cols = _cross_indices(np.arange(self.dims[p + 1])[:, None], self.jset[p + 2])
         key = (self.iset[p].tobytes(), self.jset[p + 2].tobytes())
         if self._slots[p][0] != key:
-            self._slots[p] = key, self._factor(self._eval(rows, cols))
+            self._slots[p] = key, self._factor(self._eval(rows, cols)), [None, None]
         return rows, cols, *self._slots[p][1]
 
     def _factor(self, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -309,12 +309,18 @@ class _CrossRun:
         # Copies, so a slot does not hold the untruncated factors.
         return u[:, :r].copy(), vh[:r].copy()
 
-    def _pivots(self, basis: np.ndarray, bond: int) -> tuple[np.ndarray, np.ndarray]:
-        """Maxvol rows of a :meth:`_factor` basis and ``basis @ inv(basis[rows])``."""
-        sel, coeffs, ok = _maxvol_iter(basis)
+    def _pivots(self, p: int, side: int) -> tuple[np.ndarray, ...]:
+        """Superblock p's rows, columns, maxvol rows sel of its U (side 0) or
+        Vh.T (side 1) and ``basis @ inv(basis[sel])``, kept in its slot.
+        """
+        rows, cols, *bases = self._superblock(p)
+        done = self._slots[p][2]
+        if done[side] is None:
+            done[side] = _maxvol_iter(bases[0] if side == 0 else bases[1].T)
+        sel, coeffs, ok = done[side]
         if not ok:
-            self.warnings.append(f"maxvol hit iteration cap at bond {bond}")
-        return sel, coeffs
+            self.warnings.append(f"maxvol hit iteration cap at bond {p + 1}")
+        return rows, cols, sel, coeffs
 
     def _rank(self, s: np.ndarray) -> int:
         """Numerical rank of descending singular values, within 1..max_bond."""
@@ -325,8 +331,7 @@ class _CrossRun:
         """Refine the left pivots and build the MPS from the same superblocks."""
         cores = []
         for p in range(self.n - 1):
-            rows, cols, u, _ = self._superblock(p)
-            sel, core = self._pivots(u, p + 1)
+            rows, cols, sel, core = self._pivots(p, 0)
             cores.append(core.reshape(self.iset[p].shape[0], self.dims[p], -1))
             self.iset[p + 1] = rows[sel]
         cores.append(self._eval(rows[sel], cols).reshape(-1, self.dims[-1], 1))
@@ -335,8 +340,7 @@ class _CrossRun:
     def _sweep_r2l(self) -> None:
         """Refine the right pivots from the leading right singular subspaces."""
         for p in range(self.n - 2, -1, -1):
-            _, cols, _, vh = self._superblock(p)
-            sel, _ = self._pivots(vh.T, p + 1)
+            _, cols, sel, _ = self._pivots(p, 1)
             self.jset[p + 1] = cols[sel]
 
     def _spans_grid(self) -> bool:
@@ -355,19 +359,17 @@ class _CrossRun:
     def _tt_svd(self) -> MPS:
         """Evaluate the whole grid once and compress it by TT-SVD.
 
-        The grid is the row-major concatenation of :func:`grid_blocks`.
-        Each bond keeps its numerical rank, at most max_bond and at least 1.
+        The grid is the row-major concatenation of :func:`grid_blocks`. Each
+        unfolding's basis U, and so its rank, comes from :meth:`_factor`.
         """
         rest = np.concatenate([b.ravel() for b in grid_blocks(self.f)])[None]
         self.n_evals += rest.size
         cores = []
         for d in self.dims[:-1]:
-            u, s, vh = np.linalg.svd(
-                rest.reshape(rest.shape[0] * d, -1), full_matrices=False
-            )
-            r = self._rank(s)
-            cores.append(u[:, :r].reshape(-1, d, r))
-            rest = s[:r, None] * vh[:r]
+            mat = rest.reshape(rest.shape[0] * d, -1)
+            u = self._factor(mat)[0]
+            cores.append(u.reshape(-1, d, u.shape[1]))
+            rest = u.T @ mat
         cores.append(rest.reshape(-1, self.dims[-1], 1))
         return MPS(cores)
 
@@ -439,9 +441,7 @@ def ttcross_approximate(f: GridFunction, cfg: CrossConfig) -> CrossResult:
     with a warning, once a change fails to halve the one before or after
     8 sweeps. The bond budget is the one accuracy knob; the probe change
     is a stop rule, not an accuracy target. A superblock whose pivot sets
-    are unchanged since it was last factored is neither evaluated nor
-    factored again, so a sweep that only confirms the pivots costs no
-    factorization. A grid that one superblock would span is compressed by
-    TT-SVD without sweeping.
+    are unchanged is not evaluated, factored or pivoted again. A grid that
+    one superblock would span is compressed by TT-SVD without sweeping.
     """
     return _CrossRun(f, cfg).run()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mpspricer import MPS
+from mpspricer import MPS, mps
 
 from conftest import all_bitstrings, mps_dense, mps_values
 
@@ -260,3 +260,85 @@ def test_environments_join_to_the_batch_values():
         m.right_environments(np.array([[0, 2]]))
     with pytest.raises(ValueError, match="shape"):
         m.left_environments(np.zeros((1, 5), dtype=int))
+
+
+def _environments_by_rows(m, rows, side):
+    """Each row's environments over its first (or last) k sites, for k = 0..n.
+
+    Row by row: the picked site matrices multiplied in turn, from the left
+    for side "left" and from the right for "right". Entry k has shape
+    (len(rows), bond at that cut).
+    """
+    sites = list(zip(m.tensors, rows.T))
+    if side == "right":
+        sites = [(t.transpose(2, 1, 0), col) for t, col in sites[::-1]]
+    out = [np.ones((len(rows), 1))]
+    for t, col in sites:
+        out.append(np.empty((len(rows), t.shape[2])))
+    for i in range(len(rows)):
+        vec = np.ones((1, 1))
+        for k, (t, col) in enumerate(sites, start=1):
+            vec = vec @ t[:, int(col[i]), :]
+            out[k][i] = vec[0]
+    return out if side == "left" else out[::-1]
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 1024])
+@pytest.mark.parametrize("bond", [1, 16, 64])
+@pytest.mark.parametrize("d", [1, 2, 13, 64])
+def test_batch_contractions_equal_row_by_row_products(d, bond, n_rows):
+    """evaluate_batch and both environments, at every prefix and suffix length.
+
+    Unsigned and bool index rows give the same bits as int rows.
+    """
+    n = 3
+    m = random_mps(n, (d,) * n, (bond,) * (n - 1), seed=d + bond)
+    rows = np.random.default_rng(n_rows).integers(0, d, size=(n_rows, n))
+    left = _environments_by_rows(m, rows, "left")
+    right = _environments_by_rows(m, rows, "right")
+    scale = max(1.0, float(np.abs(left[n]).max(initial=0.0)))
+
+    def check(got, want):
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
+
+    dtypes = [np.uint16] + ([bool] if d <= 2 else [])
+    got = m.evaluate_batch(rows)
+    check(got, left[n][:, 0])
+    for dtype in dtypes:
+        np.testing.assert_array_equal(m.evaluate_batch(rows.astype(dtype)), got)
+    for k in range(n + 1):
+        for side, env, idx in (
+            ("left", left[k], rows[:, :k]),
+            ("right", right[k], rows[:, k:]),
+        ):
+            contract = getattr(m, f"{side}_environments")
+            got = contract(idx)
+            check(got, env)
+            for dtype in dtypes:
+                np.testing.assert_array_equal(contract(idx.astype(dtype)), got)
+
+
+def test_row_chunks_give_the_one_chunk_bits(monkeypatch):
+    """A cap that splits 1024 rows into 16 chunks of 64 changes no bit.
+
+    At d = 13 and bond 16 the widest site GEMM holds 13 * 16 values per
+    row, so the default cap takes all 1024 rows at once. At this width a
+    GEMM of 64 rows gives each row the bits it gets among 1024; a one-row
+    GEMM, or a last site of d D_r <= 2, need not.
+    """
+    m = random_mps(5, (13,) * 5, (16,) * 4, seed=11)
+    rows = np.random.default_rng(12).integers(0, 13, size=(1024, 5))
+    assert mps._CHAIN_CHUNK // (13 * 16) >= 1024
+
+    def contract():
+        return (
+            [m.evaluate_batch(rows)]
+            + [m.left_environments(rows[:, :k]) for k in range(6)]
+            + [m.right_environments(rows[:, k:]) for k in range(6)]
+        )
+
+    one = contract()
+    monkeypatch.setattr(mps, "_CHAIN_CHUNK", 64 * 13 * 16)
+    for want, got in zip(one, contract()):
+        np.testing.assert_array_equal(got, want)

@@ -23,7 +23,7 @@ from mpspricer import (
 from mpspricer import asian, basket, ttcross
 from mpspricer.ttcross import _CHUNK, _NO_AXES, _cross_indices, _maxvol_iter, grid_blocks
 
-from conftest import all_bitstrings, mps_dense, mps_grid_function, path_integrands
+from conftest import all_bitstrings, mps_dense, mps_grid_function, path_integrands, walked_grid
 
 
 def test_maxvol_square_is_identity_selection():
@@ -411,15 +411,77 @@ def test_confirming_sweep_factors_nothing(monkeypatch):
     """
     calls, factored = _count_factorizations(monkeypatch)
     monkeypatch.setattr(ttcross, "_TOL", 1e-300)
-    weights = np.random.default_rng(3).normal(size=10)
-    res = ttcross_approximate(
-        GridFunction(dims=(2,) * 10, evaluate=lambda idx: 1.0 + idx @ weights),
-        CrossConfig(max_bond=2, seed=0),
-    )
+    res = _linear_cross()
     assert (res.stop_reason, res.n_sweeps_run, res.probe_changes[-1]) == ("tol", 3, 0.0)
     sweeps = _sweeps(calls, 10)
     assert [sum(cost for _, cost in s) for s in sweeps] == [9, 8, 0]
     assert len(factored) == len({key for key, _ in calls}) == 17
+
+
+def _linear_cross():
+    """A bond-2 cross of an exact-rank-2 linear function on 2^10 points."""
+    weights = np.random.default_rng(3).normal(size=10)
+    return ttcross_approximate(
+        GridFunction(dims=(2,) * 10, evaluate=lambda idx: 1.0 + idx @ weights),
+        CrossConfig(max_bond=2, seed=0),
+    )
+
+
+def _count_maxvols(monkeypatch):
+    """Record every pivot request: its superblock key, its side and its maxvol calls.
+
+    Side 0 pivots the superblock's left basis U, side 1 its right basis Vh.T.
+    """
+    maxvols = []
+    real_maxvol = ttcross._maxvol_iter
+    monkeypatch.setattr(
+        ttcross, "_maxvol_iter", lambda mat: maxvols.append(1) or real_maxvol(mat)
+    )
+    calls = []
+    real_pivots = ttcross._CrossRun._pivots
+
+    def pivots(run, p, side):
+        key = (p, side, run.iset[p].tobytes(), run.jset[p + 2].tobytes())
+        before = len(maxvols)
+        out = real_pivots(run, p, side)
+        calls.append((key, len(maxvols) - before))
+        return out
+
+    monkeypatch.setattr(ttcross._CrossRun, "_pivots", pivots)
+    return calls, maxvols
+
+
+def test_confirming_sweep_pivots_no_side_twice(monkeypatch):
+    """Each side of each distinct superblock runs maxvol once, on its first request.
+
+    The confirming sweep's one call pivots the right side of a superblock
+    that the sweep before pivoted only on its left.
+    """
+    calls, maxvols = _count_maxvols(monkeypatch)
+    monkeypatch.setattr(ttcross, "_TOL", 1e-300)
+    assert _linear_cross().stop_reason == "tol"
+    seen = set()
+    for key, cost in calls:
+        assert cost == (key not in seen)
+        seen.add(key)
+    assert [sum(cost for _, cost in s) for s in _sweeps(calls, 10)] == [9, 16, 1]
+    assert len(maxvols) == len(seen) == 26 < len(calls) == 45
+
+
+def test_capped_maxvol_warns_on_every_use(monkeypatch):
+    """A stored maxvol result that hit the cap warns each time a sweep reads it.
+
+    With no swaps allowed, every non-square basis is capped. The run asks
+    for 45 pivot sets, 5 of them square, and gives the 40 warnings of
+    running maxvol on each, though it runs maxvol only 26 times.
+    """
+    _, maxvols = _count_maxvols(monkeypatch)
+    monkeypatch.setattr(ttcross, "_MAXVOL_ITERS", 0)
+    monkeypatch.setattr(ttcross, "_TOL", 1e-300)
+    res = _linear_cross()
+    assert (res.stop_reason, len(maxvols)) == ("tol", 26)
+    assert len(res.warnings) == 40
+    assert all(re.fullmatch(r"maxvol hit iteration cap at bond \d", w) for w in res.warnings)
 
 
 def _hidden_grid(shape, seed):
@@ -754,6 +816,64 @@ def test_grid_blocks_walk_the_grid_row_major(dims, n_blocks, n_cols, kind):
     grid = np.indices(dims).reshape(len(dims), -1).T
     want = _positions(dims, [])[0].evaluate(grid)
     np.testing.assert_array_equal(np.concatenate([b.ravel() for b in blocks]), want)
+
+
+def test_tt_svd_keeps_exact_ranks_through_the_svd_fallback(monkeypatch):
+    """A grid of TT ranks (2, 3, 2) keeps them.
+
+    Every unfolding has rank below its smaller side, so the superblock
+    factor takes the SVD and its rank rule for each of the three.
+    """
+    rng = np.random.default_rng(10)
+    shapes = ((1, 3, 2), (2, 4, 3), (3, 3, 2), (2, 4, 1))
+    hidden = MPS([rng.normal(size=shape) for shape in shapes])
+    svds = []
+    real_svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svds.append(1) or real_svd(*a, **k))
+    res = ttcross_approximate(mps_grid_function(hidden), CrossConfig(max_bond=10, seed=0))
+    assert (res.stop_reason, len(svds), res.mps.bond_dims) == ("tt-svd", 3, (2, 3, 2))
+    want = mps_dense(hidden)
+    np.testing.assert_allclose(mps_dense(res.mps), want, rtol=0.0, atol=1e-12 * np.abs(want).max())
+
+
+def _full_svd_tt_svd(grid: np.ndarray, max_bond: int) -> MPS:
+    """TT-SVD by a full SVD of each unfolding, keeping s > 1e-14 s_1, 1..max_bond."""
+    rest, cores = grid.reshape(1, -1), []
+    for d in grid.shape[:-1]:
+        u, s, vh = np.linalg.svd(rest.reshape(rest.shape[0] * d, -1), full_matrices=False)
+        r = max(1, min(max_bond, int(np.count_nonzero(s > 1e-14 * s[0]))))
+        cores.append(u[:, :r].reshape(-1, d, r))
+        rest = s[:r, None] * vh[:r]
+    return MPS(cores + [rest.reshape(-1, grid.shape[-1], 1)])
+
+
+def _tt_svd_grids():
+    spec = AsianSpec(steps=12)
+    yield "asian-N12-D32", asian_integrand(spec), 32, 1e-12
+    basket_spec = uniform_basket_spec(4, steps=12, payoff_kind="avg")
+    step = basket._step_function(basket_spec, decouple(basket_spec), 12)
+    yield "basket-m4-N12-avg-D16", step, 16, 1e-10
+
+
+@pytest.mark.parametrize(
+    "f, bond, rel", [g[1:] for g in _tt_svd_grids()], ids=[g[0] for g in _tt_svd_grids()]
+)
+def test_tt_svd_matches_a_full_svd_tt_svd(f, bond, rel):
+    """The superblock factor's TT-SVD is the full-SVD TT-SVD, to round-off.
+
+    The Asian grid's first three unfoldings keep every direction on the
+    Gram path and the rest are rank-deficient SVDs; it agrees to 2.4e-13
+    of its largest value. The basket grid truncates its 169 x 169
+    unfolding to 16 on the Gram path, whose kept span is off by about
+    eps lambda_1 / (lambda_16 - lambda_17): 1.7e-11.
+    """
+    res = ttcross_approximate(f, CrossConfig(max_bond=bond, seed=0))
+    want = _full_svd_tt_svd(walked_grid(f), bond)
+    assert res.stop_reason == "tt-svd"
+    assert res.mps.bond_dims == want.bond_dims
+    got, dense = mps_dense(res.mps), mps_dense(want)
+    np.testing.assert_allclose(got, dense, rtol=0.0, atol=rel * np.abs(dense).max())
+    assert res.mps.sum_all() == pytest.approx(want.sum_all(), rel=1e-12)
 
 
 def test_tt_svd_grid_is_one_walk():
