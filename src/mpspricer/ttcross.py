@@ -16,11 +16,13 @@ by SVD elsewhere. A superblock whose pivot sets are unchanged since it
 was last factored is neither evaluated nor factored again, nor runs
 maxvol again on a side it has pivoted, so the sweep turnarounds reuse
 their end superblocks and a confirming sweep, whose pivots no longer
-move, costs no factorization. A grid that one superblock at the bond
-budget would hold is instead evaluated once and compressed by TT-SVD
-(Oseledets 2011), each unfolding factored as a superblock is. Every
-superblock is asked of the grid function as one block of row prefixes by
-column suffixes. A function that separates across the cut gives a
+move, costs no factorization. A grid of at most 2^18 values, or one that
+one superblock at the bond budget would hold, is instead evaluated once
+and compressed by TT-SVD (Oseledets 2011), each unfolding factored as a
+superblock is; below that size TT-SVD is both faster and closer than the
+sweeps, so only larger grids are swept. Every superblock is asked of the
+grid function as one block of row prefixes by column suffixes. A
+function that separates across the cut gives a
 ``block`` that builds it from one factor per row and one per column, and
 is then asked for nothing else; any other is evaluated point by point.
 No value is remembered between blocks.
@@ -30,8 +32,9 @@ dense basket oracle enumerate their grids through it, in blocks of at most
 2^16 values.
 
 Everything here runs on numpy except maxvol's pivoted-QR start, which
-imports ``scipy.linalg`` on first use, so a TT-SVD grid and every engine
-that sweeps no cross never load scipy.
+imports ``scipy.linalg`` on first use, so a TT-SVD grid, every grid of at
+most 2^18 values among them, and every engine that sweeps no cross never
+load scipy.
 """
 
 from __future__ import annotations
@@ -52,6 +55,10 @@ _RANK_RTOL = 1e-14
 _GRAM_RTOL = 1e-12
 # A run whose held-out residual exceeds this warns: f was not learned.
 _HELDOUT_WARN = 0.1
+# A grid of at most this many values (2 MiB of float64) is evaluated once and
+# compressed by TT-SVD, which beat the sweeps at every bond from 2 to 64 on
+# such grids, and more accurately; only larger grids are swept.
+_TT_SVD_MAX = 1 << 18
 # Most grid values asked of a grid function in one call: the points of one
 # pointwise call, and the values of one block of a whole-grid walk.
 _CHUNK = 1 << 16
@@ -109,18 +116,19 @@ class CrossResult:
     """Output of a cross run: the MPS, its pivots and how the run stopped.
 
     ``n_evals`` counts the grid values computed, a point asked for twice
-    counted twice; the held-out probes add 1024. ``converged`` means the
-    probe values stopped moving, not that the MPS matches f: a cross that
-    never sees part of f can settle far from it. ``probe_changes`` holds,
-    per sweep after the first, the MPS's largest change on the stopping
-    probes relative to their largest value. ``stop_reason`` is "tol" (a
-    change at most 1e-10, the one ``converged`` stop of a sweeping run),
-    "plateau" (a change above half the one before), "cap" (8 sweeps ran
-    out) or "tt-svd" (one superblock would hold the grid, so it was
-    compressed by TT-SVD with no pivots and 0 sweeps). ``heldout_residual``
-    is max|f - mps| / max|f| on 1024 probes drawn apart from the stopping
-    ones (max|mps| if f is 0 there); above 0.1 it adds a warning, whatever
-    the stop reason.
+    counted twice; a sweeping run's held-out probes add 1024, and a TT-SVD
+    run reads them from its grid. ``converged`` means the probe values
+    stopped moving, not that the MPS matches f: a cross that never sees
+    part of f can settle far from it. ``probe_changes`` holds, per sweep
+    after the first, the MPS's largest change on the stopping probes
+    relative to their largest value. ``stop_reason`` is "tol" (a change at
+    most 1e-10, the one ``converged`` stop of a sweeping run), "plateau" (a
+    change above half the one before), "cap" (8 sweeps ran out) or
+    "tt-svd" (the grid holds at most 2^18 values, or one superblock would
+    hold it, so it was compressed by TT-SVD with no pivots and 0 sweeps).
+    ``heldout_residual`` is max|f - mps| / max|f| on 1024 probes drawn
+    apart from the stopping ones (max|mps| if f is 0 there); above 0.1 it
+    adds a warning, whatever the stop reason.
     """
 
     mps: MPS
@@ -242,24 +250,19 @@ class _CrossRun:
         self.n = len(dims)
         self.n_evals = 0
         self.warnings: list[str] = []
-        self.rng = np.random.default_rng(cfg.seed)
-        self.probes = self.rng.integers(
-            0, np.array(dims, dtype=np.int64), size=(N_PROBE, self.n)
-        )
-        # iset[k]: (r, k) prefixes over axes 0..k-1; jset[k]: (r, n-k) suffixes.
+        # iset[k]: (r, k) prefixes over axes 0..k-1; jset[k]: (r, n-k) suffixes,
+        # the first right pivots drawn by run() if it sweeps.
         self.iset: list = [_NO_AXES] + [None] * self.n
         self.jset: list = [None] * self.n + [_NO_AXES]
-        for k in range(self.n - 1, 0, -1):
-            self.jset[k] = self._sample_suffixes(k)
         # Per superblock p: the key (iset[p], jset[p+2]) it was last factored
         # at, its bases U and Vh from _factor, and _maxvol_iter of each side.
         self._slots: list = [(None,)] * (self.n - 1)
 
-    def _sample_suffixes(self, k: int) -> np.ndarray:
+    def _sample_suffixes(self, k: int, rng: np.random.Generator) -> np.ndarray:
         """Random nested right pivots for bond k, built on top of jset[k+1]."""
         cols = _cross_indices(np.arange(self.dims[k])[:, None], self.jset[k + 1])
         size = min(self.cfg.max_bond, cols.shape[0])
-        return cols[np.sort(self.rng.choice(cols.shape[0], size=size, replace=False))]
+        return cols[np.sort(rng.choice(cols.shape[0], size=size, replace=False))]
 
     def _eval(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """:func:`_block_values` of f, counted in ``n_evals``."""
@@ -278,21 +281,26 @@ class _CrossRun:
         cols = _cross_indices(np.arange(self.dims[p + 1])[:, None], self.jset[p + 2])
         key = (self.iset[p].tobytes(), self.jset[p + 2].tobytes())
         if self._slots[p][0] != key:
-            self._slots[p] = key, self._factor(self._eval(rows, cols)), [None, None]
+            u, _, vh = self._factor(self._eval(rows, cols))
+            self._slots[p] = key, (u, vh), [None, None]
         return rows, cols, *self._slots[p][1]
 
-    def _factor(self, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Bases U (R, r) and Vh (r, C) of a block's leading singular subspaces.
+    def _factor(self, block: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Bases U (R, r) and Vh (r, C) of a block's leading singular subspaces,
+        with the r singular values s between them, as ``np.linalg.svd`` orders.
 
         r = min(max_bond, R, C). With B the block, or its transpose if the
-        block is tall, the top r eigenvectors V of B @ B.T are one side and
-        ``B.T @ V / sqrt(lambda)`` the other; only their spans matter, and
-        V's is off by about eps lambda_1 / (lambda_r - lambda_r+1). This is
-        taken when sigma_r+1 (sigma_r if r = min(R, C)) > 1e-6 sigma_1, so
-        :meth:`_rank` keeps r too and the block is not of exact rank r,
-        whose SVD bases are exact to round-off. Any other block, such as an
-        all-zero one, is factored by SVD (which raises on a NaN) at
-        :meth:`_rank`'s rank.
+        block is tall, the top r eigenvectors V of B @ B.T are one side,
+        s = sqrt(lambda) and ``B.T @ V / s`` the other; only their spans
+        matter, and V's is off by about eps lambda_1 / (lambda_r - lambda_r+1).
+        This is taken when sigma_r+1 (sigma_r if r = min(R, C)) > 1e-6
+        sigma_1, so :meth:`_rank` keeps r too and the block is not of exact
+        rank r, whose SVD bases are exact to round-off. Any other block, such
+        as an all-zero one, is factored by SVD (which raises on a NaN) at
+        :meth:`_rank`'s rank. On every path ``s[:, None] * Vh`` is
+        ``U.T @ block``, without the round-off of applying a U that is
+        orthonormal only to about eps lambda_1 / lambda_r, as U is when the
+        block is tall and V is Vh.
         """
         r = min(self.cfg.max_bond, *block.shape)
         wide = block.shape[0] <= block.shape[1]
@@ -302,12 +310,13 @@ class _CrossRun:
         if lam[-min(r + 1, lam.size)] > _GRAM_RTOL * lam[-1]:
             # Leading first, copied so a slot does not hold every eigenvector.
             gram_side = vecs[:, ::-1][:, :r].copy()
-            other = b.T @ gram_side / np.sqrt(lam[::-1][:r])
-            return (gram_side, other.T) if wide else (other, gram_side.T)
+            s = np.sqrt(lam[::-1][:r])
+            other = b.T @ gram_side / s
+            return (gram_side, s, other.T) if wide else (other, s, gram_side.T)
         u, s, vh = np.linalg.svd(block, full_matrices=False)
         r = self._rank(s)
         # Copies, so a slot does not hold the untruncated factors.
-        return u[:, :r].copy(), vh[:r].copy()
+        return u[:, :r].copy(), s[:r], vh[:r].copy()
 
     def _pivots(self, p: int, side: int) -> tuple[np.ndarray, ...]:
         """Superblock p's rows, columns, maxvol rows sel of its U (side 0) or
@@ -344,10 +353,11 @@ class _CrossRun:
             self.jset[p + 1] = cols[sel]
 
     def _spans_grid(self) -> bool:
-        """Whether one superblock at the bond budget holds every grid point."""
+        """Whether the grid holds at most _TT_SVD_MAX values, or one superblock
+        at the bond budget holds every grid point."""
         cap = self.cfg.max_bond
         dims = self.dims
-        return self.n == 1 or any(
+        return self.n == 1 or math.prod(dims) <= _TT_SVD_MAX or any(
             min(cap, math.prod(dims[:p]))
             * dims[p]
             * dims[p + 1]
@@ -356,35 +366,43 @@ class _CrossRun:
             for p in range(self.n - 1)
         )
 
-    def _tt_svd(self) -> MPS:
+    def _tt_svd(self) -> tuple[MPS, np.ndarray]:
         """Evaluate the whole grid once and compress it by TT-SVD.
 
-        The grid is the row-major concatenation of :func:`grid_blocks`. Each
-        unfolding's basis U, and so its rank, comes from :meth:`_factor`.
+        Returns the MPS and the grid, the row-major concatenation of
+        :func:`grid_blocks`. Each unfolding's basis U, and so its rank, comes
+        from :meth:`_factor`, and what is left to factor is s * Vh.
         """
-        rest = np.concatenate([b.ravel() for b in grid_blocks(self.f)])[None]
-        self.n_evals += rest.size
-        cores = []
+        grid = np.concatenate([b.ravel() for b in grid_blocks(self.f)])
+        self.n_evals += grid.size
+        rest, cores = grid[None], []
         for d in self.dims[:-1]:
-            mat = rest.reshape(rest.shape[0] * d, -1)
-            u = self._factor(mat)[0]
+            u, s, vh = self._factor(rest.reshape(rest.shape[0] * d, -1))
             cores.append(u.reshape(-1, d, u.shape[1]))
-            rest = u.T @ mat
+            rest = s[:, None] * vh
         cores.append(rest.reshape(-1, self.dims[-1], 1))
-        return MPS(cores)
+        return MPS(cores), grid
 
-    def _heldout_residual(self, mps: MPS) -> float:
-        """max|f - mps| / max|f| on probes independent of the stopping ones."""
+    def _heldout_residual(self, mps: MPS, grid: np.ndarray | None) -> float:
+        """max|f - mps| / max|f| on probes independent of the stopping ones.
+
+        f is read from ``grid``, the whole row-major grid, when there is one.
+        """
         rng = np.random.default_rng(np.random.SeedSequence(self.cfg.seed).spawn(1)[0])
         probes = rng.integers(0, np.array(self.dims), size=(N_PROBE, self.n))
-        want = self._eval(probes, _NO_AXES)[:, 0]
+        if grid is None:
+            want = self._eval(probes, _NO_AXES)[:, 0]
+        else:
+            want = grid[np.ravel_multi_index(tuple(probes.T), self.dims)]
         err = float(np.max(np.abs(mps.evaluate_batch(probes) - want)))
         scale = float(np.max(np.abs(want)))
         return err / scale if scale > 0.0 else err
 
-    def _result(self, mps: MPS, sweeps: int, changes: list, stop: str) -> CrossResult:
-        """The run's CrossResult; a TT-SVD run reports no pivots."""
-        residual = self._heldout_residual(mps)
+    def _result(
+        self, mps: MPS, sweeps: int, changes: list, stop: str, grid: np.ndarray | None = None
+    ) -> CrossResult:
+        """The run's CrossResult; a TT-SVD run passes its grid and reports no pivots."""
+        residual = self._heldout_residual(mps, grid)
         if residual > _HELDOUT_WARN:
             self.warnings.append(
                 f"held-out residual {residual:.3e} exceeds {_HELDOUT_WARN}"
@@ -405,7 +423,12 @@ class _CrossRun:
 
     def run(self) -> CrossResult:
         if self._spans_grid():
-            return self._result(self._tt_svd(), 0, [], "tt-svd")
+            mps, grid = self._tt_svd()
+            return self._result(mps, 0, [], "tt-svd", grid)
+        rng = np.random.default_rng(self.cfg.seed)
+        probes = rng.integers(0, np.array(self.dims, dtype=np.int64), size=(N_PROBE, self.n))
+        for k in range(self.n - 1, 0, -1):
+            self.jset[k] = self._sample_suffixes(k, rng)
         changes: list[float] = []
         stop = "cap"
         prev = None
@@ -413,7 +436,7 @@ class _CrossRun:
             if sweeps > 1:
                 self._sweep_r2l()
             mps = self._sweep_l2r()
-            vals = mps.evaluate_batch(self.probes)
+            vals = mps.evaluate_batch(probes)
             if prev is not None:
                 scale = float(max(np.max(np.abs(vals)), np.max(np.abs(prev))))
                 diff = float(np.max(np.abs(vals - prev)))
@@ -441,7 +464,8 @@ def ttcross_approximate(f: GridFunction, cfg: CrossConfig) -> CrossResult:
     with a warning, once a change fails to halve the one before or after
     8 sweeps. The bond budget is the one accuracy knob; the probe change
     is a stop rule, not an accuracy target. A superblock whose pivot sets
-    are unchanged is not evaluated, factored or pivoted again. A grid that
-    one superblock would span is compressed by TT-SVD without sweeping.
+    are unchanged is not evaluated, factored or pivoted again. A grid of at
+    most 2^18 values, or one that one superblock would span, is compressed
+    by TT-SVD without sweeping; only larger grids are swept.
     """
     return _CrossRun(f, cfg).run()

@@ -22,6 +22,7 @@ import pytest
 
 from mpspricer import MPS, AsianSpec, GridFunction, basket, conditional_prob_matrix, decouple
 from mpspricer.asian import asian_integrand
+from mpspricer import ttcross
 from mpspricer.ttcross import grid_blocks
 
 # The standard CRR call (spot = strike = 100, r = 0.1, vol = 0.5, T = 1) at
@@ -135,6 +136,15 @@ def tensordot_basket_price(spec) -> float:
         if spec.style == "american":
             values = np.maximum(values, walked_grid(basket._step_function(spec, model, k - 1)))
     return float(values.reshape(-1)[0])
+
+
+@pytest.fixture
+def swept(monkeypatch):
+    """Sweep every grid, however small: none is under the TT-SVD limit.
+
+    Tests of the sweep engine use it, as tests raise the brute-force cap.
+    """
+    monkeypatch.setattr(ttcross, "_TT_SVD_MAX", 0)
 
 
 @pytest.fixture

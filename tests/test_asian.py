@@ -237,6 +237,7 @@ def test_ttcross_deterministic():
     assert a.price == b.price
 
 
+@pytest.mark.usefixtures("swept")
 def test_ttcross_price_and_warnings_pinned_bitwise():
     """Exact bits of a truncated cross price, which stops on a plateau."""
     spec = AsianSpec(spot=100, strike=100, rate=0.1, vol=0.5, expiry=1.0, steps=16)
@@ -246,6 +247,7 @@ def test_ttcross_price_and_warnings_pinned_bitwise():
     assert report.price == pytest.approx(price_asian_bruteforce(spec).price, rel=2e-3)
 
 
+@pytest.mark.usefixtures("swept")
 def test_ttcross_reports_how_it_stopped():
     spec = AsianSpec(spot=100, strike=100, rate=0.1, vol=0.5, expiry=1.0, steps=16)
     report = price_asian_ttcross(spec, bond_dim=16, seed=1)
@@ -256,6 +258,25 @@ def test_ttcross_reports_how_it_stopped():
     assert changes[-1] > 0.5 * changes[-2]
     assert all(type(c) is float for c in changes)
     assert 0.0 < diag["heldout_residual"] < 0.05
+
+
+@pytest.mark.parametrize("steps", [16, 18])
+def test_ttcross_up_to_2_18_paths_is_tt_svd(steps):
+    """At bond 32 these grids are compressed, not swept, within 1e-7 of the oracle.
+
+    N=18 reads -9.0e-9 relative; its sweeping cross was 2.8e-4 high.
+    """
+    spec = AsianSpec(steps=steps)
+    report = price_asian_ttcross(spec, bond_dim=32, seed=0)
+    assert (report.diagnostics["stop_reason"], report.n_sweeps) == ("tt-svd", 0)
+    assert report.price == pytest.approx(price_asian_bruteforce(spec).price, rel=1e-7)
+
+
+def test_swept_ttcross_price_pinned_bitwise():
+    """Exact bits of a cross over 2^20 paths, above the TT-SVD limit, so swept."""
+    report = price_asian_ttcross(AsianSpec(steps=20), bond_dim=8, seed=0)
+    assert report.price.hex() == "0x1.bf5897854c7c9p+3"
+    assert (report.diagnostics["stop_reason"], report.n_sweeps) == ("plateau", 4)
 
 
 # Sizes and seeds at which cores solved against raw cross matrices once

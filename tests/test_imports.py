@@ -1,5 +1,9 @@
 """Import footprint: scipy loads only when a cross runs maxvol.
 
+A cross sweeps, and so runs maxvol, only on a grid of more than 2^18
+values; every basket grid of the benchmark book and an Asian grid of up
+to 18 steps is compressed by TT-SVD instead.
+
 The check runs in a fresh interpreter, because this test process may
 already have loaded scipy through other tests or pytest plugins.
 """
@@ -31,9 +35,16 @@ for argv in (
     ["price-basket", "--method", "bruteforce", "--assets", "3", "--steps", "6"],
 ):
     assert cli.main([*argv, "--output-path", out]) == 0, argv
+for m, n in ((4, 12), (5, 10)):
+    for payoff in ("min", "avg"):
+        for style in ("european", "american"):
+            spec = mpspricer.uniform_basket_spec(m, steps=n, payoff_kind=payoff, style=style)
+            price = getattr(mpspricer, f"price_{style}_basket")
+            assert price(spec, bond_dim=16).n_sweeps == 0
+assert mpspricer.price_asian_ttcross(mpspricer.AsianSpec(steps=16), bond_dim=32).n_sweeps == 0
 assert "scipy" not in sys.modules
 
-report = mpspricer.price_asian_ttcross(mpspricer.AsianSpec(steps=16), bond_dim=4)
+report = mpspricer.price_asian_ttcross(mpspricer.AsianSpec(steps=20), bond_dim=8)
 assert report.n_sweeps > 0
 assert "scipy.linalg" in sys.modules
 print("ok")

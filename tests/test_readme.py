@@ -20,11 +20,11 @@ def test_library_quick_start_prints_documented_prices():
     with contextlib.redirect_stdout(out):
         exec(compile(code, str(README), "exec"), {})
     printed = out.getvalue().split()
-    assert printed == ["14.225630416482485", "14.225630416482321", "28.06324045379378"]
+    assert printed == ["14.225630416482268", "14.225630416482321", "28.063240453797686"]
     # The comments in the block show the same numbers.
     assert re.findall(r"#\s*(.+)", code) == [
-        "14.225630416482485 14.225630416482321",
-        "28.06324045379378",
+        "14.225630416482268 14.225630416482321",
+        "28.063240453797686",
     ]
 
 

@@ -47,6 +47,7 @@ def test_maxvol_dominance_property():
         np.testing.assert_allclose(coeffs, b, atol=1e-9)
 
 
+@pytest.mark.usefixtures("swept")
 def test_maxvol_iteration_cap_warns(monkeypatch):
     """With no swaps allowed, the cross reports each capped maxvol."""
     monkeypatch.setattr(ttcross, "_MAXVOL_ITERS", 0)
@@ -94,6 +95,7 @@ def test_single_axis_is_exact():
     np.testing.assert_allclose(mps_dense(res.mps), vals)
 
 
+@pytest.mark.usefixtures("swept")
 def test_rank_one_product_recovered_at_bond_one():
     weights = [np.array([1.0, 0.3, -0.7, 2.0]) + k for k in range(5)]
 
@@ -114,6 +116,7 @@ def test_rank_one_product_recovered_at_bond_one():
     np.testing.assert_allclose(dense.reshape(-1), f(grid), rtol=1e-10)
 
 
+@pytest.mark.usefixtures("swept")
 def test_hidden_rank_two_integrand_recovered():
     """The unfloored Asian integrand has exact bond dimension 2."""
     spec = AsianSpec(
@@ -132,6 +135,7 @@ def test_hidden_rank_two_integrand_recovered():
     assert res.mps.max_bond == 2
 
 
+@pytest.mark.usefixtures("swept")
 def test_interpolation_at_retained_pivots():
     """Bounded interpolation cores, and exact values at the last pivots.
 
@@ -164,6 +168,7 @@ def test_interpolation_at_retained_pivots():
         np.testing.assert_array_equal(got, want)
 
 
+@pytest.mark.usefixtures("swept")
 def test_deterministic_given_seed():
     spec = AsianSpec(
         spot=100.0, strike=90.0, rate=0.05, vol=0.4, expiry=1.0, steps=10
@@ -177,6 +182,7 @@ def test_deterministic_given_seed():
         np.testing.assert_array_equal(ta, tb)
 
 
+@pytest.mark.usefixtures("swept")
 def test_monotone_bond_budget():
     """Doubling the budget never hurts on the rank-2 family (median view)."""
     spec = AsianSpec(
@@ -199,6 +205,7 @@ def test_monotone_bond_budget():
     assert median_err(2) <= median_err(1) + 1e-12
 
 
+@pytest.mark.usefixtures("swept")
 def test_sweep_cap_flagged(monkeypatch):
     monkeypatch.setattr(ttcross, "_MAX_SWEEPS", 1)
     rng = np.random.default_rng(13)
@@ -217,6 +224,7 @@ def test_sweep_cap_flagged(monkeypatch):
     assert (res.stop_reason, res.probe_changes) == ("cap", [])
 
 
+@pytest.mark.usefixtures("swept")
 def test_stops_when_probe_changes_stop_halving(monkeypatch):
     """A truncated Asian integrand settles above tol; the run stops, flagged."""
     monkeypatch.setattr(ttcross, "_MAX_SWEEPS", 20)
@@ -234,6 +242,7 @@ def test_stops_when_probe_changes_stop_halving(monkeypatch):
     assert res.warnings == [f"probe change plateaued at {changes[-1]:.3e}"]
 
 
+@pytest.mark.usefixtures("swept")
 def test_exact_rank_converges_on_tol():
     weights = np.random.default_rng(3).normal(size=10)
     res = ttcross_approximate(
@@ -245,6 +254,7 @@ def test_exact_rank_converges_on_tol():
     assert res.heldout_residual < 1e-12
 
 
+@pytest.mark.usefixtures("swept")
 def test_heldout_residual_is_relative_max_error_off_the_stopping_probes():
     """1024 held-out draws over 64 points hit the worst one: a global residual."""
     hidden = np.random.default_rng(2).normal(size=(2,) * 6)
@@ -259,6 +269,7 @@ def test_heldout_residual_is_relative_max_error_off_the_stopping_probes():
     assert res.n_evals == 80 + 1024
 
 
+@pytest.mark.usefixtures("swept")
 def test_mixed_axis_sizes():
     def f(idx):
         return (1.0 + idx[:, 0]) * np.cos(idx[:, 1]) + 0.5 * idx[:, 2]
@@ -276,6 +287,7 @@ def test_mixed_axis_sizes():
     )
 
 
+@pytest.mark.usefixtures("swept")
 def test_eval_counting_and_batch_cap(monkeypatch):
     calls = []
 
@@ -300,6 +312,7 @@ def test_rejects_bad_dims():
         ttcross_approximate(g, CrossConfig(max_bond=2))
 
 
+@pytest.mark.usefixtures("swept")
 def test_n_evals_counts_every_value_computed():
     """A point asked for twice is computed and counted twice, block or not."""
     seen = []
@@ -364,10 +377,30 @@ def test_grid_one_superblock_spans_is_tt_svd():
     np.testing.assert_allclose(
         mps_dense(res.mps), (u[:, :2] * s[:2]) @ vh[:2], rtol=1e-12, atol=1e-12
     )
-    # The 36 grid values, then the 1024 held-out probes.
-    assert (res.n_evals, res.n_sweeps_run, res.converged) == (36 + 1024, 0, True)
+    # The 36 grid values; the held-out probes are read from the grid.
+    assert (res.n_evals, res.n_sweeps_run, res.converged) == (36, 0, True)
     assert res.left_pivots == res.right_pivots == []
     assert (res.stop_reason, res.probe_changes) == ("tt-svd", [])
+
+
+def _product(dims):
+    """The rank-1 grid prod_k (1 + x_k / 8), its block one factor per row and column."""
+
+    def factor(idx):
+        return np.prod(1.0 + idx / 8.0, axis=1)
+
+    return GridFunction(dims, factor, lambda rows, cols: np.outer(factor(rows), factor(cols)))
+
+
+@pytest.mark.parametrize(
+    "dims, stop", [((2,) * 18, "tt-svd"), ((3,) + (2,) * 17, "tol")], ids=["2^18", "3x2^17"]
+)
+def test_tt_svd_takes_every_grid_up_to_2_18_values(dims, stop):
+    """No bond-2 superblock spans either grid; only the one over the limit sweeps."""
+    assert ttcross._TT_SVD_MAX == 2**18
+    res = ttcross_approximate(_product(dims), CrossConfig(max_bond=2, seed=0))
+    assert (res.stop_reason, res.n_sweeps_run > 0) == (stop, stop != "tt-svd")
+    assert res.heldout_residual < 1e-12
 
 
 def _count_factorizations(monkeypatch):
@@ -403,6 +436,7 @@ def _sweeps(calls, n_axes):
     return [calls[:m]] + [calls[i : i + 2 * m] for i in range(m, len(calls), 2 * m)]
 
 
+@pytest.mark.usefixtures("swept")
 def test_confirming_sweep_factors_nothing(monkeypatch):
     """An exact-rank run stops on tol once the MPS repeats, at no factoring cost.
 
@@ -451,6 +485,7 @@ def _count_maxvols(monkeypatch):
     return calls, maxvols
 
 
+@pytest.mark.usefixtures("swept")
 def test_confirming_sweep_pivots_no_side_twice(monkeypatch):
     """Each side of each distinct superblock runs maxvol once, on its first request.
 
@@ -468,6 +503,7 @@ def test_confirming_sweep_pivots_no_side_twice(monkeypatch):
     assert len(maxvols) == len(seen) == 26 < len(calls) == 45
 
 
+@pytest.mark.usefixtures("swept")
 def test_capped_maxvol_warns_on_every_use(monkeypatch):
     """A stored maxvol result that hit the cap warns each time a sweep reads it.
 
@@ -489,6 +525,7 @@ def _hidden_grid(shape, seed):
     return GridFunction(dims=shape, evaluate=lambda idx: hidden[tuple(idx.T)])
 
 
+@pytest.mark.usefixtures("swept")
 @pytest.mark.parametrize(
     "f, cfg",
     [
@@ -516,6 +553,7 @@ def test_each_distinct_superblock_factored_once(monkeypatch, f, cfg):
         assert r2l_l2r[n - 1][0][0] == 0 and r2l_l2r[n - 1][1] == 0
 
 
+@pytest.mark.usefixtures("swept")
 def test_moved_pivots_refactor_their_superblocks(monkeypatch):
     """A superblock is factored again once I_p or J_p+2 changes, order alone too.
 
@@ -594,7 +632,7 @@ def test_gram_factor_gives_the_svd_pivots_and_cores(monkeypatch, shape, max_bond
     block = _block_with_spectrum(shape, np.concatenate([np.geomspace(1.0, ratio, r), tail]), 4)
     u, _, vh = np.linalg.svd(block, full_matrices=False)
     monkeypatch.setattr(np.linalg, "svd", _no_svd)
-    got_u, got_vh = _run(max_bond)._factor(block)
+    got_u, _, got_vh = _run(max_bond)._factor(block)
     assert got_u.shape == (shape[0], r) and got_vh.shape == (r, shape[1])
     for want, got in ((u[:, :r], got_u), (vh[:r].T, got_vh.T)):
         rows, core, _ = _maxvol_iter(want)
@@ -625,10 +663,25 @@ def test_unclear_blocks_keep_the_svd_and_its_rank(shape, sv, max_bond, rank):
     block = _block_with_spectrum(shape, sv, 5) if sv.size else np.zeros(shape)
     u, s, vh = np.linalg.svd(block, full_matrices=False)
     run = _run(max_bond)
-    got_u, got_vh = run._factor(block)
+    got_u, got_s, got_vh = run._factor(block)
     assert got_u.shape[1] == rank == run._rank(s)
     np.testing.assert_array_equal(got_u, u[:, :rank])
+    np.testing.assert_array_equal(got_s, s[:rank])
     np.testing.assert_array_equal(got_vh, vh[:rank])
+
+
+@pytest.mark.parametrize(
+    "shape, sv",
+    [((40, 24), np.geomspace(1.0, 1e-5, 24)), ((24, 40), np.geomspace(1.0, 1e-5, 24))]
+    + [((12, 12), [1.0, 0.3, 0.1, 0.05])],
+    ids=["gram-tall", "gram-wide", "svd"],
+)
+def test_factor_s_vh_is_the_block_projected_on_u(shape, sv):
+    """s * Vh equals U.T @ block, to round-off, on both Gram paths and the SVD."""
+    block = _block_with_spectrum(shape, np.asarray(sv), 7)
+    u, s, vh = _run(24)._factor(block)
+    np.testing.assert_allclose(s[:, None] * vh, u.T @ block, rtol=0.0, atol=1e-10)
+    np.testing.assert_allclose(s, np.linalg.svd(block, compute_uv=False)[: s.size], atol=1e-10)
 
 
 @pytest.mark.parametrize("shape", [(6, 10), (10, 6)], ids=["wide", "tall"])
@@ -643,7 +696,7 @@ def _svd_factor(run, block):
     """The superblock factor with no Gram path: SVD bases at _rank's rank."""
     u, s, vh = np.linalg.svd(block, full_matrices=False)
     r = run._rank(s)
-    return u[:, :r].copy(), vh[:r].copy()
+    return u[:, :r].copy(), s[:r], vh[:r].copy()
 
 
 _BOOK_BASKETS = [
@@ -740,6 +793,7 @@ def test_block_equals_pointwise(f, pointwise):
     assert max(scales) > 0.0
 
 
+@pytest.mark.usefixtures("swept")
 def test_cross_with_a_block_never_calls_evaluate():
     f = asian_integrand(AsianSpec(steps=14))
     res = ttcross_approximate(
@@ -758,6 +812,7 @@ def _pointwise(monkeypatch, module):
     monkeypatch.setattr(module, "ttcross_approximate", cross)
 
 
+@pytest.mark.usefixtures("swept")
 @pytest.mark.parametrize(
     "module, price, spec, bond",
     [
@@ -849,10 +904,10 @@ def _full_svd_tt_svd(grid: np.ndarray, max_bond: int) -> MPS:
 
 def _tt_svd_grids():
     spec = AsianSpec(steps=12)
-    yield "asian-N12-D32", asian_integrand(spec), 32, 1e-12
+    yield "asian-N12-D32", asian_integrand(spec), 32, 1e-13
     basket_spec = uniform_basket_spec(4, steps=12, payoff_kind="avg")
     step = basket._step_function(basket_spec, decouple(basket_spec), 12)
-    yield "basket-m4-N12-avg-D16", step, 16, 1e-10
+    yield "basket-m4-N12-avg-D16", step, 16, 1e-12
 
 
 @pytest.mark.parametrize(
@@ -862,10 +917,10 @@ def test_tt_svd_matches_a_full_svd_tt_svd(f, bond, rel):
     """The superblock factor's TT-SVD is the full-SVD TT-SVD, to round-off.
 
     The Asian grid's first three unfoldings keep every direction on the
-    Gram path and the rest are rank-deficient SVDs; it agrees to 2.4e-13
+    Gram path and the rest are rank-deficient SVDs; it agrees to 5.8e-15
     of its largest value. The basket grid truncates its 169 x 169
-    unfolding to 16 on the Gram path, whose kept span is off by about
-    eps lambda_1 / (lambda_16 - lambda_17): 1.7e-11.
+    unfolding to 16 on the Gram path: 1.3e-13. Taking each next unfolding
+    as U.T @ unfolding, not s * Vh, they read 2.4e-13 and 1.7e-11.
     """
     res = ttcross_approximate(f, CrossConfig(max_bond=bond, seed=0))
     want = _full_svd_tt_svd(walked_grid(f), bond)
@@ -877,7 +932,7 @@ def test_tt_svd_matches_a_full_svd_tt_svd(f, bond, rel):
 
 
 def test_tt_svd_grid_is_one_walk():
-    """The TT-SVD's grid is the walk's, counted once in n_evals."""
+    """The TT-SVD's grid is the walk's, counted once in n_evals and asked for once."""
     hidden = np.random.default_rng(9).normal(size=(3, 4, 2, 5))
     calls = []
     f = GridFunction(
@@ -885,5 +940,5 @@ def test_tt_svd_grid_is_one_walk():
     )
     res = ttcross_approximate(f, CrossConfig(max_bond=10, seed=0))
     assert res.stop_reason == "tt-svd"
-    assert calls[0] == hidden.size and res.n_evals == hidden.size + 1024
+    assert calls == [hidden.size] and res.n_evals == hidden.size
     np.testing.assert_allclose(mps_dense(res.mps), hidden, rtol=1e-12, atol=1e-12)
