@@ -49,7 +49,6 @@ from .ttcross import (
 )
 from .variational import (
     build_exact_payoff_mps,
-    greedy_binary_decompose,
     price_asian_variational,
 )
 
@@ -78,7 +77,6 @@ __all__ = [
     "price_asian_ttcross",
     "BRUTEFORCE_MAX_STEPS",
     "build_exact_payoff_mps",
-    "greedy_binary_decompose",
     "price_asian_variational",
     "BasketSpec",
     "DecoupledModel",

@@ -13,16 +13,15 @@ pivots depend on the subspaces, not on the basis, so a superblock is
 factored by one eigendecomposition of its smaller Gram matrix where the
 singular values it keeps, and the next one, are clear of round-off, and
 by SVD elsewhere. A superblock whose pivot sets are unchanged since it
-was last factored is neither evaluated nor factored again, nor runs
-maxvol again on a side it has pivoted, so the sweep turnarounds reuse
-their end superblocks and a confirming sweep, whose pivots no longer
-move, costs no factorization. A grid of at most 2^18 values, or one that
-one superblock at the bond budget would hold, is instead evaluated once
-and compressed by TT-SVD (Oseledets 2011), each unfolding factored as a
-superblock is; below that size TT-SVD is both faster and closer than the
-sweeps, so only larger grids are swept. Every superblock is asked of the
-grid function as one block of row prefixes by column suffixes. A
-function that separates across the cut gives a
+was last factored is neither evaluated nor factored again, so the sweep
+turnarounds reuse their end superblocks and a confirming sweep, whose
+pivots no longer move, costs no factorization. A grid of at most 2^18
+values, or one that one superblock at the bond budget would hold, is
+instead evaluated once and compressed by TT-SVD (Oseledets 2011), each
+unfolding factored as a superblock is; below that size TT-SVD is both
+faster and closer than the sweeps, so only larger grids are swept. Every
+superblock is asked of the grid function as one block of row prefixes by
+column suffixes. A function that separates across the cut gives a
 ``block`` that builds it from one factor per row and one per column, and
 is then asked for nothing else; any other is evaluated point by point.
 No value is remembered between blocks.
@@ -255,7 +254,7 @@ class _CrossRun:
         self.iset: list = [_NO_AXES] + [None] * self.n
         self.jset: list = [None] * self.n + [_NO_AXES]
         # Per superblock p: the key (iset[p], jset[p+2]) it was last factored
-        # at, its bases U and Vh from _factor, and _maxvol_iter of each side.
+        # at, and its bases U and Vh from _factor.
         self._slots: list = [(None,)] * (self.n - 1)
 
     def _sample_suffixes(self, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -282,7 +281,7 @@ class _CrossRun:
         key = (self.iset[p].tobytes(), self.jset[p + 2].tobytes())
         if self._slots[p][0] != key:
             u, _, vh = self._factor(self._eval(rows, cols))
-            self._slots[p] = key, (u, vh), [None, None]
+            self._slots[p] = key, (u, vh)
         return rows, cols, *self._slots[p][1]
 
     def _factor(self, block: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -320,13 +319,10 @@ class _CrossRun:
 
     def _pivots(self, p: int, side: int) -> tuple[np.ndarray, ...]:
         """Superblock p's rows, columns, maxvol rows sel of its U (side 0) or
-        Vh.T (side 1) and ``basis @ inv(basis[sel])``, kept in its slot.
+        Vh.T (side 1) and ``basis @ inv(basis[sel])``.
         """
-        rows, cols, *bases = self._superblock(p)
-        done = self._slots[p][2]
-        if done[side] is None:
-            done[side] = _maxvol_iter(bases[0] if side == 0 else bases[1].T)
-        sel, coeffs, ok = done[side]
+        rows, cols, u, vh = self._superblock(p)
+        sel, coeffs, ok = _maxvol_iter(u if side == 0 else vh.T)
         if not ok:
             self.warnings.append(f"maxvol hit iteration cap at bond {p + 1}")
         return rows, cols, sel, coeffs
@@ -464,7 +460,7 @@ def ttcross_approximate(f: GridFunction, cfg: CrossConfig) -> CrossResult:
     with a warning, once a change fails to halve the one before or after
     8 sweeps. The bond budget is the one accuracy knob; the probe change
     is a stop rule, not an accuracy target. A superblock whose pivot sets
-    are unchanged is not evaluated, factored or pivoted again. A grid of at
+    are unchanged is neither evaluated nor factored again. A grid of at
     most 2^18 values, or one that one superblock would span, is compressed
     by TT-SVD without sweeping; only larger grids are swept.
     """

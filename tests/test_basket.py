@@ -1,8 +1,13 @@
 """Decoupled basket trees, their MPS backward induction, and the grid oracle."""
 
 import dataclasses
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -727,24 +732,97 @@ def test_european_deterministic():
     assert a.price == b.price
 
 
-def test_cross_prices_pinned_bitwise():
+# Each bitwise pin prices in a fresh interpreter on one BLAS thread, which
+# numpy fixes when it loads: OpenBLAS gives a large Gram product other last
+# bits on one thread than on two, so a pin taken in this process would hold
+# on some hosts only. Every cross of a case is recorded, step by step.
+PINNED_SCRIPT = """
+import json
+
+import mpspricer
+from mpspricer import basket
+
+crosses = []
+real_cross = basket.ttcross_approximate
+basket.ttcross_approximate = lambda f, cfg: crosses.append(real_cross(f, cfg)) or crosses[-1]
+out = {}
+for m, n, payoff, style, bond in (
+    (4, 12, "avg", "european", 16),
+    (3, 8, "min", "american", 8),
+    (6, 10, "min", "european", 8),
+    (6, 10, "min", "american", 8),
+):
+    crosses.clear()
+    spec = mpspricer.uniform_basket_spec(m, steps=n, payoff_kind=payoff, style=style)
+    report = getattr(mpspricer, f"price_{style}_basket")(spec, bond_dim=bond, seed=0)
+    out[f"m{m}.N{n}.{payoff}.{style}.D{bond}"] = {
+        "price": report.price.hex(),
+        "sweeps": [c.n_sweeps_run for c in crosses],
+        "stops": [c.stop_reason for c in crosses],
+        "warnings": report.warnings,
+        "heldout_residual": report.diagnostics["heldout_residual"],
+    }
+print(json.dumps(out))
+"""
+
+
+@pytest.fixture(scope="module")
+def pinned_runs():
+    """The pinned cases, priced by :data:`PINNED_SCRIPT` on one BLAS thread."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+    run = subprocess.run(
+        [sys.executable, "-c", PINNED_SCRIPT], env=env, capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr
+    return json.loads(run.stdout)
+
+
+def test_cross_prices_pinned_bitwise(pinned_runs):
     """Exact bits of two TT-SVD prices, so engine changes cannot drift them.
 
     Every grid of both is at most 2^18 values, so none is swept. The Asian
-    N=20 pin of test_asian pins a swept price.
+    N=20 pin of test_asian pins a swept price, as does
+    test_swept_prices_pinned_bitwise.
     """
-    eu_spec = uniform_basket_spec(4, steps=12, payoff_kind="avg")
-    eu = price_european_basket(eu_spec, bond_dim=16, seed=0)
-    assert eu.price.hex() == "0x1.28b831ad3d9bdp+3"
-    assert eu.n_sweeps == 0
-    am_spec = uniform_basket_spec(3, steps=8, style="american")
-    am = price_american_basket(am_spec, bond_dim=8, seed=0)
-    assert am.price.hex() == "0x1.c097f1641944dp+4"
-    assert am.n_sweeps == 0
-    for report, spec in [(eu, eu_spec), (am, am_spec)]:
+    cases = [
+        (
+            "m4.N12.avg.european.D16",
+            uniform_basket_spec(4, steps=12, payoff_kind="avg"),
+            "0x1.28b831ad3d9c1p+3",
+            [0],
+        ),
+        (
+            "m3.N8.min.american.D8",
+            uniform_basket_spec(3, steps=8, style="american"),
+            "0x1.c097f1641944dp+4",
+            [0] * 9,
+        ),
+    ]
+    for name, spec, bits, sweeps in cases:
+        run = pinned_runs[name]
+        assert (run["price"], run["sweeps"]) == (bits, sweeps)
         want = price_basket_bruteforce(spec).price
-        assert report.price == pytest.approx(want, rel=1e-4)
-        assert 0.0 < report.diagnostics["heldout_residual"] < 0.01
+        assert float.fromhex(run["price"]) == pytest.approx(want, rel=1e-4)
+        assert 0.0 < run["heldout_residual"] < 0.01
+
+
+def test_swept_prices_pinned_bitwise(pinned_runs):
+    """Exact bits, sweeps, stops and warnings of two swept m=6/N=10 prices.
+
+    Every grid above 2^18 values (9^6 and up: steps 8 to 10) is swept. The
+    European cross and the American steps 10 and 8 stop on tol, so their
+    last sweep only confirms pivots that no longer move.
+    """
+    eu = pinned_runs["m6.N10.min.european.D8"]
+    assert (eu["price"], eu["sweeps"], eu["stops"], eu["warnings"]) == (
+        "0x1.190aa089714a1p+5", [4], ["tol"], []
+    )
+    am = pinned_runs["m6.N10.min.american.D8"]
+    assert am["price"] == "0x1.1f34a081a3b2bp+5"
+    assert am["sweeps"] == [4, 3, 4] + [0] * 8
+    assert am["stops"] == ["tol", "plateau", "tol"] + ["tt-svd"] * 8
+    assert am["warnings"] == ["step 9: probe change plateaued at 6.702e-03"]
 
 
 @pytest.mark.parametrize("style", ["european", "american"])

@@ -68,7 +68,6 @@ def test_public_names_are_the_pricers_and_their_pieces():
         "price_asian_ttcross",
         "BRUTEFORCE_MAX_STEPS",
         "build_exact_payoff_mps",
-        "greedy_binary_decompose",
         "price_asian_variational",
         "BasketSpec",
         "DecoupledModel",

@@ -461,61 +461,29 @@ def _linear_cross():
     )
 
 
-def _count_maxvols(monkeypatch):
-    """Record every pivot request: its superblock key, its side and its maxvol calls.
+@pytest.mark.usefixtures("swept")
+def test_capped_maxvol_warns_on_every_use(monkeypatch):
+    """Each pivot request runs maxvol once, and each capped maxvol warns.
 
-    Side 0 pivots the superblock's left basis U, side 1 its right basis Vh.T.
+    With no swaps allowed, every non-square basis is capped. The run asks
+    for 45 pivot sets, 5 of them square, runs maxvol on each and gives the
+    40 warnings of the capped ones.
     """
-    maxvols = []
+    requests, maxvols = [], []
     real_maxvol = ttcross._maxvol_iter
     monkeypatch.setattr(
         ttcross, "_maxvol_iter", lambda mat: maxvols.append(1) or real_maxvol(mat)
     )
-    calls = []
     real_pivots = ttcross._CrossRun._pivots
-
-    def pivots(run, p, side):
-        key = (p, side, run.iset[p].tobytes(), run.jset[p + 2].tobytes())
-        before = len(maxvols)
-        out = real_pivots(run, p, side)
-        calls.append((key, len(maxvols) - before))
-        return out
-
-    monkeypatch.setattr(ttcross._CrossRun, "_pivots", pivots)
-    return calls, maxvols
-
-
-@pytest.mark.usefixtures("swept")
-def test_confirming_sweep_pivots_no_side_twice(monkeypatch):
-    """Each side of each distinct superblock runs maxvol once, on its first request.
-
-    The confirming sweep's one call pivots the right side of a superblock
-    that the sweep before pivoted only on its left.
-    """
-    calls, maxvols = _count_maxvols(monkeypatch)
-    monkeypatch.setattr(ttcross, "_TOL", 1e-300)
-    assert _linear_cross().stop_reason == "tol"
-    seen = set()
-    for key, cost in calls:
-        assert cost == (key not in seen)
-        seen.add(key)
-    assert [sum(cost for _, cost in s) for s in _sweeps(calls, 10)] == [9, 16, 1]
-    assert len(maxvols) == len(seen) == 26 < len(calls) == 45
-
-
-@pytest.mark.usefixtures("swept")
-def test_capped_maxvol_warns_on_every_use(monkeypatch):
-    """A stored maxvol result that hit the cap warns each time a sweep reads it.
-
-    With no swaps allowed, every non-square basis is capped. The run asks
-    for 45 pivot sets, 5 of them square, and gives the 40 warnings of
-    running maxvol on each, though it runs maxvol only 26 times.
-    """
-    _, maxvols = _count_maxvols(monkeypatch)
+    monkeypatch.setattr(
+        ttcross._CrossRun,
+        "_pivots",
+        lambda run, p, side: requests.append(1) or real_pivots(run, p, side),
+    )
     monkeypatch.setattr(ttcross, "_MAXVOL_ITERS", 0)
     monkeypatch.setattr(ttcross, "_TOL", 1e-300)
     res = _linear_cross()
-    assert (res.stop_reason, len(maxvols)) == ("tol", 26)
+    assert (res.stop_reason, len(requests), len(maxvols)) == ("tol", 45, 45)
     assert len(res.warnings) == 40
     assert all(re.fullmatch(r"maxvol hit iteration cap at bond \d", w) for w in res.warnings)
 

@@ -10,13 +10,13 @@ from mpspricer import (
     MPS,
     build_exact_payoff_mps,
     crr_params,
-    greedy_binary_decompose,
     path_prices,
     path_probability,
     price_asian_bruteforce,
     price_asian_variational,
 )
 from mpspricer import asian, variational
+from mpspricer.variational import greedy_binary_decompose
 
 from conftest import ASIAN_N32_CALL, all_bitstrings
 
