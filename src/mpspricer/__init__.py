@@ -21,7 +21,6 @@ from .basket import (
     BasketSpec,
     DecoupledModel,
     basket_payoff,
-    conditional_prob_matrix,
     decouple,
     price_american_basket,
     price_basket_bruteforce,
@@ -83,7 +82,6 @@ __all__ = [
     "decouple",
     "uniform_basket_spec",
     "basket_payoff",
-    "conditional_prob_matrix",
     "terminal_label_pmf",
     "price_european_basket",
     "price_american_basket",

@@ -5,10 +5,11 @@ the Cholesky factor of the covariance; each coordinate follows an
 additive p = 1/2 binomial walk, so its expiry label is Binomial(N, 1/2).
 A value function on the step-k outcome grid is an MPS with one site per
 asset, built by cross interpolation. A European price contracts the
-expiry payoff MPS once with the label distribution. American backward
-induction multiplies each physical leg by the transposed one-step
-conditional probability matrix and re-approximates the early-exercise
-max per step. The dense oracle builds its grids from the cross's blocks.
+expiry payoff MPS once with the label distribution, n neighbour averages
+of a point mass. American backward induction steps each site of the value
+MPS back by the neighbour average (v[j] + v[j+1]) / 2 and re-approximates
+the early-exercise max per step. The dense oracle builds its grids from
+the cross's blocks.
 """
 
 from __future__ import annotations
@@ -61,7 +62,8 @@ class BasketSpec:
             raise ValueError("need at least one asset")
         if len(vols) != m:
             raise ValueError(f"got {len(vols)} vols for {m} assets")
-        check_lattice_inputs(spots, vols, self.strike, self.rate, self.expiry, self.steps)
+        steps = check_lattice_inputs(spots, vols, self.strike, self.rate, self.expiry, self.steps)
+        object.__setattr__(self, "steps", steps)
         if any(v <= 0 for v in vols):
             raise ValueError("vols must be positive")
         cm = np.array(corr)
@@ -218,27 +220,19 @@ def basket_payoff(
     return _step_function(spec, model, step).block(labels, _NO_AXES)[:, 0]
 
 
-def conditional_prob_matrix(step: int) -> np.ndarray:
-    """One-step transition P[y_k, y_{k-1}], shape (step+1, step).
-
-    Column j has probability 1/2 on rows j (down move) and j+1 (up move);
-    columns sum to one.
-    """
-    step = check_int("step", step, 1)
-    p = np.zeros((step + 1, step))
-    idx = np.arange(step)
-    p[idx, idx] = 0.5
-    p[idx + 1, idx] = 0.5
-    return p
-
-
 def terminal_label_pmf(n_steps: int) -> np.ndarray:
-    """Marginal label distribution at expiry: chained one-step matrices."""
+    """Marginal label distribution at expiry, Binomial(n_steps, 1/2).
+
+    It is n_steps neighbour averages of the point mass at label 0, each
+    taken on the zero-padded labels: step k's label j has the mean of step
+    k-1's probabilities at labels j-1 and j.
+    """
     n_steps = check_int("n_steps", n_steps, 0)
-    v = np.ones((1, 1))
+    v = np.zeros(n_steps + 2)  # v[1 + j] holds label j; v[0] is the pad, always 0
+    v[1] = 1.0
     for k in range(1, n_steps + 1):
-        v = conditional_prob_matrix(k) @ v
-    return v[:, 0]
+        v[1 : k + 2] = 0.5 * (v[: k + 1] + v[1 : k + 2])
+    return v[1:]
 
 
 def _step_function(
@@ -295,9 +289,9 @@ def _price_tensor(spec: BasketSpec, style: str, bond_dim: int, seed: int) -> Pri
     """Price from the expiry payoff MPS, crossed with seed ``seed + steps``.
 
     European style contracts that MPS once with the label distribution.
-    American style applies the transposed conditional matrices to every
-    site and rebuilds max(discounted continuation, payoff) on each earlier
-    grid by a cross seeded with ``seed + step``, exercise at the root included.
+    American style steps every site back by the neighbour average and
+    rebuilds max(discounted continuation, payoff) on each earlier grid by a
+    cross seeded with ``seed + step``, exercise at the root included.
     """
     if spec.style != style:
         raise ValueError(f"spec style is {spec.style!r}, expected {style!r}")
@@ -312,7 +306,7 @@ def _price_tensor(spec: BasketSpec, style: str, bond_dim: int, seed: int) -> Pri
     if style == "american":
         disc = math.exp(-spec.rate * spec.dt)
         for k in range(n, 0, -1):
-            held = value.apply_site_matrices([conditional_prob_matrix(k).T] * m)
+            held = MPS(0.5 * (t[:, :-1] + t[:, 1:]) for t in value.tensors)
             f = _step_function(spec, model, k - 1, held, disc)
             crosses[k - 1] = ttcross_approximate(f, replace(cfg, seed=seed + k - 1))
             value = crosses[k - 1].mps
@@ -435,7 +429,7 @@ def price_basket_bruteforce(spec: BasketSpec) -> PriceReport:
     on each axis in turn, compacted to j < k at the buffer's front, by
     :func:`_add_neighbours`. Each axis's 1/2 goes into the step's scale
     ``disc * 2^-m``; as every sum has two terms, added axis 0 first, prices
-    equal the conditional-matrix products bit for bit. Peak memory is
+    equal the neighbour averages axis by axis bit for bit. Peak memory is
     steps^m + (w + 1) * (steps+1)^(m-1) floats plus a run, with w =
     max(1, _CHUNK // (steps+1)^(m-1)): 25.4 MiB at m=8/N=6, where the
     terminal grid alone is 44.0. Refuses when the terminal grid exceeds

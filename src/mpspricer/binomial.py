@@ -82,8 +82,8 @@ def make_scheme_params(scheme: str, rate: float, vol: float, dt: float) -> Schem
 
 def check_lattice_inputs(
     spots: tuple, vols: tuple, strike: float, rate: float, expiry: float, steps: int
-) -> None:
-    """The checks every spec shares.
+) -> int:
+    """The checks every spec shares; returns ``steps`` as an int.
 
     Every number must be finite, spots, strike and expiry positive, and
     steps an integer (TypeError otherwise) of at least 1.
@@ -95,12 +95,14 @@ def check_lattice_inputs(
             raise ValueError(f"{name} must be finite, got {value}")
         if value <= 0 and name in ("spot", "strike", "expiry"):
             raise ValueError(f"{name} must be positive, got {value}")
-    check_int("steps", steps, 1)
+    return check_int("steps", steps, 1)
 
 
 def check_int(name: str, value, minimum: int) -> int:
-    """``value`` as an int: TypeError unless an integer, ValueError below ``minimum``."""
+    """``value`` as an int: TypeError unless a non-bool integer, ValueError below ``minimum``."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         value = operator.index(value)
     except TypeError:
         raise TypeError(
@@ -129,9 +131,10 @@ class SingleAssetSpec:
     right: str = "call"
 
     def __post_init__(self):
-        check_lattice_inputs(
+        steps = check_lattice_inputs(
             (self.spot,), (self.vol,), self.strike, self.rate, self.expiry, self.steps
         )
+        object.__setattr__(self, "steps", steps)
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
         if self.right not in RIGHTS:

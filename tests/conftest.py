@@ -6,12 +6,12 @@ prices by per-path loops, and MPS values by multiplying the picked site
 matrices one row at a time or contracting every bond. They exist so the
 fast library implementations have something honest to be compared against.
 Two references are exceptions. The dense basket reference walks the
-package's own step-function blocks for its payoff grids, and checks only the
-backward induction, by the textbook product with the one-step probability
-matrix. The walked Asian price sums the package's own integrand blocks: it
-is the brute force that the sorted-tail join replaced. The geometric-average
-twin of the Asian integrand has an exact price at any N, so it checks the
-cross where no enumeration reaches.
+package's own decoupled model and step-function blocks for its payoff grids,
+and checks only the backward induction, by the textbook product with its own
+one-step probability matrix. The walked Asian price sums the package's own
+integrand blocks: it is the brute force that the sorted-tail join replaced.
+The geometric-average twin of the Asian integrand has an exact price at any
+N, so it checks the cross where no enumeration reaches.
 """
 
 import itertools
@@ -20,7 +20,7 @@ import math
 import numpy as np
 import pytest
 
-from mpspricer import MPS, AsianSpec, GridFunction, basket, conditional_prob_matrix, decouple
+from mpspricer import MPS, AsianSpec, GridFunction, basket, decouple
 from mpspricer.asian import asian_integrand
 from mpspricer import ttcross
 from mpspricer.ttcross import grid_blocks
@@ -129,7 +129,10 @@ def tensordot_basket_price(spec) -> float:
     disc = math.exp(-spec.rate * spec.dt)
     values = walked_grid(basket._step_function(spec, model, spec.steps))
     for k in range(spec.steps, 0, -1):
-        pk = conditional_prob_matrix(k)
+        # P[j, i]: from step k-1's label i, down to step k's label i or up to i+1.
+        idx = np.arange(k)
+        pk = np.zeros((k + 1, k))
+        pk[idx, idx] = pk[idx + 1, idx] = 0.5
         for _ in range(spec.n_assets):
             values = np.tensordot(values, pk, axes=([0], [0]))
         values = disc * values

@@ -16,7 +16,6 @@ from mpspricer import (
     BasketSpec,
     SingleAssetSpec,
     basket_payoff,
-    conditional_prob_matrix,
     decouple,
     price_american_basket,
     price_basket_bruteforce,
@@ -169,34 +168,15 @@ def test_decouple_rejects_indefinite_correlation():
         uniform_basket_spec(3, rho=-0.9, steps=4)
 
 
-def test_conditional_matrix_structure():
-    p = conditional_prob_matrix(3)
-    want = np.array(
-        [
-            [0.5, 0.0, 0.0],
-            [0.5, 0.5, 0.0],
-            [0.0, 0.5, 0.5],
-            [0.0, 0.0, 0.5],
-        ]
-    )
-    np.testing.assert_array_equal(p, want)
-    for k in (1, 4, 9):
-        np.testing.assert_allclose(conditional_prob_matrix(k).sum(axis=0), 1.0)
-    with pytest.raises(ValueError, match="^step must be >= 1, got 0$"):
-        conditional_prob_matrix(0)
-
-
-def test_conditional_prob_matrix_names_a_non_integer_step():
-    with pytest.raises(TypeError, match="^step must be an integer, got float 2.5$"):
-        conditional_prob_matrix(2.5)
-
-
-def test_chained_matrices_give_binomial_pmf():
-    for n in (1, 2, 5, 12, 20):
+def test_terminal_pmf_is_the_binomial_pmf():
+    """Exact to the last bit up to n = 57, to 1e-15 relative up to n = 63."""
+    for n in range(64):
         pmf = terminal_label_pmf(n)
-        want = np.array([math.comb(n, y) / 2.0**n for y in range(n + 1)])
-        np.testing.assert_allclose(pmf, want, atol=1e-15)
-        assert pmf.sum() == pytest.approx(1.0, abs=1e-14)
+        want = np.array([math.comb(n, j) / 2**n for j in range(n + 1)])
+        if n <= 57:
+            np.testing.assert_array_equal(pmf, want)
+        else:
+            np.testing.assert_allclose(pmf, want, rtol=1e-15, atol=0)
 
 
 def test_terminal_pmf_names_n_steps():
@@ -655,6 +635,37 @@ def test_price_far_from_bruteforce_is_flagged():
     assert off and r.diagnostics["converged"]
     residual = r.diagnostics["heldout_residual"]
     assert r.warnings == [f"step 64: held-out residual {residual:.3e} exceeds 0.1"]
+
+
+@pytest.mark.parametrize(
+    "m, n, bond, stop, sweeps",
+    [(2, 512, 4, "tt-svd", 0), (3, 64, 65, "tt-svd", 0), (3, 64, 64, "tol", 4)],
+    ids=["m2-N512-D4", "m3-N64-D65", "m3-N64-D64"],
+)
+def test_grids_over_2_18_values_take_tt_svd_when_one_superblock_spans_them(
+    monkeypatch, m, n, bond, stop, sweeps
+):
+    """(N+1)^m = 263,169 and 274,625 values, both over the TT-SVD limit.
+
+    Any 2-asset grid is one superblock. The 65^3 grid is one at bond 65,
+    so it is compressed from its 274,625 values; at bond 64 no superblock
+    spans it, and it is swept.
+    """
+    crosses = []
+    cross = basket.ttcross_approximate
+    monkeypatch.setattr(
+        basket, "ttcross_approximate", lambda f, cfg: crosses.append(cross(f, cfg)) or crosses[-1]
+    )
+    spec = uniform_basket_spec(m, steps=n)
+    r = price_european_basket(spec, bond_dim=bond, seed=0)
+    (c,) = crosses
+    assert (n + 1) ** m > ttcross._TT_SVD_MAX
+    assert (c.stop_reason, c.n_sweeps_run, r.n_sweeps) == (stop, sweeps, sweeps)
+    if stop == "tt-svd":
+        assert c.n_evals == r.diagnostics["n_evals"] == (n + 1) ** m
+    if m == 3:
+        want = price_basket_bruteforce(spec).price
+        assert r.price == pytest.approx(want, rel=1e-13, abs=0)
 
 
 def test_american_two_assets_matches_bruteforce_at_full_rank():

@@ -4,6 +4,8 @@ Frozen constants below were computed independently with 50-digit
 arithmetic (mpmath) and pasted in; the library must hit them at double
 precision."""
 
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -126,10 +128,17 @@ def test_specs_reject_non_finite_inputs(lattice, field, value):
 
 
 @pytest.mark.parametrize("lattice", ["crr", "rb", "basket"])
-@pytest.mark.parametrize("steps", [6.5, 6.0, "6"])
+@pytest.mark.parametrize("steps", [6.5, 6.0, "6", True])
 def test_specs_reject_non_integer_steps(lattice, steps):
     with pytest.raises(TypeError, match="steps must be an integer"):
         _lattice_spec(lattice, steps=steps)
+
+
+@pytest.mark.parametrize("lattice", ["crr", "rb", "basket"])
+def test_specs_store_steps_as_int(lattice):
+    spec = _lattice_spec(lattice, steps=np.int64(6))
+    assert type(spec.steps) is int
+    assert json.loads(json.dumps(dataclasses.asdict(spec)))["steps"] == 6
 
 
 @pytest.mark.parametrize(

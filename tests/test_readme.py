@@ -74,7 +74,6 @@ def test_public_names_are_the_pricers_and_their_pieces():
         "decouple",
         "uniform_basket_spec",
         "basket_payoff",
-        "conditional_prob_matrix",
         "terminal_label_pmf",
         "price_european_basket",
         "price_american_basket",

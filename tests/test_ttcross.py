@@ -69,11 +69,12 @@ def test_config_validation():
     [
         (price_asian_ttcross, {"bond_dim": 8.5}, "max_bond must be an integer, got float 8.5"),
         (price_asian_ttcross, {"seed": 1.5}, "seed must be an integer, got float 1.5"),
+        (price_asian_ttcross, {"bond_dim": True}, "max_bond must be an integer, got bool True"),
         (price_asian_variational, {"bond_dim": 4.5}, "bond_dim must be an integer"),
         (price_asian_variational, {"seed": 1.5}, "seed must be an integer"),
         (price_european_basket, {"bond_dim": 4.5}, "max_bond must be an integer"),
     ],
-    ids=["ttcross-bond", "ttcross-seed", "var-bond", "var-seed", "basket-bond"],
+    ids=["ttcross-bond", "ttcross-seed", "ttcross-bool", "var-bond", "var-seed", "basket-bond"],
 )
 def test_integer_knobs_reject_non_integers(price, kwargs, match):
     # Each of these once failed deep in the run with a numpy or range error.
