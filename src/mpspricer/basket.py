@@ -15,6 +15,7 @@ the cross's blocks.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import numbers
 import time
@@ -32,8 +33,9 @@ from .ttcross import (
 PAYOFF_KINDS = ("min", "max", "avg")
 # Each payoff kind's fold over the assets' prices, and that fold's identity.
 _FOLDS = {"min": (np.minimum, np.inf), "max": (np.maximum, -np.inf), "avg": (np.add, 0.0)}
-# Most values the dense oracle's terminal grid may hold (128 MiB of floats).
-# The oracle streams that grid and steps back in a buffer of steps^m floats.
+# Most values the dense oracle's terminal grid may hold. The oracle streams
+# every step's grid and keeps about steps^(m-1) floats a step, so the cap
+# bounds its time, one pass over each step's grid, not its memory.
 DENSE_ELEMENT_CAP = 2**24
 
 
@@ -352,114 +354,112 @@ def price_american_basket(spec: BasketSpec, bond_dim: int = 16, seed: int = 0) -
     return _price_tensor(spec, "american", bond_dim, seed)
 
 
-def _grid_segments(buf: np.ndarray, f: GridFunction):
-    """(segment of flat ``buf``, block values) pairs walking f's grid in row-major order."""
-    done = 0
-    for block in grid_blocks(f):
-        yield buf[done : done + block.size], block.ravel()
-        done += block.size
+def _slab_axes(dim: int, m: int) -> int:
+    """Most trailing axes, 1 to m, of ``dim`` labels each whose values fit in ``_CHUNK``."""
+    return next((n for n in range(m, 1, -1) if dim**n <= _CHUNK), 1)
 
 
-def _runs(n_rows: int, row_len: int):
-    """Row-major runs (r0, r1, c0, c1) of at most ``_CHUNK`` values over (n_rows, row_len):
-    groups of whole rows while a row fits, else parts of one row."""
-    group, width = max(1, _CHUNK // row_len), min(row_len, _CHUNK)
-    for r0 in range(0, n_rows, group):
-        for c0 in range(0, row_len, width):
-            yield r0, min(r0 + group, n_rows), c0, min(c0 + width, row_len)
+def _payoff(f: GridFunction, start: int, size: int) -> np.ndarray:
+    """f's grid values number start..start+size-1, flat, from :func:`grid_blocks`'s blocks."""
+    blocks = [b.ravel() for b in grid_blocks(f, start, start + size)]
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
 
-def _add_neighbours(values: np.ndarray, n_rows: int, k: int, stride: int) -> None:
-    """Step one axis back in place: (n_rows, k + 1, stride) to (n_rows, k, stride).
+def _step_slab(x: np.ndarray, scratch: np.ndarray, k: int, n: int) -> np.ndarray:
+    """Flat slab x over n axes of k + 1 labels, each stepped back to k: the k^n sums.
 
-    Both grids sit at the front of flat ``values``; label j becomes
-    ``v[j] + v[j+1]``. Runs of at most ``_CHUNK`` values go in ascending
-    order, so no write lands on a value a later run reads, and numpy
-    copies at most a run.
+    Innermost axis first, each one flat add at its stride from x into
+    ``scratch`` and back, overwriting both; sums that run into the next
+    label are never read. One strided copy gathers the valid corner (at
+    n = 1 a view, valid until the next call).
     """
-    grid = values[: n_rows * (k + 1) * stride].reshape(n_rows, -1)
-    kept = values[: n_rows * k * stride].reshape(n_rows, -1)
-    for r0, r1, c0, c1 in _runs(n_rows, k * stride):
-        np.add(
-            grid[r0:r1, c0:c1],
-            grid[r0:r1, c0 + stride : c1 + stride],
-            out=kept[r0:r1, c0:c1],
-        )
+    scratch, valid = scratch[: x.size], x.size
+    for i in range(n):
+        s = (k + 1) ** i
+        np.add(x[: valid - s], x[s:valid], out=scratch[: valid - s])
+        x, scratch, valid = scratch, x, valid - s
+    return x.reshape((k + 1,) * n)[(slice(k),) * n].reshape(-1)
 
 
-def _first_step_back(f: GridFunction, out: np.ndarray, scale: float) -> None:
-    """Write the terminal grid of f stepped back once, times ``scale``, into flat ``out``.
+class _Stage:
+    """Step k's grid stepped back to step k-1's, one row-major slab at a time.
 
-    The grid arrives from :func:`~mpspricer.ttcross.grid_blocks` into a
-    window of w + 1 axis-0 slabs of (N+1)^(m-1) values each, with
-    w = max(1, _CHUNK // slab). A full window adds its neighbouring slabs,
-    steps the w sums back along axes 1..m-1 and writes them, scaled, as
-    the next w rows of ``out``; its last slab starts the next window. The
-    additions and the scaling are those of the in-place steps, in the same
-    order.
+    A slab over the last ``n`` axes is stepped by :func:`_step_slab`. Each
+    leading axis j carries the stepped sub-grid over axes j+1.. of its
+    previous label: a later label sends carry + v one axis up, an earlier
+    one stores v. Pieces leaving axis 0, times ``scale``, fill step k-1's
+    next slab, which is maxed with ``payoff``, if any, once whole.
     """
-    m, n = len(f.dims), f.dims[0] - 1
-    slab, row = (n + 1) ** (m - 1), n ** (m - 1)
-    window = np.empty((min(max(1, _CHUNK // slab), n) + 1) * slab)
-    filled = seen = done = 0  # values in the window, values read, rows written
-    for block in grid_blocks(f):
-        pay = block.ravel()
-        while pay.size:
-            take = min(pay.size, window.size - filled)
-            window[filled : filled + take] = pay[:take]
-            filled, seen, pay = filled + take, seen + take, pay[take:]
-            if filled < window.size and seen < (n + 1) * slab:
-                continue
-            sums = filled // slab - 1
-            _add_neighbours(window, 1, sums, slab)
-            for a in range(1, m):
-                _add_neighbours(window, sums * n ** (a - 1), n, (n + 1) ** (m - 1 - a))
-            np.multiply(window[: sums * row], scale, out=out[done * row : (done + sums) * row])
-            window[:slab] = window[sums * slab : filled]
-            filled, done = slab, done + sums
+
+    def __init__(self, k: int, m: int, scale: float, payoff: GridFunction | None):
+        self.k, self.scale, self.payoff, self.n = k, scale, payoff, _slab_axes(k + 1, m)
+        self.slab_size, self.out_size, self.out = (k + 1) ** self.n, k ** _slab_axes(k, m), None
+        self.slabs = itertools.product(range(k + 1), repeat=m - self.n)
+        self.carries = [np.empty(k ** (m - 1 - j)) for j in range(m - self.n)]
+
+    def send(self, slab: np.ndarray, scratch: np.ndarray) -> np.ndarray | None:
+        """Step k's next slab, overwritten, in; step k-1's next slab out once whole, else None."""
+        k, labels = self.k, next(self.slabs)
+        v, at = _step_slab(slab, scratch, k, self.n), 0
+        for label, carry in zip(reversed(labels), reversed(self.carries)):
+            part = carry[at : at + v.size]
+            held = part + v if label else None
+            if label < k:
+                part[...] = v
+            if not label:
+                return None
+            v, at = held, at + (label - 1) * carry.size
+        pos = at % self.out_size
+        if pos == 0:
+            self.out = np.empty(self.out_size)
+        np.multiply(v, self.scale, out=self.out[pos : pos + v.size])
+        if pos + v.size < self.out_size:
+            return None
+        if self.payoff is not None:
+            pay = _payoff(self.payoff, at + v.size - self.out_size, self.out_size)
+            np.maximum(self.out, pay, out=self.out)
+        out, self.out = self.out, None
+        return out
 
 
 def price_basket_bruteforce(spec: BasketSpec) -> PriceReport:
-    """Exact backward induction on the dense outcome grid, in one buffer.
+    """Exact backward induction on the dense outcome grid, streamed slab by slab.
 
-    Each step's payoff grid is the cross's own :func:`_step_function` block,
-    walked by :func:`~mpspricer.ttcross.grid_blocks`. The terminal grid is
-    never held: :func:`_first_step_back` steps it back as it arrives, into
-    one buffer of steps^m floats. Each later step k writes ``v[j] + v[j+1]``
-    on each axis in turn, compacted to j < k at the buffer's front, by
-    :func:`_add_neighbours`. Each axis's 1/2 goes into the step's scale
-    ``disc * 2^-m``; as every sum has two terms, added axis 0 first, prices
-    equal the neighbour averages axis by axis bit for bit. Peak memory is
-    steps^m + (w + 1) * (steps+1)^(m-1) floats plus a run, with w =
-    max(1, _CHUNK // (steps+1)^(m-1)): 25.4 MiB at m=8/N=6, where the
-    terminal grid alone is 44.0. Refuses when the terminal grid exceeds
-    ``DENSE_ELEMENT_CAP``.
+    Each step is one :class:`_Stage`, all running at once, so no step's
+    grid is held whole. Payoffs are the cross's :func:`_step_function`
+    blocks over :func:`~mpspricer.ttcross.grid_blocks`'s rows, each value
+    made once. A step adds ``v[j] + v[j+1]`` on each axis, innermost first,
+    with each axis's 1/2 folded into its scale ``disc * 2^-m``, so prices
+    equal the neighbour averages taken last axis first bit for bit. Memory
+    is about the carried rows, the sum over k of k^(m-1) floats, plus a
+    slab of at most ``_CHUNK`` values per stage: 6.1 MiB under tracemalloc
+    at m=8/N=6, whose terminal grid alone is 44.0. Refuses when the
+    terminal grid exceeds ``DENSE_ELEMENT_CAP``.
     """
     model = decouple(spec)
     n, m = spec.steps, spec.n_assets
     grid_size = (n + 1) ** m
     if grid_size > DENSE_ELEMENT_CAP:
         raise ValueError(
-            f"dense grid needs ({n}+1)^{m} = {grid_size} values, "
-            f"cap is {DENSE_ELEMENT_CAP}"
+            f"dense grid needs ({n}+1)^{m} = {grid_size} values, cap is {DENSE_ELEMENT_CAP}"
         )
     start_time = time.perf_counter()
     scale = math.exp(-spec.rate * spec.dt) * 0.5**m
-    values = np.empty(n**m)
-    for k in range(n, 0, -1):
-        live = values[: k**m]
-        if k == n:
-            _first_step_back(_step_function(spec, model, n), values, scale)
-        else:
-            for a in range(m):
-                # Grid (k,)^a x (k+1,)^(m-a) as k^a rows; axis a is the row's slowest.
-                _add_neighbours(values, k**a, k, (k + 1) ** (m - 1 - a))
-            live *= scale
-        if spec.style == "american":
-            for seg, pay in _grid_segments(live, _step_function(spec, model, k - 1)):
-                np.maximum(seg, pay, out=seg)
+    american = spec.style == "american"
+    payoffs = [_step_function(spec, model, k - 1) if american else None for k in range(n, 0, -1)]
+    stages = [_Stage(k, m, scale, f) for k, f in zip(range(n, 0, -1), payoffs)]
+    scratch = np.empty(max(stage.slab_size for stage in stages))
+    # The terminal payoff comes in windows of as many whole slabs as fit in _CHUNK.
+    terminal, size = _step_function(spec, model, n), stages[0].slab_size
+    window = size * max(1, _CHUNK // size)
+    for start in range(0, grid_size, window):
+        for slab in _payoff(terminal, start, min(window, grid_size - start)).reshape(-1, size):
+            for stage in stages:
+                slab = stage.send(slab, scratch)
+                if slab is None:
+                    break
     return PriceReport(
-        price=float(values[0]),
+        price=float(slab[0]),
         method="bruteforce",
         wall_time_s=time.perf_counter() - start_time,
         diagnostics={"grid_size": grid_size},

@@ -213,14 +213,15 @@ def _labels(dims: tuple[int, ...], start: int, stop: int) -> np.ndarray:
     return np.arange(start, stop)[:, None] // np.array(strides, dtype=np.int64) % radix
 
 
-def grid_blocks(f: GridFunction) -> Iterator[np.ndarray]:
-    """Every value of f's grid in row-major order, as consecutive (R, C) blocks.
+def grid_blocks(f: GridFunction, start: int = 0, stop: int | None = None) -> Iterator[np.ndarray]:
+    """f's grid values number start..stop-1 in row-major order, as consecutive (R, C) blocks.
 
-    The columns are every suffix over the trailing axes that together hold
-    at most isqrt(_CHUNK) points, possibly none of them; each block's rows
-    are the next prefixes over the leading axes, at most _CHUNK // C of
-    them. No block holds more than _CHUNK values, and a separable block's
-    per-row and per-column work stays balanced. Blocks go through
+    By default every value. The columns are every suffix over the trailing
+    axes that together hold at most isqrt(_CHUNK) points, possibly none of
+    them; each block's rows are the next prefixes over the leading axes, at
+    most _CHUNK // C of them, so start and stop must be multiples of C. No
+    block holds more than _CHUNK values, and a separable block's per-row
+    and per-column work stays balanced. Blocks go through
     :func:`_block_values`, so f may be pointwise only.
     """
     dims = tuple(int(d) for d in f.dims)
@@ -228,9 +229,11 @@ def grid_blocks(f: GridFunction) -> Iterator[np.ndarray]:
     while cut and math.prod(dims[cut - 1 :]) <= math.isqrt(_CHUNK):
         cut -= 1
     cols = _labels(dims[cut:], 0, math.prod(dims[cut:]))
-    n_rows, step = math.prod(dims[:cut]), _CHUNK // cols.shape[0]
-    for start in range(0, n_rows, step):
-        rows = _labels(dims[:cut], start, min(start + step, n_rows))
+    n_cols = cols.shape[0]
+    n_rows = math.prod(dims[:cut]) if stop is None else stop // n_cols
+    step = _CHUNK // n_cols
+    for first in range(start // n_cols, n_rows, step):
+        rows = _labels(dims[:cut], first, min(first + step, n_rows))
         yield _block_values(f, rows, cols)
 
 

@@ -122,8 +122,9 @@ def walked_grid(f: GridFunction) -> np.ndarray:
 def tensordot_basket_price(spec) -> float:
     """Dense basket price: every axis of every step's grid times the one-step matrix.
 
-    Each step's payoff grid is the step function's walked blocks, so the
-    dense oracle must match this bit for bit.
+    Each step contracts the last axis first, and each step's payoff grid is
+    the step function's walked blocks, so the dense oracle must match this
+    bit for bit.
     """
     model = decouple(spec)
     disc = math.exp(-spec.rate * spec.dt)
@@ -134,7 +135,7 @@ def tensordot_basket_price(spec) -> float:
         pk = np.zeros((k + 1, k))
         pk[idx, idx] = pk[idx + 1, idx] = 0.5
         for _ in range(spec.n_assets):
-            values = np.tensordot(values, pk, axes=([0], [0]))
+            values = np.tensordot(pk, values, axes=([0], [spec.n_assets - 1]))
         values = disc * values
         if spec.style == "american":
             values = np.maximum(values, walked_grid(basket._step_function(spec, model, k - 1)))

@@ -495,30 +495,48 @@ def test_bruteforce_equals_tensordot_induction_bitwise(m, n, kind, style):
     assert price_basket_bruteforce(spec).price == tensordot_basket_price(spec)
 
 
+def _recorded_stages(monkeypatch):
+    """Every stage the dense oracle builds, one per step, from the last step back."""
+    stages = []
+
+    class Recording(basket._Stage):
+        def __init__(self, *args):
+            super().__init__(*args)
+            stages.append(self)
+
+    monkeypatch.setattr(basket, "_Stage", Recording)
+    return stages
+
+
+def _streamed(monkeypatch, spec, chunk):
+    """The dense oracle's price at ``_CHUNK`` = chunk, its stages and its payoff block sizes.
+
+    Every payoff value is made once, in blocks of at most ``chunk``, and
+    the price is bitwise the tensordot reference's.
+    """
+    monkeypatch.setattr(basket, "_CHUNK", chunk)
+    monkeypatch.setattr(ttcross, "_CHUNK", chunk)
+    stages, calls = _recorded_stages(monkeypatch), _recorded_blocks(monkeypatch)
+    price = price_basket_bruteforce(spec).price
+    sizes = [len(rows) * len(cols) for rows, cols in calls]
+    paid = range(spec.steps + 1) if spec.style == "american" else [spec.steps]
+    assert sum(sizes) == sum((k + 1) ** spec.n_assets for k in paid)
+    assert max(sizes) <= chunk
+    assert price == tensordot_basket_price(spec)
+    return stages, sizes
+
+
 @pytest.mark.parametrize("style", ["european", "american"])
-@pytest.mark.parametrize("m, n, kind", [(1, 300, "min"), (2, 100, "avg")])
+@pytest.mark.parametrize("m, n, kind", [(1, 300, "min"), (2, 100, "avg"), (5, 4, "max")])
 def test_bruteforce_bitwise_across_runs(monkeypatch, m, n, kind, style):
-    """Runs of 64 values split each late step's axes into parts of rows and groups of rows."""
-    runs = []
-    real_runs = basket._runs
-
-    def recording(n_rows, row_len):
-        for run in real_runs(n_rows, row_len):
-            runs.append(run)
-            yield run
-
-    monkeypatch.setattr(basket, "_CHUNK", 64)
-    monkeypatch.setattr(basket, "_runs", recording)
+    """At 64 values a chunk, slabs of 5^2 values leave m=5 three axes to carry."""
     spec = uniform_basket_spec(m, steps=n, payoff_kind=kind, style=style)
-    assert price_basket_bruteforce(spec).price == tensordot_basket_price(spec)
-    assert max((r1 - r0) * (c1 - c0) for r0, r1, c0, c1 in runs) <= 64
-    assert any(c0 > 0 for _, _, c0, _ in runs)
-    if m > 1:
-        assert any(r1 - r0 > 1 for r0, r1, _, _ in runs)
+    stages, _ = _streamed(monkeypatch, spec, 64)
+    assert max(len(stage.carries) for stage in stages) == {1: 0, 2: 1, 5: 3}[m]
 
 
-def test_bruteforce_peaks_near_one_terminal_grid():
-    """m=4/N=31 steps back in its 8 MiB grid; matrix products peaked at 28 MiB."""
+def test_bruteforce_streams_below_one_terminal_grid():
+    """m=4/N=31 once stepped back in its 8 MiB terminal grid, peaking at 9.6 MiB; it streams in 5.0."""
     spec = uniform_basket_spec(4, steps=31, payoff_kind="min", style="american")
     tracemalloc.start()
     try:
@@ -526,15 +544,24 @@ def test_bruteforce_peaks_near_one_terminal_grid():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 12 * 2**20
+    assert peak <= 6.3 * 2**20
     assert got == tensordot_basket_price(spec)
 
 
 @pytest.mark.parametrize(
-    "m, n, want", [(8, 6, "0x1.36683065f0d40p+5"), (6, 8, "0x1.1fa540d97e3fcp+5")]
+    "m, n, want",
+    [
+        (8, 6, "0x1.36683065f0d40p+5"),
+        (6, 8, "0x1.1fa540d97e3fbp+5"),
+        (8, 7, "0x1.3780a441e21d5p+5"),
+    ],
 )
 def test_bruteforce_never_holds_the_terminal_grid(m, n, want):
-    """At m=8/N=6 the 44.0 MiB terminal grid peaked at 45.8 MiB; the buffers now take 25.4."""
+    """m=8/N=6's 44.0 MiB terminal grid once peaked at 45.8 MiB and its slab windows at 27.2.
+
+    The stream peaks at 6.1 MiB there, 2.9 at m=6/N=8 and 13.7 at m=8/N=7,
+    whose 2^24 values are exactly the cap; the bounds are those plus 25%.
+    """
     spec = uniform_basket_spec(m, steps=n, payoff_kind="min", style="american")
     tracemalloc.start()
     try:
@@ -543,46 +570,33 @@ def test_bruteforce_never_holds_the_terminal_grid(m, n, want):
     finally:
         tracemalloc.stop()
     assert got == float.fromhex(want)
-    if m == 8:
-        assert peak <= 28 * 2**20
-
-
-def _recorded_steps(monkeypatch):
-    """Every (n_rows, k, stride) that the dense oracle steps back, in order."""
-    steps = []
-    real = basket._add_neighbours
-
-    def recording(values, n_rows, k, stride):
-        steps.append((n_rows, k, stride))
-        real(values, n_rows, k, stride)
-
-    monkeypatch.setattr(basket, "_add_neighbours", recording)
-    return steps
+    assert peak <= {(8, 6): 7.6, (6, 8): 3.6, (8, 7): 17.1}[m, n] * 2**20
 
 
 @pytest.mark.parametrize("style", ["european", "american"])
 @pytest.mark.parametrize("kind", PAYOFF_KINDS)
 def test_bruteforce_windows_straddle_grid_blocks(monkeypatch, kind, style):
-    """Blocks of 297 values and windows of 3 slabs of 121: neither aligns with the other."""
-    monkeypatch.setattr(basket, "_CHUNK", 300)
-    monkeypatch.setattr(ttcross, "_CHUNK", 300)
-    calls, steps = _recorded_blocks(monkeypatch), _recorded_steps(monkeypatch)
+    """Terminal windows of two 121-value slabs straddle the walk's blocks of 297 values.
+
+    At step 6 each payoff block, a slab of 6^3 values, takes six stepped
+    pieces of 6^2.
+    """
     spec = uniform_basket_spec(3, steps=10, payoff_kind=kind, style=style)
-    assert price_basket_bruteforce(spec).price == tensordot_basket_price(spec)
-    ends = np.cumsum([len(rows) * len(cols) for rows, cols in calls])
-    assert any(ends[ends < 11**3] % 121)
-    # Window sums are the axis-0 steps over whole slabs: 2 per full window.
-    assert [k for n_rows, k, stride in steps if stride == 121] == [2] * 5
+    stages, sizes = _streamed(monkeypatch, spec, 300)
+    walk = ttcross.grid_blocks(_step_function(spec, decouple(spec), 10))
+    assert sizes[0] == 2 * 11**2 and [b.size for b in walk] == [297] * 4 + [143]
+    assert (stages[4].k ** stages[4].n, stages[4].out_size) == (6**2, 6**3)
 
 
-@pytest.mark.parametrize("chunk, windows", [(64, [64] * 4 + [44]), (ttcross._CHUNK, [300])])
+@pytest.mark.parametrize("chunk, windows", [(64, [64] * 4 + [45]), (ttcross._CHUNK, [301])])
 def test_bruteforce_steps_one_asset_back_in_windows(monkeypatch, chunk, windows):
-    """One value per slab: a window of w slabs is one pass, not w of them."""
-    monkeypatch.setattr(basket, "_CHUNK", chunk)
-    steps = _recorded_steps(monkeypatch)
+    """One asset: each step is one slab, the whole axis, and one flat add, carrying nothing;
+    the terminal window of 301 values comes in blocks of at most _CHUNK."""
     spec = uniform_basket_spec(1, steps=300, style="european")
-    assert price_basket_bruteforce(spec).price == tensordot_basket_price(spec)
-    assert steps == [(1, k, 1) for k in windows] + [(1, k, 1) for k in range(299, 0, -1)]
+    stages, sizes = _streamed(monkeypatch, spec, chunk)
+    assert sizes == windows
+    got = [(s.n, s.slab_size, s.carries) for s in stages]
+    assert got == [(1, k + 1, []) for k in range(300, 0, -1)]
 
 
 def test_bruteforce_refuses_huge_grids():

@@ -842,6 +842,17 @@ def test_grid_blocks_walk_the_grid_row_major(dims, n_blocks, n_cols, kind):
     np.testing.assert_array_equal(np.concatenate([b.ravel() for b in blocks]), want)
 
 
+
+@pytest.mark.parametrize("kind", [0, 1], ids=["evaluate", "block"])
+def test_grid_blocks_walk_a_range_of_whole_rows(kind):
+    """Values 120*3 up to 120*1100 of a 5*7*11*3*4*2*5*3 grid: rows 3..1099 of 120 columns."""
+    dims, calls = (5, 7, 11, 3, 4, 2, 5, 3), []
+    blocks = list(grid_blocks(_positions(dims, calls)[kind], 120 * 3, 120 * 1100))
+    assert [b.shape for b in blocks] == [(546, 120), (546, 120), (5, 120)]
+    assert max(calls) <= _CHUNK and sum(calls) == 120 * 1097
+    got = np.concatenate([b.ravel() for b in blocks])
+    np.testing.assert_array_equal(got, np.arange(120 * 3, 120 * 1100))
+
 def test_tt_svd_keeps_exact_ranks_through_the_svd_fallback(monkeypatch):
     """A grid of TT ranks (2, 3, 2) keeps them.
 
